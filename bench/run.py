@@ -9,8 +9,10 @@ start only to import matchq and build the inputs (their median is
 The last line on stdout is one JSON object with the keys correct,
 attempted, failed and metrics. With --trace 0 the metrics are the
 end-to-end figures; with --trace 1 they are the per-layer figures from a
-traced run and the tracing overhead. Full results and the span records go
-to bench/out/.
+traced run and the tracing overhead. End-to-end times are scaled to a
+reference machine speed by probes taken during the run (see speed.py).
+Full results, with the unscaled times, and the span records go to
+bench/out/.
 """
 
 import argparse
@@ -47,16 +49,21 @@ def _worker(args, env, timeout):
 
 def run_workload(name, seed, seconds, trace, deadline):
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
+    # A fixed string-hash seed keeps dictionary layouts, and so their
+    # speed, the same in every worker.
+    env["PYTHONHASHSEED"] = "0"
     common = ["--workload", name, "--seed", str(seed)]
     workdir = Path(tempfile.mkdtemp(prefix=f"{name}-", dir=OUT))
     try:
         setups = []
+        unscaled = []
         for k in range(SETUP_PROBES):
             probe = workdir / f"setup{k}"
             probe.mkdir()
             res = _worker(common + ["--workdir", str(probe), "--setup-only"], env,
                           deadline - time.monotonic())
             setups.append(res["setup_s"])
+            unscaled.append(res["setup_unscaled_s"])
         run_dir = workdir / "run"
         run_dir.mkdir()
         spans = OUT / f"spans-{name}-seed{seed}.json"
@@ -66,7 +73,9 @@ def run_workload(name, seed, seconds, trace, deadline):
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     setups.append(res["setup_s"])
+    unscaled.append(res["setup_unscaled_s"])
     res["setup_runs_s"] = setups
+    res["setup_runs_unscaled_s"] = unscaled
     if not trace:
         res["metrics"]["setup_s"] = {"value": statistics.median(setups), "unit": "s"}
     with open(OUT / f"result-{name}-seed{seed}-trace{trace}.json", "w") as fh:

@@ -8,9 +8,10 @@ operations, checks the outputs, and prints one JSON object on stdout.
       --workdir DIR [--setup-only] [--spans FILE]
 
 With --trace 0 every round is untraced and the end-to-end figures are
-reported. With --trace 1 the first half of the time runs untraced and the
-second half with spans around each layer's functions, and the per-layer
-figures are reported.
+reported, each time scaled to the reference machine speed of speed.py.
+With --trace 1 the first half of the time runs untraced and the second
+half with spans around each layer's functions, and the per-layer figures
+are reported, in unscaled wall time.
 """
 
 import os
@@ -37,33 +38,47 @@ ROOT = HERE.parent
 TAIL_PCT = 75
 
 import checks  # noqa: E402
+import speed  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 
 class Round:
-    """Times each operation of one round and counts the ones that raise."""
+    """Times each operation of one round and counts the ones that raise.
 
-    def __init__(self, tracer=None):
+    The sampler's probes (see speed.py) run during the operations; their
+    time is taken out of each operation's time.
+    """
+
+    def __init__(self, sampler, tracer=None):
+        self.sampler = sampler
         self.tracer = tracer
         self.labels = []
         self.times = []
+        self.spans = []
         self.errors = []
+
+    def scaled_times(self):
+        """Each operation's time at the reference speed."""
+        return [self.sampler.scale(t, *span) for t, span in zip(self.times, self.spans)]
 
     def op(self, label, fn, *args, **kwargs):
         if self.tracer is not None:
             self.tracer.op += 1
+        busy = self.sampler.busy
         start = perf_counter()
         try:
             out = fn(*args, **kwargs)
         except Exception as exc:  # a failed operation is counted, not fatal
             out = None
             self.errors.append(f"{label}: {exc!r}")
-        self.times.append(perf_counter() - start)
+        end = perf_counter()
+        self.times.append(end - start - (self.sampler.busy - busy))
+        self.spans.append((start, end))
         self.labels.append(label)
         return out
 
 
-def run_rounds(wl, inputs, workdir, tag, seconds, min_rounds, tracer=None):
+def run_rounds(wl, inputs, workdir, tag, seconds, min_rounds, sampler, tracer=None):
     """Whole rounds until another one would end after `seconds`.
 
     Returns the rounds and the first round's outputs and directory; the
@@ -75,11 +90,10 @@ def run_rounds(wl, inputs, workdir, tag, seconds, min_rounds, tracer=None):
     while True:
         rdir = workdir / f"{tag}{len(rounds)}"
         rdir.mkdir()
-        rnd = Round(tracer)
-        t0 = perf_counter()
+        rnd = Round(sampler, tracer)
         out = wl.run_round(inputs, rnd, rdir)
-        wall = perf_counter() - t0
-        rounds.append({"wall": wall, "times": rnd.times, "labels": rnd.labels, "errors": rnd.errors,
+        rounds.append({"wall": sum(rnd.times), "round": rnd, "labels": rnd.labels,
+                       "times": rnd.times, "errors": rnd.errors,
                        "fingerprint": wl.fingerprint(out, rdir)})
         if first is None:
             first = (out, rdir)
@@ -148,6 +162,27 @@ def layer_metrics(totals, n_rounds):
     }
 
 
+def measure(args, wl, inputs, workdir, sampler):
+    """The run's rounds: untraced ones, then with --trace 1 traced ones."""
+    checks.self_test()
+
+    def min_rounds(ops_per_round):
+        return math.ceil(10 / (ops_per_round * (1 - TAIL_PCT / 100)))
+
+    if not args.trace:
+        rounds, first = run_rounds(wl, inputs, workdir, "u", args.seconds, min_rounds, sampler)
+        return rounds, [], first, None
+    rounds, first = run_rounds(wl, inputs, workdir, "u", args.seconds / 2, 1, sampler)
+    tracer = Tracer()
+    for owner, attr, name, count in wl.TRACE:
+        tracer.wrap(owner, attr, name, count)
+    try:
+        traced, _ = run_rounds(wl, inputs, workdir, "t", args.seconds / 2, 1, sampler, tracer)
+    finally:
+        tracer.restore()
+    return rounds, traced, first, tracer
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
@@ -160,38 +195,34 @@ def main(argv=None):
     args = ap.parse_args(argv)
     workdir = Path(args.workdir)
 
+    # The sampler runs from set-up to the last round; set-up is scaled
+    # like every other time.
+    sampler = speed.Sampler()
     t0 = perf_counter()
-    sys.path.insert(0, str(ROOT / "src"))
-    import workloads
-    import matchq
+    sampler.start()
+    try:
+        sys.path.insert(0, str(ROOT / "src"))
+        import workloads
+        import matchq
 
-    wl = workloads.WORKLOADS[args.workload]
-    inputs = wl.build(args.seed, workdir)
-    setup_s = perf_counter() - t0
-    src = Path(matchq.__file__).resolve().parent
-    if src != (ROOT / "src" / "matchq").resolve():
-        raise SystemExit(f"matchq was imported from {src}, not from this checkout")
-    if args.setup_only:
-        print(json.dumps({"setup_s": setup_s}))
-        return
+        wl = workloads.WORKLOADS[args.workload]
+        inputs = wl.build(args.seed, workdir)
+        t1 = perf_counter()
+        setup_unscaled_s = t1 - t0 - sampler.busy
+        setup_s = sampler.scale(setup_unscaled_s, t0, t1)
+        src = Path(matchq.__file__).resolve().parent
+        if src != (ROOT / "src" / "matchq").resolve():
+            raise SystemExit(f"matchq was imported from {src}, not from this checkout")
+        if args.setup_only:
+            print(json.dumps({"setup_s": setup_s, "setup_unscaled_s": setup_unscaled_s}))
+            return
+        rounds, traced, first, tracer = measure(args, wl, inputs, workdir, sampler)
+    finally:
+        sampler.stop()
 
-    checks.self_test()
-
-    def min_rounds(ops_per_round):
-        return math.ceil(10 / (ops_per_round * (1 - TAIL_PCT / 100)))
-
-    if args.trace:
-        rounds, first = run_rounds(wl, inputs, workdir, "u", args.seconds / 2, 1)
-        tracer = Tracer()
-        for owner, attr, name, count in wl.TRACE:
-            tracer.wrap(owner, attr, name, count)
-        try:
-            traced, _ = run_rounds(wl, inputs, workdir, "t", args.seconds / 2, 1, tracer)
-        finally:
-            tracer.restore()
-    else:
-        rounds, first = run_rounds(wl, inputs, workdir, "u", args.seconds, min_rounds)
-        traced = []
+    for r in rounds + traced:
+        r["scaled"] = r.pop("round").scaled_times()
+        r["scaled_wall"] = sum(r["scaled"])
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     failures = [e for r in rounds + traced for e in r["errors"]]
@@ -208,10 +239,11 @@ def main(argv=None):
         reason = traceback.format_exc()
         work = 0
 
-    walls = [r["wall"] for r in rounds]
+    walls = [r["scaled_wall"] for r in rounds]
     wall_s = statistics.median(walls)
     result = {
         "setup_s": setup_s,
+        "setup_unscaled_s": setup_unscaled_s,
         "correct": correct,
         "attempted": attempted,
         "failed": len(failures),
@@ -220,21 +252,24 @@ def main(argv=None):
         "rounds": len(rounds),
         "ops_per_round": len(rounds[0]["times"]),
         "work_per_round": work,
+        # the machine's speed during the run: REF_S over the median probe time
+        "speed": speed.REF_S / statistics.median(sampler.took),
+        "probes": len(sampler.took),
     }
     if args.trace:
         tracer_totals = tracer.totals()
         metrics = layer_metrics(tracer_totals, len(traced))
         metrics["trace.overhead_s"] = (
-            statistics.median(r["wall"] for r in traced) - wall_s, "s")
+            statistics.median(r["scaled_wall"] for r in traced) - wall_s, "s")
         result["traced_rounds"] = len(traced)
         result["spans"] = {k: list(v) for k, v in sorted(tracer_totals.items())}
         if args.spans:
             tracer.write(args.spans)
     else:
-        # Each operation's time is its median over the rounds, which damps
-        # the machine's second-to-second speed changes; every run of an
-        # operation counts once toward the percentiles.
-        per_op = [statistics.median(ts) for ts in zip(*(r["times"] for r in rounds))]
+        # Each operation's time, at the reference speed, is its median over
+        # the rounds; every run of an operation counts once toward the
+        # percentiles.
+        per_op = [statistics.median(ts) for ts in zip(*(r["scaled"] for r in rounds))]
         samples = per_op * len(rounds)
         metrics = {
             "wall_s": (wall_s, "s"),
@@ -244,6 +279,15 @@ def main(argv=None):
             "peak_rss_mb": (peak_rss_mb, "MB"),
         }
         result["round_walls"] = walls
+        # the same figures from unscaled wall times, for reference
+        raw_op = [statistics.median(ts) for ts in zip(*(r["times"] for r in rounds))]
+        raw_wall = statistics.median(r["wall"] for r in rounds)
+        result["unscaled"] = {
+            "wall_s": raw_wall,
+            "op_p50_s": statistics.median(raw_op),
+            "op_tail_s": percentile(raw_op * len(rounds), TAIL_PCT),
+            "work_per_s": work / raw_wall,
+        }
         by_label = {}
         for label, t in zip(rounds[0]["labels"], per_op):
             by_label.setdefault(label, []).append(t)
