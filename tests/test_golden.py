@@ -1,0 +1,229 @@
+"""Golden outputs: fixed (graph, policy, seed) runs pinned by sha256 digests.
+
+Every driver of the event kernel (simulate, both coupled experiments and
+the online growth) and the public match_decision are run on fixed inputs,
+and their outputs are hashed field by field. The digests in
+golden_digests.json were recorded once; a change that alters any output
+bit, or the order in which random draws are consumed, fails here.
+
+To print the digests of the current code (only to inspect a deliberate
+change of behaviour, never to refresh the fixtures silently):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from matchq.graphs import Graph, complete_graph, five_cycle_graph, pendant_graph
+from matchq.policies import (
+    five_cycle_priority_policy,
+    match_decision,
+    ml_policy,
+    pendant_priority_policy,
+    priority_policy,
+    uniform_policy,
+)
+from matchq.randgraph import grow_and_match, type_distribution
+from matchq.simulate import (
+    SimConfig,
+    coupled_nonchaotic,
+    coupled_nonexpansive,
+    simulate,
+)
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+PENDANT = pendant_graph()
+C5 = five_cycle_graph()
+LAM = (0.1, 0.1, 0.45, 0.35)
+C5_LAM = (0.1, 0.1, 0.225, 0.225, 0.35)
+PENDANT_PLUS = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+PENDANT_PLUS_POLICY = priority_policy(
+    {1: (2, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3, 5), 5: (4,)}
+)
+POLICIES = {
+    "priority": pendant_priority_policy(),
+    "ml": ml_policy(),
+    "uniform": uniform_policy(),
+}
+C5_POLICIES = {
+    "priority": five_cycle_priority_policy(),
+    "ml": ml_policy(),
+    "uniform": uniform_policy(),
+}
+
+
+def _digest(*parts) -> str:
+    """sha256 over arrays (little-endian 8-byte values, with shape) and reprs."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            dtype = "<f8" if part.dtype.kind == "f" else "<i8"
+            arr = np.ascontiguousarray(part, dtype=dtype)
+            h.update(repr(arr.shape).encode())
+            h.update(arr.tobytes())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def _trace_digest(graph, rates, policy, **config) -> str:
+    tr = simulate(graph, rates, policy, SimConfig(**config))
+    return _digest(
+        tr.times, tr.classes, tr.matched, tr.states, tr.arrivals, tr.first_zero,
+        tr.final_state, tr.end_time, tr.n_events, tr.empty_time,
+        tr.node_count, tr.scale, tr.seed, tr.horizon,
+    )
+
+
+def _simulate_cases():
+    inf = math.inf
+    for name, pol in POLICIES.items():
+        for stride in (1, 0):
+            # horizon cutoff across two chunk boundaries, from a scaled start
+            yield f"sim-{name}-horizon-s{stride}", lambda pol=pol, stride=stride: (
+                _trace_digest(PENDANT, LAM, pol, horizon=2000.0, seed=11, scale=10,
+                              initial_state=(0, 0, 0, 40), trace_stride=stride)
+            )
+            # run until the tail node empties
+            yield f"sim-{name}-stopnode-s{stride}", lambda pol=pol, stride=stride: (
+                _trace_digest(PENDANT, (0.2, 0.2, 0.4, 0.2), pol, horizon=inf,
+                              seed=12, initial_state=(0, 0, 0, 300),
+                              trace_stride=stride, stop_node=4, max_events=10**6)
+            )
+            # run until the whole vector is zero
+            yield f"sim-{name}-empty-s{stride}", lambda pol=pol, stride=stride: (
+                _trace_digest(PENDANT, (0.3, 0.3, 0.35, 0.05), pol, horizon=inf,
+                              seed=13, initial_state=(0, 0, 0, 60),
+                              trace_stride=stride, stop_when_empty=True,
+                              max_events=10**5)
+            )
+            # event cap one past a chunk
+            yield f"sim-{name}-cap8193-s{stride}", lambda pol=pol, stride=stride: (
+                _trace_digest(PENDANT, LAM, pol, horizon=inf, seed=14,
+                              trace_stride=stride, max_events=8193)
+            )
+    for name, pol in C5_POLICIES.items():
+        # the 5-cycle has two available neighbours, so uniform and ml draw
+        yield f"sim-c5-{name}-stride3-checked", lambda pol=pol: (
+            _trace_digest(C5, C5_LAM, pol, horizon=12000.0, seed=15,
+                          initial_state=(3, 0, 0, 0, 2), trace_stride=3,
+                          check_states=True)
+        )
+        yield f"sim-c5-{name}-stride50", lambda pol=pol: (
+            _trace_digest(C5, (0.2,) * 5, pol, horizon=30.0, seed=16, scale=1000,
+                          initial_state=(1000, 0, 0, 1000, 0), trace_stride=50)
+        )
+    yield "sim-k4-uniform-cap1", lambda: _trace_digest(
+        complete_graph(4), (0.25,) * 4, uniform_policy(), horizon=10.0, seed=17,
+        max_events=1,
+    )
+
+
+def _coupled_cases():
+    nonexp = {
+        "priority": (PENDANT, LAM, POLICIES["priority"], (0, 0, 0, 5), (0, 0, 0, 0)),
+        "ml": (PENDANT, LAM, ml_policy(), (7, 0, 0, 3), (0, 4, 0, 0)),
+        "uniform": (C5, C5_LAM, uniform_policy(), (3, 0, 0, 0, 2), (0, 4, 0, 0, 0)),
+    }
+    for name, (graph, lam, pol, x, y) in nonexp.items():
+        yield f"nonexpansive-{name}", lambda a=(graph, lam, pol, x, y): _digest(
+            coupled_nonexpansive(*a, SimConfig(horizon=math.inf, seed=21,
+                                               max_events=30_000))
+        )
+    yield "nonexpansive-ml-horizon", lambda: _digest(
+        coupled_nonexpansive(PENDANT, LAM, ml_policy(), (2, 0, 0, 9), (0, 0, 0, 4),
+                             SimConfig(horizon=9000.0, seed=22, scale=2))
+    )
+    yield "nonexpansive-ml-equal", lambda: _digest(
+        coupled_nonexpansive(PENDANT, LAM, ml_policy(), (0, 0, 0, 3), (0, 0, 0, 3),
+                             SimConfig(horizon=math.inf, seed=23, max_events=20_000))
+    )
+    chaos = {
+        "priority": (PENDANT_PLUS_POLICY, (0.1, 0.1, 0.45, 0.35, 0.02)),
+        "uniform": (uniform_policy(), (0.2, 0.2, 0.4, 0.35, 0.05)),
+    }
+    for name, (pol, lam) in chaos.items():
+        yield f"nonchaotic-{name}", lambda pol=pol, lam=lam: _digest(
+            coupled_nonchaotic(PENDANT_PLUS, [1, 2, 3, 4], lam, pol,
+                               SimConfig(horizon=math.inf, seed=24,
+                                         initial_state=(0, 0, 0, 6, 0),
+                                         max_events=30_000))
+        )
+    yield "nonchaotic-uniform-horizon", lambda: _digest(
+        coupled_nonchaotic(PENDANT_PLUS, [1, 2, 3, 4], (0.2, 0.2, 0.4, 0.35, 0.05),
+                           uniform_policy(), SimConfig(horizon=5000.0, seed=25))
+    )
+
+
+def _growth_digest(template, rates, policy, n, seed, checkpoints=None) -> str:
+    g = grow_and_match(template, type_distribution(rates), policy, n, seed,
+                       checkpoints=checkpoints)
+    return _digest(g.partner, g.node_types, g.checkpoints, g.total_time,
+                   g.matched_count, g.queue, g.mu)
+
+
+def _growth_cases():
+    for name, pol in POLICIES.items():
+        yield f"growth-{name}", lambda pol=pol: _growth_digest(
+            PENDANT, (0.2, 0.2, 0.4, 0.35), pol, 20_000, 31
+        )
+    yield "growth-c5-uniform-every", lambda: _growth_digest(
+        C5, (1, 1, 1, 1, 1), uniform_policy(), 9000, 32, checkpoints=range(1, 9001)
+    )
+    yield "growth-c5-ml-8193", lambda: _growth_digest(
+        C5, (1, 2, 1, 2, 1), ml_policy(), 8193, 33
+    )
+
+
+def _decision_digest() -> str:
+    rng = np.random.default_rng(41)
+    states = {
+        "pendant": (PENDANT, [(0, 0, 0, 0), (2, 0, 0, 5), (3, 0, 0, 3), (0, 4, 0, 1),
+                              (0, 0, 6, 0), (1, 0, 0, 1)]),
+        "c5": (C5, [(0, 0, 0, 0, 0), (2, 0, 0, 2, 0), (0, 3, 3, 0, 0),
+                    (1, 0, 0, 0, 4), (0, 0, 5, 5, 0)]),
+    }
+    out = []
+    for gname, (graph, vectors) in states.items():
+        pols = POLICIES if gname == "pendant" else C5_POLICIES
+        for pname, pol in pols.items():
+            for state in vectors:
+                for arriving in graph.nodes:
+                    if state[arriving - 1]:
+                        continue
+                    for _ in range(3):
+                        out.append(match_decision(pol, graph, state, arriving, rng))
+    # the stream position shows how many draws were taken
+    out.append(rng.random())
+    return _digest(out)
+
+
+CASES = dict(_simulate_cases())
+CASES.update(_coupled_cases())
+CASES.update(_growth_cases())
+CASES["match-decision-sequence"] = _decision_digest
+
+
+def _expected() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+def test_every_case_has_a_digest():
+    assert sorted(_expected()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    assert CASES[name]() == _expected()[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: CASES[name]() for name in sorted(CASES)}, indent=1))
