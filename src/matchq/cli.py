@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     BudgetExceededError,
+    IndexOutOfRangeError,
     MatchQError,
     NotApplicableError,
     RatesOutsideRegionError,
@@ -98,7 +99,7 @@ def _emit(obj: dict, args, name: str, extra_inputs=(), seed=None, files=None):
         written = [report] + (files or [])
         inputs = [p for p in extra_inputs if p]
         ser.dump_json(
-            ser.manifest(args.command, sys.argv[1:], inputs, seed=seed, outputs=written),
+            ser.manifest(args.command, args.argv, inputs, seed=seed, outputs=written),
             out / "manifest.json",
         )
     elif fmt == "csv":
@@ -144,11 +145,18 @@ def _cmd_fluid(args):
 
 def _parse_initial(args, graph):
     if args.init_node is not None:
+        if not 1 <= args.init_node <= graph.node_count:
+            raise IndexOutOfRangeError(args.init_node, graph.node_count)
         return tuple(
             args.scale if v == args.init_node else 0 for v in graph.nodes
         )
     if args.init:
-        return tuple(int(x) for x in args.init.split(","))
+        try:
+            return tuple(int(x) for x in args.init.split(","))
+        except ValueError:
+            raise ValidationError(
+                f"--init {args.init!r} is not a comma-separated list of integers"
+            ) from None
     return None
 
 
@@ -200,7 +208,7 @@ def _cmd_simulate(args):
         ser.dump_json(
             ser.manifest(
                 "simulate",
-                sys.argv[1:],
+                args.argv,
                 [args.graph, args.rates, args.policy],
                 seed=args.seed,
                 outputs=outputs,
@@ -374,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # recorded in manifest.json
     try:
         args.func(args)
     except (NotApplicableError, RatesOutsideRegionError, UnsupportedPolicyError) as exc:

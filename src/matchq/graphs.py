@@ -12,6 +12,7 @@ four-way split used by the stability tooling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -142,14 +143,14 @@ def complete_graph(size: int) -> Graph:
 
 
 def check_rates(graph: Graph, rates: Sequence[float]) -> tuple[float, ...]:
-    """Validate an arrival-rate vector: length p, strictly positive."""
+    """Validate an arrival-rate vector: length p, finite, strictly positive."""
     rates = tuple(float(r) for r in rates)
     if len(rates) != graph.node_count:
         raise ValidationError(
             f"expected {graph.node_count} rates, got {len(rates)}"
         )
-    if any(r <= 0 for r in rates):
-        raise ValidationError("arrival rates must be strictly positive")
+    if not all(math.isfinite(r) and r > 0 for r in rates):
+        raise ValidationError("arrival rates must be finite and strictly positive")
     return rates
 
 

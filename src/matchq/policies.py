@@ -11,12 +11,18 @@ Three kinds are supported:
 
 All policies are admissible: a match happens whenever some neighbor queue
 is positive, and decisions depend only on the current queue vector.
+
+The rule is written once, in _decision_step, and every driver (simulate,
+the coupled runs, the online growth) and match_decision call it; the
+drivers read their events from the one chunked stream in _arrivals.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -134,35 +140,133 @@ def match_decision(
 ) -> Optional[int]:
     """The class matched by an arriving item, or None when it must queue.
 
-    `rng` is required for the randomized kinds (ml ties and uniform draws);
-    priority decisions never touch it.
+    `rng` is required for the randomized kinds (ml ties and uniform draws)
+    and is drawn from only when there is more than one choice; priority
+    decisions never touch it.
     """
     state = check_state(graph, state)
     if not 1 <= arriving <= graph.node_count:
         raise ValidationError(f"arriving class {arriving} out of range")
     validate_policy(policy, graph)
-    if policy.kind == PRIORITY:
-        for j in policy.order[arriving]:
-            if state[j - 1] > 0:
-                return j
-        return None
-    available = [j for j in graph.neighbors(arriving) if state[j - 1] > 0]
-    if not available:
-        return None
-    if policy.kind == UNIFORM:
-        if len(available) == 1:
-            return available[0]
-        if rng is None:
-            raise ValidationError("uniform policy needs an rng")
-        return available[int(rng.random() * len(available))]
-    # match the longest
-    longest = max(state[j - 1] for j in available)
-    ties = [j for j in available if state[j - 1] == longest]
-    if len(ties) == 1:
-        return ties[0]
+    _, choices = _decision_step(policy, graph)
+    options = choices((0,) + state, arriving)
+    if len(options) < 2:
+        return options[0] if options else None
     if rng is None:
-        raise ValidationError("ml tie-break needs an rng")
-    return ties[int(rng.random() * len(ties))]
+        raise ValidationError(f"{policy.kind} policy needs an rng to choose")
+    return options[int(rng.random() * len(options))]
+
+
+def _decision_step(policy: Policy, graph: Graph):
+    """The policy's rule compiled for one graph, as (decide, choices).
+
+    Both take the queue list q (q[0] unused) and the arriving class c.
+    decide(q, c, u) returns the matched class, or 0 when the arrival
+    queues; on ties it returns choices(q, c)[int(u * n)] for a uniform u in
+    [0, 1), and priority ignores u. choices(q, c) lists the candidates:
+    the available neighbours (uniform), the longest ones (ml) or the one
+    priority picks.
+    """
+    nbrs = [()] + [graph.neighbors(i) for i in graph.nodes]
+    if policy.kind == PRIORITY:
+        orders = [()] + [policy.order[i] for i in graph.nodes]
+
+        def decide(q, c, u):
+            for w in orders[c]:
+                if q[w]:
+                    return w
+            return 0
+
+        def choices(q, c):
+            j = decide(q, c, 0.0)
+            return [j] if j else []
+
+    elif policy.kind == UNIFORM:
+
+        def choices(q, c):
+            return [w for w in nbrs[c] if q[w]]
+
+        def decide(q, c, u):
+            j = n = 0
+            for w in nbrs[c]:
+                if q[w]:
+                    j = w
+                    n += 1
+            return j if n < 2 else choices(q, c)[int(u * n)]
+
+    else:
+
+        def choices(q, c):
+            best = 0
+            out = []
+            for w in nbrs[c]:
+                v = q[w]
+                if v > best:
+                    best = v
+                    out = [w]
+                elif v == best and v:
+                    out.append(w)
+            return out
+
+        def decide(q, c, u):
+            best = j = n = 0
+            for w in nbrs[c]:
+                v = q[w]
+                if v > best:
+                    best = v
+                    j = w
+                    n = 1
+                elif v == best and v:
+                    n += 1
+            return j if n < 2 else choices(q, c)[int(u * n)]
+
+    return decide, choices
+
+
+_CHUNK = 8192
+
+
+def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None,
+              unit_clock=False):
+    """The event stream every driver consumes, yielded in chunks.
+
+    One Philox stream per seed child: child 0 draws, per 8192 events, a
+    chunk of exponential gaps and then a chunk of class uniforms; children
+    1..replicas each draw a chunk of decision uniforms when `randomized`.
+    Gaps are divided by the total rate unless `unit_clock`. Each chunk is
+    (times, classes, *uniforms): event times (ndarray, summed one after
+    another from the previous chunk's last time), arriving classes
+    (ndarray, 1-based), and one list of uniforms per replica (zeros when
+    not randomized). A chunk cut by the horizon t_end or by max_events
+    in total is the last one.
+    """
+    seeds = np.random.SeedSequence(int(seed)).spawn(1 + replicas)
+    arrival, *deciders = (np.random.Generator(np.random.Philox(s)) for s in seeds)
+    # cumulative class probabilities with the top pinned to exactly 1.0:
+    # rounding can leave it a few ulps short, and a draw above it would
+    # index past the last class
+    cum = np.cumsum(np.asarray(rates, dtype=float))
+    cum /= cum[-1]
+    cum[-1] = 1.0
+    inv_rate = 1.0 / float(sum(rates))
+    left = math.inf if max_events is None else max_events
+    t = 0.0
+    while True:
+        gaps = arrival.standard_exponential(_CHUNK)
+        if not unit_clock:
+            gaps *= inv_rate
+        classes = np.searchsorted(cum, arrival.random(_CHUNK), side="right") + 1
+        times = np.cumsum(np.concatenate(([t], gaps)))
+        n = min(int(np.searchsorted(times, t_end, side="right")) - 1, left)
+        if randomized:
+            us = [d.random(_CHUNK)[:n].tolist() for d in deciders]
+        else:
+            us = [repeat(0.0)] * replicas
+        yield (times[1 : n + 1], classes[:n], *us)
+        if n < _CHUNK:
+            return
+        left -= n
+        t = float(times[-1])
 
 
 def apply_transition(

@@ -16,6 +16,7 @@ matching itself is materialized.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -24,15 +25,14 @@ import numpy as np
 
 from .errors import NotConnectedError, TooLargeError, ValidationError
 from .graphs import Graph, independent_sets, is_connected, neighbors_of_set
-from .policies import PRIORITY, UNIFORM, Policy, validate_policy
-from .simulate import _CHUNK, _cum_probs, _spawn_rngs
+from .policies import PRIORITY, Policy, _arrivals, _decision_step, validate_policy
 
 
 def type_distribution(rates: Sequence[float]) -> tuple[float, ...]:
     """Normalize an arrival-rate vector into a type distribution."""
     rates = [float(r) for r in rates]
-    if any(r <= 0 for r in rates):
-        raise ValidationError("rates must be strictly positive")
+    if not all(math.isfinite(r) and r > 0 for r in rates):
+        raise ValidationError("rates must be finite and strictly positive")
     total = sum(rates)
     return tuple(r / total for r in rates)
 
@@ -87,7 +87,7 @@ def grow_and_match(
     None records 100 evenly spaced points.
     """
     mu = tuple(float(m) for m in mu)
-    if len(mu) != template.node_count or any(m <= 0 for m in mu):
+    if len(mu) != template.node_count or not all(m > 0 for m in mu):
         raise ValidationError("mu must be strictly positive over the template nodes")
     if abs(sum(mu) - 1.0) > 1e-9:
         raise ValidationError("mu must sum to one; see type_distribution")
@@ -107,13 +107,7 @@ def grow_and_match(
     cp_iter = iter(cps + [-1])
     next_cp = next(cp_iter)
 
-    arrival_rng, (decision_rng,) = _spawn_rngs(seed, 1)
-    cum = _cum_probs(mu)
-    kind = policy.kind
-    needs_u = kind != PRIORITY
-    nbrs = [()] + [template.neighbors(i) for i in template.nodes]
-    orders = [()] + [policy.order[i] for i in template.nodes] if kind == PRIORITY else None
-
+    decide, _ = _decision_step(policy, template)
     types = np.zeros(n_nodes, dtype=np.int16)
     partner = np.full(n_nodes, -1, dtype=np.int64)
     unmatched: list[deque] = [deque() for _ in range(p + 1)]
@@ -121,38 +115,18 @@ def grow_and_match(
     matched = 0
     records: list[tuple[int, int, tuple[int, ...]]] = []
 
+    # the growth clock counts unit-rate gaps: mu sums to one only to
+    # within rounding, and dividing by its sum would change the bits
     t = 0.0
     n = 0
-    while n < n_nodes:
-        dts = arrival_rng.standard_exponential(_CHUNK).tolist()
-        cls = (np.searchsorted(cum, arrival_rng.random(_CHUNK), side="right") + 1).tolist()
-        us = decision_rng.random(_CHUNK).tolist() if needs_u else None
-        for k in range(_CHUNK):
-            if n >= n_nodes:
-                break
-            t += dts[k]
-            c = cls[k]
-            types[n] = c
-            j = 0
-            if orders is not None:
-                for w in orders[c]:
-                    if q[w] > 0:
-                        j = w
-                        break
-            elif kind == UNIFORM:
-                av = [w for w in nbrs[c] if q[w] > 0]
-                if av:
-                    m = len(av)
-                    j = av[0] if m == 1 else av[int(us[k] * m)]
-            else:
-                best = 0
-                for w in nbrs[c]:
-                    v = q[w]
-                    if v > best:
-                        best = v
-                if best:
-                    ties = [w for w in nbrs[c] if q[w] == best]
-                    j = ties[0] if len(ties) == 1 else ties[int(us[k] * len(ties))]
+    for times, cls, us in _arrivals(
+        mu, seed, 1, policy.kind != PRIORITY, max_events=n_nodes, unit_clock=True
+    ):
+        types[n : n + len(cls)] = cls
+        if len(times):
+            t = float(times[-1])
+        for c, u in zip(cls.tolist(), us):
+            j = decide(q, c, u)
             if j:
                 v = unmatched[j].popleft()
                 q[j] -= 1

@@ -30,34 +30,12 @@ from .graphs import Graph, check_rates, is_connected
 from .policies import (
     MATCH_LONGEST,
     PRIORITY,
-    UNIFORM,
     Policy,
+    _arrivals,
+    _decision_step,
     check_state,
     validate_policy,
 )
-
-_CHUNK = 8192
-
-
-def _spawn_rngs(seed: int, decision_streams: int = 1):
-    ss = np.random.SeedSequence(int(seed))
-    children = ss.spawn(1 + decision_streams)
-    arrival = np.random.Generator(np.random.Philox(children[0]))
-    decisions = [np.random.Generator(np.random.Philox(c)) for c in children[1:]]
-    return arrival, decisions
-
-
-def _cum_probs(rates) -> np.ndarray:
-    """Cumulative class probabilities with the top pinned to exactly 1.0.
-
-    Rounding can leave the final cumsum a few ulps below one, and a
-    uniform draw above it would index past the last class.
-    """
-    cum = np.cumsum(np.asarray(rates, dtype=float))
-    cum /= cum[-1]
-    cum[-1] = 1.0
-    return cum
-
 
 def replication_seeds(master_seed: int, count: int) -> list[int]:
     """Independent per-replication seeds derived from one master seed."""
@@ -158,6 +136,13 @@ def _prepare(graph: Graph, rates, policy: Policy, config: SimConfig):
         raise ValidationError("infinite horizon needs max_events or a stop condition")
     if config.scale < 1:
         raise ValidationError("scale must be >= 1")
+    p = graph.node_count
+    if config.stop_node is not None and not 1 <= config.stop_node <= p:
+        raise ValidationError(f"stop_node {config.stop_node} outside 1..{p}")
+    if config.max_events is not None and config.max_events < 0:
+        raise ValidationError("max_events must be nonnegative")
+    if config.trace_stride < 0:
+        raise ValidationError("trace_stride must be nonnegative")
     return rates, state
 
 
@@ -165,18 +150,8 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
     """Run one matching-queue sample path; reproducible from (inputs, seed)."""
     rates, state = _prepare(graph, rates, policy, config)
     p = graph.node_count
-    lambar = float(sum(rates))
-    inv_lambar = 1.0 / lambar
-    cum = _cum_probs(rates)
     t_end = config.horizon * config.scale
-
-    arrival_rng, (decision_rng,) = _spawn_rngs(config.seed, 1)
-    kind = policy.kind
-    needs_u = kind != PRIORITY
-    nbrs = [()] + [graph.neighbors(i) for i in graph.nodes]
-    orders = None
-    if kind == PRIORITY:
-        orders = [()] + [policy.order[i] for i in graph.nodes]
+    decide, _ = _decision_step(policy, graph)
 
     q = [0] + list(state)
     nnz = sum(1 for v in state if v > 0)
@@ -185,7 +160,7 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
         if q[i] == 0:
             first_zero[i] = 0.0
     empty_time = 0.0 if nnz == 0 else None
-    arrivals = [0] * (p + 1)
+    arrivals = np.zeros(p + 1, dtype=np.int64)
 
     stride = config.trace_stride
     stop_node = config.stop_node
@@ -201,44 +176,14 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
 
     t = 0.0
     events = 0
-    done = (stop_node is not None and q[stop_node] == 0) or (stop_empty and nnz == 0)
-    while not done:
-        dts = arrival_rng.standard_exponential(_CHUNK)
-        dts *= inv_lambar
-        dts = dts.tolist()
-        cls = (np.searchsorted(cum, arrival_rng.random(_CHUNK), side="right") + 1).tolist()
-        us = decision_rng.random(_CHUNK).tolist() if needs_u else None
-        for k in range(_CHUNK):
-            if max_events is not None and events >= max_events:
-                done = True
-                break
-            nt = t + dts[k]
-            if nt > t_end:
-                done = True
-                t = t_end
-                break
-            t = nt
-            c = cls[k]
-            j = 0
-            if orders is not None:
-                for w in orders[c]:
-                    if q[w] > 0:
-                        j = w
-                        break
-            elif kind == UNIFORM:
-                av = [w for w in nbrs[c] if q[w] > 0]
-                if av:
-                    m = len(av)
-                    j = av[0] if m == 1 else av[int(us[k] * m)]
-            else:
-                best = 0
-                for w in nbrs[c]:
-                    v = q[w]
-                    if v > best:
-                        best = v
-                if best:
-                    ties = [w for w in nbrs[c] if q[w] == best]
-                    j = ties[0] if len(ties) == 1 else ties[int(us[k] * len(ties))]
+    stop = (stop_node is not None and q[stop_node] == 0) or (stop_empty and nnz == 0)
+    chunks = () if stop else _arrivals(
+        rates, config.seed, 1, policy.kind != PRIORITY, t_end, max_events
+    )
+    for times, cls, us in chunks:
+        start = events
+        for t, c, u in zip(times.tolist(), cls.tolist(), us):
+            j = decide(q, c, u)
             if j:
                 v = q[j] - 1
                 q[j] = v
@@ -248,27 +193,28 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
                         first_zero[j] = t
                     if nnz == 0 and empty_time is None:
                         empty_time = t
+                    stop = j == stop_node or (stop_empty and nnz == 0)
             else:
                 if q[c] == 0:
                     nnz += 1
                 q[c] += 1
-            arrivals[c] += 1
+                if check:
+                    for a, b in edges:
+                        if q[a] and q[b]:
+                            raise InvalidStateError(f"state left the state space at t={t}")
             events += 1
-            if check and j == 0:
-                for a, b in edges:
-                    if q[a] and q[b]:
-                        raise InvalidStateError(f"state left the state space at t={t}")
             if stride and events % stride == 0:
                 rec_t.append(t)
                 rec_c.append(c)
                 rec_m.append(j)
                 rec_s.append(q[1:])
-            if j and stop_node == j and q[j] == 0:
-                done = True
+            if stop:
                 break
-            if stop_empty and nnz == 0:
-                done = True
-                break
+        arrivals += np.bincount(cls[: events - start], minlength=p + 1)
+        if stop:
+            break
+    if not stop and (max_events is None or events < max_events):
+        t = t_end  # the stream ended at the horizon, not at the event cap
 
     fz = np.array(
         [math.nan if v is None else v for v in first_zero[1:]], dtype=float
@@ -285,7 +231,7 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
         final_state=tuple(q[1:]),
         end_time=t,
         n_events=events,
-        arrivals=np.asarray(arrivals, dtype=np.int64),
+        arrivals=arrivals,
         first_zero=fz,
         empty_time=math.nan if empty_time is None else empty_time,
     )
@@ -353,10 +299,57 @@ def drift_estimate(
 # -- coupled experiments -----------------------------------------------------
 
 
-def _coupled_decisions_kind(policy: Policy) -> str:
-    if policy.kind not in (PRIORITY, UNIFORM, MATCH_LONGEST):
-        raise UnsupportedPolicyError(policy.kind)
-    return policy.kind
+def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
+    """Drive two replicas qa and qb (lists, index 0 unused) on one stream.
+
+    steps holds each replica's (decide, choices). For randomized kinds the
+    replicas' uniforms come from independent streams and are then glued:
+    when each one's pick is among the other's choices, replica b copies
+    replica a's pick, which keeps each replica's own decision law. The gap
+    is the 1-norm distance over the kept coordinates, and the excess is the
+    gap less the arrivals at nodes outside them. Returns (events, removed
+    arrivals, largest excess or -inf without events, events whose excess
+    is above the initial gap).
+    """
+    (decide_a, choices_a), (decide_b, choices_b) = steps
+    in_kept = [False] + [i in kept for i in range(1, len(qa))]
+    bound = gap = sum(abs(qa[i] - qb[i]) for i in kept)
+    removed = 0
+    worst = -math.inf
+    violations = 0
+    events = 0
+    for _, cls, uas, ubs in _arrivals(
+        rates, config.seed, 2, randomized, config.horizon * config.scale, config.max_events
+    ):
+        for c, ua, ub in zip(cls.tolist(), uas, ubs):
+            ja = decide_a(qa, c, ua)
+            jb = decide_b(qb, c, ub)
+            if (
+                randomized and ja and jb and ja != jb
+                and ja in choices_b(qb, c) and jb in choices_a(qa, c)
+            ):
+                jb = ja
+            j = ja or c
+            old = qa[j]
+            new = old - 1 if ja else old + 1
+            qa[j] = new
+            if in_kept[j]:
+                gap += abs(new - qb[j]) - abs(old - qb[j])
+            j = jb or c
+            old = qb[j]
+            new = old - 1 if jb else old + 1
+            qb[j] = new
+            if in_kept[j]:
+                gap += abs(new - qa[j]) - abs(old - qa[j])
+            if not in_kept[c]:
+                removed += 1
+            excess = gap - removed
+            if excess > worst:
+                worst = excess
+            if excess > bound:
+                violations += 1
+        events += len(cls)
+    return events, removed, worst, violations
 
 
 def coupled_nonexpansive(
@@ -377,109 +370,18 @@ def coupled_nonexpansive(
     of that bound (expected: zero).
     """
     rates, _ = _prepare(graph, rates, policy, config)
-    kind = _coupled_decisions_kind(policy)
     qx = [0] + list(check_state(graph, x))
     qy = [0] + list(check_state(graph, y))
-    p = graph.node_count
-    lambar = float(sum(rates))
-    cum = _cum_probs(rates)
-    t_end = config.horizon * config.scale
-    arrival_rng, (dx_rng, dy_rng) = _spawn_rngs(config.seed, 2)
-    nbrs = [()] + [graph.neighbors(i) for i in graph.nodes]
-    orders = [()] + [policy.order[i] for i in graph.nodes] if kind == PRIORITY else None
-
-    bound = sum(abs(a - b) for a, b in zip(qx[1:], qy[1:]))
-    gap = bound
-    max_gap = gap
-    violations = 0
-    max_events = config.max_events
-    t = 0.0
-    events = 0
-    done = False
-    while not done:
-        dts = arrival_rng.standard_exponential(_CHUNK)
-        dts *= 1.0 / lambar
-        dts = dts.tolist()
-        cls = (np.searchsorted(cum, arrival_rng.random(_CHUNK), side="right") + 1).tolist()
-        if kind != PRIORITY:
-            uxs = dx_rng.random(_CHUNK).tolist()
-            uys = dy_rng.random(_CHUNK).tolist()
-        for k in range(_CHUNK):
-            if max_events is not None and events >= max_events:
-                done = True
-                break
-            nt = t + dts[k]
-            if nt > t_end:
-                done = True
-                break
-            t = nt
-            c = cls[k]
-            jx = jy = 0
-            if orders is not None:
-                for w in orders[c]:
-                    if qx[w] > 0:
-                        jx = w
-                        break
-                for w in orders[c]:
-                    if qy[w] > 0:
-                        jy = w
-                        break
-            elif kind == UNIFORM:
-                avx = [w for w in nbrs[c] if qx[w] > 0]
-                avy = [w for w in nbrs[c] if qy[w] > 0]
-                if avx:
-                    jx = avx[int(uxs[k] * len(avx))]
-                if avy:
-                    jy = avy[int(uys[k] * len(avy))]
-                if jx and jy and qy[jx] > 0 and qx[jy] > 0:
-                    jy = jx
-            else:  # match the longest, draws over the tie sets
-                bx = 0
-                for w in nbrs[c]:
-                    v = qx[w]
-                    if v > bx:
-                        bx = v
-                by = 0
-                for w in nbrs[c]:
-                    v = qy[w]
-                    if v > by:
-                        by = v
-                if bx:
-                    tiesx = [w for w in nbrs[c] if qx[w] == bx]
-                    jx = tiesx[0] if len(tiesx) == 1 else tiesx[int(uxs[k] * len(tiesx))]
-                if by:
-                    tiesy = [w for w in nbrs[c] if qy[w] == by]
-                    jy = tiesy[0] if len(tiesy) == 1 else tiesy[int(uys[k] * len(tiesy))]
-                if jx and jy and qy[jx] == by and qx[jy] == bx:
-                    jy = jx
-            # apply to x
-            if jx:
-                old = qx[jx]
-                gap += abs(old - 1 - qy[jx]) - abs(old - qy[jx])
-                qx[jx] = old - 1
-            else:
-                old = qx[c]
-                gap += abs(old + 1 - qy[c]) - abs(old - qy[c])
-                qx[c] = old + 1
-            # apply to y
-            if jy:
-                old = qy[jy]
-                gap += abs(qx[jy] - (old - 1)) - abs(qx[jy] - old)
-                qy[jy] = old - 1
-            else:
-                old = qy[c]
-                gap += abs(qx[c] - (old + 1)) - abs(qx[c] - old)
-                qy[c] = old + 1
-            events += 1
-            if gap > max_gap:
-                max_gap = gap
-            if gap > bound:
-                violations += 1
+    step = _decision_step(policy, graph)
+    bound = sum(abs(a - b) for a, b in zip(qx, qy))
+    events, _, worst, violations = _coupled_pair(
+        rates, config, policy.kind != PRIORITY, (step, step), qx, qy, set(graph.nodes)
+    )
     return NonexpansiveReport(
-        policy_kind=kind,
+        policy_kind=policy.kind,
         events=events,
         initial_gap=bound,
-        max_gap=max_gap,
+        max_gap=max(bound, worst),
         violations=violations,
     )
 
@@ -537,106 +439,19 @@ def coupled_nonchaotic(
     policy_b = restricted_policy(policy, graph, kept)
     validate_policy(policy_b, tilde)
 
-    p = graph.node_count
-    lambar = float(sum(rates))
-    cum = _cum_probs(rates)
-    t_end = config.horizon * config.scale
-    arrival_rng, (da_rng, db_rng) = _spawn_rngs(config.seed, 2)
-    nbrs_a = [()] + [graph.neighbors(i) for i in graph.nodes]
-    nbrs_b = [()] + [tilde.neighbors(i) for i in tilde.nodes]
-    kind = policy.kind
-    if kind == PRIORITY:
-        orders_a = [()] + [policy.order[i] for i in graph.nodes]
-        orders_b = [()] + [policy_b.order[i] for i in tilde.nodes]
-    in_kept = [False] + [i in kept for i in graph.nodes]
-
-    qa = [0] + list(state)
-    qb = [0] + list(state)
-    diff = 0
-    nhat = 0
-    max_excess = -10**18
-    violations = 0
-    max_events = config.max_events
-    t = 0.0
-    events = 0
-    done = False
-    while not done:
-        dts = arrival_rng.standard_exponential(_CHUNK)
-        dts *= 1.0 / lambar
-        dts = dts.tolist()
-        cls = (np.searchsorted(cum, arrival_rng.random(_CHUNK), side="right") + 1).tolist()
-        if kind == UNIFORM:
-            uas = da_rng.random(_CHUNK).tolist()
-            ubs = db_rng.random(_CHUNK).tolist()
-        for k in range(_CHUNK):
-            if max_events is not None and events >= max_events:
-                done = True
-                break
-            nt = t + dts[k]
-            if nt > t_end:
-                done = True
-                break
-            t = nt
-            c = cls[k]
-            ja = jb = 0
-            if kind == PRIORITY:
-                for w in orders_a[c]:
-                    if qa[w] > 0:
-                        ja = w
-                        break
-                for w in orders_b[c]:
-                    if qb[w] > 0:
-                        jb = w
-                        break
-            else:
-                ava = [w for w in nbrs_a[c] if qa[w] > 0]
-                avb = [w for w in nbrs_b[c] if qb[w] > 0]
-                if ava:
-                    ja = ava[int(uas[k] * len(ava))]
-                if avb:
-                    jb = avb[int(ubs[k] * len(avb))]
-                if (
-                    ja
-                    and jb
-                    and qb[ja] > 0
-                    and ja in nbrs_b[c]
-                    and qa[jb] > 0
-                ):
-                    jb = ja
-            # full system update
-            if ja:
-                old = qa[ja]
-                if in_kept[ja]:
-                    diff += abs(old - 1 - qb[ja]) - abs(old - qb[ja])
-                qa[ja] = old - 1
-            else:
-                old = qa[c]
-                if in_kept[c]:
-                    diff += abs(old + 1 - qb[c]) - abs(old - qb[c])
-                qa[c] = old + 1
-            # disconnected system update
-            if jb:
-                old = qb[jb]
-                if in_kept[jb]:
-                    diff += abs(qa[jb] - (old - 1)) - abs(qa[jb] - old)
-                qb[jb] = old - 1
-            else:
-                old = qb[c]
-                if in_kept[c]:
-                    diff += abs(qa[c] - (old + 1)) - abs(qa[c] - old)
-                qb[c] = old + 1
-            if not in_kept[c]:
-                nhat += 1
-            events += 1
-            excess = diff - nhat
-            if excess > max_excess:
-                max_excess = excess
-            if excess > 0:
-                violations += 1
+    events, removed, worst, violations = _coupled_pair(
+        rates,
+        config,
+        policy.kind != PRIORITY,
+        (_decision_step(policy, graph), _decision_step(policy_b, tilde)),
+        [0] + list(state),
+        [0] + list(state),
+        kept,
+    )
     return NonchaoticReport(
-        policy_kind=kind,
+        policy_kind=policy.kind,
         events=events,
-        removed_arrivals=nhat,
-        max_excess=max_excess if events else 0,
+        removed_arrivals=removed,
+        max_excess=worst if events else 0,
         violations=violations,
     )

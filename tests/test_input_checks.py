@@ -1,0 +1,115 @@
+"""Inputs that used to slip through: run configs, non-finite rates, CLI argv."""
+
+import json
+import math
+import sys
+
+import pytest
+
+import matchq.serialize as ser
+from matchq.cli import main
+from matchq.errors import ValidationError
+from matchq.graphs import check_rates, pendant_graph
+from matchq.policies import ml_policy, pendant_priority_policy, uniform_policy
+from matchq.randgraph import grow_and_match, type_distribution
+from matchq.simulate import SimConfig, coupled_nonexpansive, simulate
+from matchq.stability import pendant_region
+
+PENDANT = pendant_graph()
+LAM = (0.1, 0.1, 0.45, 0.35)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(stop_node=0),
+        dict(stop_node=5),
+        dict(stop_node=-1),
+        dict(max_events=-1),
+        dict(trace_stride=-1),
+    ],
+)
+def test_run_config_out_of_range_rejected(bad):
+    config = SimConfig(horizon=10.0, seed=0, initial_state=(0, 0, 0, 3), **bad)
+    with pytest.raises(ValidationError):
+        simulate(PENDANT, LAM, pendant_priority_policy(), config)
+    with pytest.raises(ValidationError):
+        coupled_nonexpansive(PENDANT, LAM, ml_policy(), (0, 0, 0, 1), (0, 0, 0, 0),
+                             config)
+
+
+def test_run_config_edges_still_accepted():
+    config = SimConfig(horizon=10.0, seed=0, initial_state=(0, 0, 0, 3),
+                       stop_node=4, max_events=0, trace_stride=0)
+    trace = simulate(PENDANT, LAM, uniform_policy(), config)
+    assert trace.n_events == 0 and trace.end_time == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rates_rejected(bad):
+    rates = (0.1, bad, 0.45, 0.35)
+    with pytest.raises(ValidationError):
+        check_rates(PENDANT, rates)
+    with pytest.raises(ValidationError):
+        pendant_region(rates)
+    with pytest.raises(ValidationError):
+        type_distribution(rates)
+
+
+def test_nan_type_distribution_rejected_by_growth():
+    mu = (0.25, math.nan, 0.5, 0.25)
+    with pytest.raises(ValidationError):
+        grow_and_match(PENDANT, mu, uniform_policy(), 10, seed=0)
+
+
+def test_infinite_rate_rejected_before_the_event_loop(monkeypatch):
+    # an infinite rate makes every gap zero, so a finite horizon would
+    # never be reached; the run must be refused before any event is drawn
+    def no_events(*args, **kwargs):
+        raise AssertionError("the event stream was opened")
+
+    # the package exports the function simulate under the module's name
+    monkeypatch.setattr(sys.modules["matchq.simulate"], "_arrivals", no_events)
+    with pytest.raises(ValidationError):
+        simulate(PENDANT, (0.1, math.inf, 0.45, 0.35), ml_policy(),
+                 SimConfig(horizon=1.0, seed=0))
+
+
+@pytest.fixture
+def files(tmp_path):
+    ser.dump_json(ser.graph_to_obj(PENDANT), tmp_path / "pendant.json")
+    ser.dump_json({"rates": list(LAM)}, tmp_path / "rates.json")
+    ser.dump_json(ser.policy_to_obj(ml_policy()), tmp_path / "ml.json")
+    return tmp_path
+
+
+def _simulate_argv(d, *extra):
+    return [
+        "simulate", "--graph", str(d / "pendant.json"), "--rates",
+        str(d / "rates.json"), "--policy", str(d / "ml.json"), "--seed", "1",
+        "--horizon", "1", *extra,
+    ]
+
+
+def test_manifest_records_the_argv_given_to_main(files, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["matchq", "--unrelated"])
+    argv = _simulate_argv(files, "--out", str(files / "sim"))
+    assert main(argv) == 0
+    manifest = json.loads((files / "sim" / "manifest.json").read_text())
+    assert manifest["argv"] == argv
+
+    argv = ["ncond", "--graph", str(files / "pendant.json"), "--rates",
+            str(files / "rates.json"), "--out", str(files / "nc")]
+    assert main(argv) == 0
+    manifest = json.loads((files / "nc" / "manifest.json").read_text())
+    assert manifest["argv"] == argv
+
+
+def test_cli_unparseable_initial_vector_exit_2(files, capsys):
+    assert main(_simulate_argv(files, "--init", "1,x")) == 2
+    assert "--init" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("node", ["0", "9"])
+def test_cli_initial_node_out_of_range_exit_2(files, node):
+    assert main(_simulate_argv(files, "--init-node", node)) == 2
