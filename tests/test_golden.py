@@ -2,9 +2,12 @@
 
 Every driver of the event kernel (simulate, both coupled experiments and
 the online growth) and the public match_decision are run on fixed inputs,
-and their outputs are hashed field by field. The digests in
-golden_digests.json were recorded once; a change that alters any output
-bit, or the order in which random draws are consumed, fails here.
+and their outputs are hashed field by field. So is the numeric marginal
+path: the stationary law (states, probabilities, tail mass) and the fluid
+report (drift, guard probabilities, tail mass, method) of fixed chains,
+or the type of the error they raise. The digests in golden_digests.json
+were recorded once; a change that alters any output bit, or the order in
+which random draws are consumed, fails here.
 
 To print the digests of the current code (only to inspect a deliberate
 change of behaviour, never to refresh the fixtures silently):
@@ -15,12 +18,21 @@ change of behaviour, never to refresh the fixtures silently):
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matchq.graphs import Graph, complete_graph, five_cycle_graph, pendant_graph
+from matchq.errors import MatchQError, NotApplicableError, NotConnectedError
+from matchq.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    five_cycle_graph,
+    pendant_graph,
+)
+from matchq.marginal import build_marginal, fluid_report, stationary_numeric
 from matchq.policies import (
     five_cycle_priority_policy,
     match_decision,
@@ -30,6 +42,7 @@ from matchq.policies import (
     uniform_policy,
 )
 from matchq.randgraph import grow_and_match, type_distribution
+from matchq.stability import FAMILY_EPS_BOUND, construct_nonmaximal, counterexample
 from matchq.simulate import (
     SimConfig,
     coupled_nonchaotic,
@@ -206,10 +219,93 @@ def _decision_digest() -> str:
     return _digest(out)
 
 
+def _marginal_digest(graph, rates, policy, node, truncation) -> str:
+    """The stationary law and the fluid report of one chain, or the type of
+    the error both raise; floats enter as float.hex."""
+    try:
+        chain = build_marginal(graph, rates, policy, node)
+        dist = stationary_numeric(chain, truncation)
+        report = fluid_report(graph, rates, policy, node, 1.0, truncation=truncation)
+    except MatchQError as exc:
+        return _digest(type(exc).__name__)
+    states = np.array(dist.states, dtype=np.int64).reshape(len(dist.states), -1)
+    return _digest(
+        states,
+        hashlib.sha256(dist.probs.tobytes()).hexdigest(),
+        dist.tail_mass.hex(),
+        report.drift.hex(),
+        [(j, w.hex()) for j, w in sorted(report.guard_probs.items())],
+        report.tail_mass.hex(),
+        report.method,
+    )
+
+
+def _relabel(graph, rates, policy, node, perm):
+    """The instance with node v renamed perm[v]."""
+    edges = [(perm[a], perm[b]) for a, b in graph.edges]
+    new_rates = [0.0] * graph.node_count
+    for v in graph.nodes:
+        new_rates[perm[v] - 1] = rates[v - 1]
+    if policy.kind == "priority":
+        policy = priority_policy(
+            {perm[v]: tuple(perm[w] for w in order) for v, order in policy.order.items()}
+        )
+    return Graph.from_edges(graph.node_count, edges), tuple(new_rates), policy, perm[node]
+
+
+def _nonmaximal_graphs(count, seed=51):
+    """The first `count` seeded random connected 5-7-node graphs that
+    construct_nonmaximal accepts."""
+    rng = random.Random(seed)
+    while count:
+        p = rng.randint(5, 7)
+        pairs = [(a, b) for a in range(1, p + 1) for b in range(a + 1, p + 1)]
+        edges = rng.sample(pairs, rng.randint(p, len(pairs) - 1))
+        graph = Graph.from_edges(p, edges)
+        try:
+            inst = construct_nonmaximal(graph)
+        except (NotApplicableError, NotConnectedError):
+            continue
+        count -= 1
+        yield inst
+
+
+def _marginal_cases():
+    c7 = cycle_graph(7)
+    orders = {
+        "descending": priority_policy(
+            {v: tuple(sorted(c7.neighbors(v), reverse=True)) for v in c7.nodes}
+        ),
+        # the transient case: the chain drifts to the truncation boundary
+        "ascending": priority_policy({v: tuple(sorted(c7.neighbors(v))) for v in c7.nodes}),
+        "uniform": uniform_policy(),
+    }
+    for rname, rates in (("equal", (1 / 7,) * 7), ("skewed", (0.22,) + (0.13,) * 6)):
+        for oname, pol in orders.items():
+            for t in (20, 60):
+                yield f"marginal-c7-{rname}-{oname}-T{t}", lambda r=rates, pol=pol, t=t: (
+                    _marginal_digest(c7, r, pol, 1, t)
+                )
+    for family, bound in sorted(FAMILY_EPS_BOUND.items()):
+        inst = counterexample(family, bound / 2)
+        p = inst.graph.node_count
+        rotation = {v: v % p + 1 for v in inst.graph.nodes}
+        yield f"marginal-family-{family}-T200", lambda a=(inst, rotation): (
+            _marginal_digest(*_relabel(a[0].graph, a[0].rates, a[0].policy,
+                                       a[0].node, a[1]), 200)
+        )
+    for k, inst in enumerate(_nonmaximal_graphs(40)):
+        yield f"marginal-nonmaximal-{k:02d}-T6", lambda inst=inst: _digest(
+            _marginal_digest(inst.graph, inst.rates, inst.policy, inst.node, 6),
+            _marginal_digest(inst.graph, inst.rates, uniform_policy(), inst.node, 6),
+        )
+
+
 CASES = dict(_simulate_cases())
 CASES.update(_coupled_cases())
 CASES.update(_growth_cases())
 CASES["match-decision-sequence"] = _decision_digest
+CASES.update(_marginal_cases())
 
 
 def _expected() -> dict:
