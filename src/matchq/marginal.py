@@ -12,7 +12,8 @@ class j splits its rate evenly among i0 and the available others.
 For the canonical pendant graph and 5-cycle the marginal chain lives on
 two glued rays and is reversible, so the stationary law is an explicit
 pair of geometric arms. Everything else goes through a truncated sparse
-solve of the balance equations.
+solve of the balance equations, assembled over an (n, m) int array of
+states with rates computed for all states at once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +47,10 @@ from .policies import PRIORITY, UNIFORM, Policy, priority_set, validate_policy
 CLOSED_FORM_PENDANT = "closed-form-pendant"
 CLOSED_FORM_FIVE_CYCLE = "closed-form-five-cycle"
 NUMERIC_TRUNCATED = "numeric-truncated"
+
+SOLVER_LU = "lu"
+SOLVER_POWER = "power-iteration"
+SOLVER_CLOSED = "closed-form"
 
 DEFAULT_TRUNCATION = 200
 DEFAULT_TOL = 1e-12
@@ -145,12 +150,25 @@ def fivecycle_uniform_drift(rates: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class StationaryDist:
-    """Probabilities over a finite (truncated) list of marginal states."""
+    """Probabilities over a finite (truncated) list of marginal states.
 
-    states: tuple[tuple[int, ...], ...]
+    The states are the rows of `state_array`, an (n, m) int array; `states`
+    lists them as tuples. `solver` says how the law was found: "lu" (sparse
+    direct solve), "power-iteration" (its fallback) or "closed-form".
+    `residual` is max |pi Q| over the balance equations of a numeric solve,
+    and None for a geometric closed form.
+    """
+
+    state_array: np.ndarray
     probs: np.ndarray
     tail_mass: float
     method: str
+    solver: str
+    residual: Optional[float]
+
+    @cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.state_array.tolist()))
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -169,22 +187,25 @@ class StationaryDist:
 def _glued_rays(
     alpha: float, r1: float, r2: float, truncation: int, method: str
 ) -> StationaryDist:
-    states = [(0, 0)]
     probs = [alpha]
     for i in range(1, truncation + 1):
-        states.append((i, 0))
         probs.append(alpha * r1**i)
     for j in range(1, truncation + 1):
-        states.append((0, j))
         probs.append(alpha * r2**j)
     tail = alpha * (
         r1 ** (truncation + 1) / (1.0 - r1) + r2 ** (truncation + 1) / (1.0 - r2)
     )
+    # (0, 0), then (i, 0) and (0, j) for i, j = 1..truncation
+    arm = np.arange(1, truncation + 1)
+    flat = np.zeros_like(arm)
+    states = np.vstack([[0, 0], np.column_stack([arm, flat]), np.column_stack([flat, arm])])
     return StationaryDist(
-        states=tuple(states),
+        state_array=states,
         probs=np.asarray(probs, dtype=float),
         tail_mass=tail,
         method=method,
+        solver=SOLVER_CLOSED,
+        residual=None,
     )
 
 
@@ -289,61 +310,75 @@ class MarginalChain:
             for k in range(len(x))
         )
 
-    def up_rate(self, x: Sequence[int], coord: int) -> float:
-        if any(x[m] > 0 for m in self._s_adjacent[coord]):
-            return 0.0
-        return self.rates[self.s_nodes[coord] - 1]
+    @cached_property
+    def _coord_rates(self) -> np.ndarray:
+        return np.array([self.rates[v - 1] for v in self.s_nodes], dtype=float)
 
-    def down_rate(self, x: Sequence[int], coord: int) -> float:
-        if x[coord] <= 0:
-            return 0.0
-        total = 0.0
-        if self.policy.kind == PRIORITY:
-            for lam_j, guard in self._down_specs[coord]:
-                if all(x[k] == 0 for k in guard):
-                    total += lam_j
-        else:
-            for lam_j, sj, extra in self._down_specs[coord]:
-                r = sum(1 for k in sj if x[k] > 0)
-                total += lam_j / (r + extra)
-        return total
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
+        """0/1 adjacency matrix among the coordinates."""
+        m = len(self.s_nodes)
+        adj = np.zeros((m, m), dtype=np.int64)
+        for k, nbrs in enumerate(self._s_adjacent):
+            adj[k, list(nbrs)] = 1
+        return adj
+
+    def rates_at(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Up and down rates of every coordinate at every state.
+
+        `states` is an (n, m) int array; both results are (n, m) float
+        arrays. A down rate adds its neighboring classes in the order of
+        `_down_specs`, so it is the same float for one state or many.
+        """
+        pos = states > 0
+        blocked = pos.astype(np.int64) @ self._adjacency > 0
+        up = np.where(blocked, 0.0, self._coord_rates)
+        down = np.zeros(states.shape)
+        for coord, entries in enumerate(self._down_specs):
+            rows = np.flatnonzero(pos[:, coord])
+            sub = pos[rows]
+            total = np.zeros(len(rows))
+            if self.policy.kind == PRIORITY:
+                for lam_j, guard in entries:
+                    total += np.where(sub[:, list(guard)].any(axis=1), 0.0, lam_j)
+            else:
+                for lam_j, sj, extra in entries:
+                    total += lam_j / (sub[:, list(sj)].sum(axis=1) + extra)
+            down[rows, coord] = total
+        return up, down
 
     def transitions(self, x: tuple[int, ...]):
         """All positive-rate moves from x as (coordinate, delta, rate)."""
+        up, down = self.rates_at(np.array([x], dtype=np.int64).reshape(1, -1))
         out = []
         for coord in range(len(self.s_nodes)):
-            up = self.up_rate(x, coord)
-            if up > 0.0:
-                out.append((coord, +1, up))
-            down = self.down_rate(x, coord)
-            if down > 0.0:
-                out.append((coord, -1, down))
+            if up[0, coord] > 0.0:
+                out.append((coord, +1, float(up[0, coord])))
+            if down[0, coord] > 0.0:
+                out.append((coord, -1, float(down[0, coord])))
         return out
 
     def enumerate_states(
         self, truncation: int, max_states: int = _MAX_STATES
-    ) -> list[tuple[int, ...]]:
-        """All states with every coordinate at most `truncation`."""
-        m = len(self.s_nodes)
-        states: list[tuple[int, ...]] = []
-        x = [0] * m
+    ) -> np.ndarray:
+        """All states with every coordinate at most `truncation`, as the rows
+        of an (n, m) int array in lexicographic order.
 
-        def rec(k: int) -> None:
-            if len(states) > max_states:
+        Built one coordinate at a time: a prefix extends by 0..truncation
+        when no earlier neighbor of the new coordinate is positive, else by
+        0 alone, so the rows stay sorted.
+        """
+        states = np.zeros((1, 0), dtype=np.int64)
+        for k, nbrs in enumerate(self._s_adjacent):
+            earlier = [j for j in nbrs if j < k]
+            counts = np.where((states[:, earlier] > 0).any(axis=1), 1, truncation + 1)
+            n = int(counts.sum())
+            if n > max_states:
                 raise TooLargeError(
                     f"truncated marginal space exceeds {max_states} states"
                 )
-            if k == m:
-                states.append(tuple(x))
-                return
-            blocked = any(x[j] > 0 for j in self._s_adjacent[k] if j < k)
-            top = 0 if blocked else truncation
-            for v in range(top + 1):
-                x[k] = v
-                rec(k + 1)
-            x[k] = 0
-
-        rec(0)
+            offsets = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+            states = np.column_stack([np.repeat(states, counts, axis=0), offsets])
         return states
 
 
@@ -382,48 +417,74 @@ def stationary_numeric(
     layer (some coordinate equal to the truncation level).
     """
     states = chain.enumerate_states(truncation)
-    n = len(states)
+    n, m = states.shape
     if n == 1:
         return StationaryDist(
-            states=(states[0],),
+            state_array=states,
             probs=np.array([1.0]),
             tail_mass=0.0,
             method=NUMERIC_TRUNCATED,
+            solver=SOLVER_CLOSED,
+            residual=0.0,
         )
-    index = {s: i for i, s in enumerate(states)}
+    # Mixed-radix codes: the states are sorted lexicographically, so their
+    # codes are sorted and a neighbor is found by binary search. Python
+    # integers take over when the codes would overflow int64.
+    radix = truncation + 1
+    wide = radix**m > np.iinfo(np.int64).max
+    place = np.array([radix ** (m - 1 - k) for k in range(m)],
+                     dtype=object if wide else np.int64)
+    codes = states.astype(place.dtype) @ place
+    up, down = chain.rates_at(states)
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
-    for ix, x in enumerate(states):
-        for coord, delta, rate in chain.transitions(x):
-            y = list(x)
-            y[coord] += delta
-            iy = index.get(tuple(y))
-            if iy is None:
-                continue  # redirected: move would leave the box
-            rows.append(ix)
-            cols.append(iy)
-            vals.append(rate)
-            diag[ix] -= rate
-    q = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    q = q + sp.diags(diag)
-
-    structure = sp.coo_matrix(
-        ([1] * len(rows), (rows, cols)), shape=(n, n)
+    # Per state, the diagonal subtracts the rates in coordinate order, up
+    # before down; rows without a move subtract nothing, so each entry is
+    # the same float as a state-by-state sum.
+    for k in range(m):
+        for delta, rate in ((+1, up[:, k]), (-1, down[:, k])):
+            src = np.flatnonzero(rate > 0.0)
+            if delta > 0:
+                src = src[states[src, k] < truncation]  # suppressed: leaves the box
+            rows.append(src)
+            cols.append(np.searchsorted(codes, codes[src] + delta * place[k]))
+            vals.append(rate[src])
+            diag[src] -= rate[src]
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    every = np.arange(n)
+    q = sp.coo_matrix(
+        (np.concatenate([vals, diag]), (np.concatenate([rows, every]),
+                                        np.concatenate([cols, every]))),
+        shape=(n, n),
     ).tocsr()
-    ncomp, _ = connected_components(structure, directed=True, connection="strong")
+
+    ncomp, _ = connected_components(q, directed=True, connection="strong")
     if ncomp != 1:
         raise ReducibleError(
             f"truncated chain splits into {ncomp} communicating classes"
         )
 
-    a = q.T.tolil()
-    a[n - 1, :] = np.ones(n)
+    # Balance equations pi Q = 0 as Q^T pi = 0, with the last one replaced
+    # by sum(pi) = 1.
+    keep = cols != n - 1
+    a = sp.coo_matrix(
+        (
+            np.concatenate([vals[keep], diag[:-1], np.ones(n)]),
+            (
+                np.concatenate([cols[keep], every[:-1], np.full(n, n - 1)]),
+                np.concatenate([rows[keep], every[:-1], every]),
+            ),
+        ),
+        shape=(n, n),
+    ).tocsr()
     b = np.zeros(n)
     b[n - 1] = 1.0
+    solver = SOLVER_LU
     with np.errstate(all="ignore"):
-        pi = spsolve(a.tocsr(), b)
+        pi = spsolve(a, b)
     if not np.all(np.isfinite(pi)):
         pi = _power_iteration(q, tol)
+        solver = SOLVER_POWER
     pi = np.where(np.abs(pi) < 1e-300, 0.0, pi)
     if pi.min() < -1e-9:
         raise NotConvergedError(f"negative mass {pi.min():.3e} in stationary solve")
@@ -432,14 +493,15 @@ def stationary_numeric(
     residual = float(np.max(np.abs(pi @ q)))
     if residual > max(tol, 1e3 * np.finfo(float).eps * float(np.abs(q).max())):
         raise NotConvergedError(f"balance residual {residual:.3e} above {tol:.1e}")
-    boundary = np.fromiter(
-        (1.0 if any(v >= truncation for v in s) else 0.0 for s in states),
-        dtype=float,
-        count=n,
-    )
+    boundary = (states >= truncation).any(axis=1).astype(float)
     tail = float(pi @ boundary)
     return StationaryDist(
-        states=tuple(states), probs=pi, tail_mass=tail, method=NUMERIC_TRUNCATED
+        state_array=states,
+        probs=pi,
+        tail_mass=tail,
+        method=NUMERIC_TRUNCATED,
+        solver=solver,
+        residual=residual,
     )
 
 
@@ -469,7 +531,8 @@ class FluidReport:
     (priority) or the expected split weight (uniform) with which a class-j
     arrival is matched against i0. drift = rate(i0) - sum_j rate(j) * w_j.
     rho is the emptying time from scaled level q0, infinite when the drift
-    is nonnegative.
+    is nonnegative. solver and residual are those of the stationary law
+    (see StationaryDist).
     """
 
     i0: int
@@ -479,6 +542,8 @@ class FluidReport:
     method: str
     tail_mass: float
     q0: float
+    solver: str
+    residual: Optional[float]
 
 
 def _is_pendant_priority(policy: Policy) -> bool:
@@ -518,16 +583,13 @@ def fluid_report(
     if graph.edges == PENDANT_EDGES and i0 == 4:
         if _is_pendant_priority(policy):
             alpha, dist = stationary_closed_pendant(rates, truncation)
-            guard = {3: alpha}
-            method = CLOSED_FORM_PENDANT
-            return _assemble(rates, i0, guard, dist.tail_mass, method, q0)
+            return _assemble(rates, i0, {3: alpha}, dist, q0)
         if policy.kind == UNIFORM:
             l1, l2, l3, l4 = rates
             alpha, dist = stationary_closed_pendant(
                 (l1, l2, l3 / 2.0, l4), truncation
             )
-            guard = {3: (1.0 + alpha) / 2.0}
-            return _assemble(rates, i0, guard, dist.tail_mass, CLOSED_FORM_PENDANT, q0)
+            return _assemble(rates, i0, {3: (1.0 + alpha) / 2.0}, dist, q0)
     if graph.edges == FIVE_CYCLE_EDGES and i0 == 5:
         if _is_fivecycle_priority(policy):
             alpha, dist = stationary_closed_5cycle(rates, truncation)
@@ -535,7 +597,7 @@ def fluid_report(
             r1 = l1 / (l3 + l2)
             r2 = l2 / (l1 + l4)
             guard = {3: alpha / (1.0 - r2), 4: alpha / (1.0 - r1)}
-            return _assemble(rates, i0, guard, dist.tail_mass, CLOSED_FORM_FIVE_CYCLE, q0)
+            return _assemble(rates, i0, guard, dist, q0)
         if policy.kind == UNIFORM:
             l1, l2, l3, l4, l5 = rates
             sub = (l1, l2, l3 / 2.0, l4 / 2.0, l5)
@@ -546,29 +608,29 @@ def fluid_report(
                 3: alpha / (1.0 - r2) + (alpha * r1 / (1.0 - r1)) / 2.0,
                 4: alpha / (1.0 - r1) + (alpha * r2 / (1.0 - r2)) / 2.0,
             }
-            return _assemble(rates, i0, guard, dist.tail_mass, CLOSED_FORM_FIVE_CYCLE, q0)
+            return _assemble(rates, i0, guard, dist, q0)
 
     chain = build_marginal(graph, rates, policy, i0)
     dist = stationary_numeric(chain, truncation, tol)
+    pos = dist.state_array > 0
     guard = {}
     for j in graph.neighbors(i0):
         if policy.kind == PRIORITY:
             ahead = priority_set(policy, graph, j, i0)
-            coords = tuple(chain._index[k] for k in ahead if k in chain._index)
-            guard[j] = dist.mass(lambda s, c=coords: all(s[k] == 0 for k in c))
+            coords = [chain._index[k] for k in ahead if k in chain._index]
+            guard[j] = _sequential_sum(dist.probs[~pos[:, coords].any(axis=1)])
         else:
-            sj = tuple(
-                chain._index[k] for k in graph.neighbors(j) if k in chain._index
-            )
-            w = 0.0
-            for s, p in zip(dist.states, dist.probs):
-                r = sum(1 for k in sj if s[k] > 0)
-                w += float(p) / (r + 1)
-            guard[j] = w
-    return _assemble(rates, i0, guard, dist.tail_mass, NUMERIC_TRUNCATED, q0)
+            sj = [chain._index[k] for k in graph.neighbors(j) if k in chain._index]
+            guard[j] = _sequential_sum(dist.probs / (pos[:, sj].sum(axis=1) + 1))
+    return _assemble(rates, i0, guard, dist, q0)
 
 
-def _assemble(rates, i0, guard, tail, method, q0) -> FluidReport:
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum; np.sum adds pairwise, which moves the last bits."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _assemble(rates, i0, guard, dist: StationaryDist, q0) -> FluidReport:
     drift = rates[i0 - 1] - sum(rates[j - 1] * w for j, w in guard.items())
     rho = q0 / (-drift) if drift < 0 else math.inf
     return FluidReport(
@@ -576,9 +638,11 @@ def _assemble(rates, i0, guard, tail, method, q0) -> FluidReport:
         guard_probs=guard,
         drift=drift,
         rho=rho,
-        method=method,
-        tail_mass=tail,
+        method=dist.method,
+        tail_mass=dist.tail_mass,
         q0=q0,
+        solver=dist.solver,
+        residual=dist.residual,
     )
 
 

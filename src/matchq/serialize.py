@@ -133,6 +133,8 @@ def fluid_report_to_obj(report) -> dict:
         "method": report.method,
         "tail_mass": report.tail_mass,
         "q0": report.q0,
+        "solver": report.solver,
+        "residual": report.residual,
     }
 
 

@@ -85,6 +85,26 @@ def test_cli_fluid(files, capsys):
     assert out["rho"] == "inf"
 
 
+def test_cli_fluid_reports_solver_and_residual(files, capsys):
+    # the pendant tail under its own rule has a closed form; with the hub
+    # serving the tail first it goes through the sparse solve
+    tail_first = files["dir"] / "tail_first.json"
+    ser.dump_json({"kind": "priority", "order": {"1": [2, 3], "2": [1, 3], "3": [4, 1, 2],
+                                                 "4": [3]}}, tail_first)
+    for policy, solver in ((files["policy"], "closed-form"), (tail_first, "lu")):
+        assert main([
+            "fluid", "--graph", str(files["pendant"]), "--rates", str(files["rates"]),
+            "--policy", str(policy), "--node", "4", "--truncation", "40",
+        ]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["solver"] == solver
+        if solver == "lu":
+            assert out["method"] == "numeric-truncated"
+            assert 0.0 <= out["residual"] <= 1e-12
+        else:
+            assert out["residual"] is None
+
+
 def test_cli_counterexample(files, capsys):
     assert main(["counterexample", "pendant-priority", "0.2"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -364,3 +364,100 @@ def test_closed_vs_numeric_on_random_instances(seed):
     _, closed = stationary_closed_pendant(lam, truncation=120)
     gap = max(abs(numeric.prob(s) - closed.prob(s)) for s in numeric.states)
     assert gap < 1e-8
+
+
+C7_DESCENDING = priority_policy(
+    {v: tuple(sorted(cycle_graph(7).neighbors(v), reverse=True)) for v in range(1, 8)}
+)
+
+
+def test_marginal_solve_leaves_no_garbage_cycles():
+    import gc
+
+    chain = build_marginal(cycle_graph(7), (1 / 7,) * 7, C7_DESCENDING, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        states = chain.enumerate_states(60)
+        assert len(states) == 1 + 4 * 60 + 3 * 60**2
+        assert gc.collect() == 0
+        fluid_report(cycle_graph(7), (1 / 7,) * 7, C7_DESCENDING, 1, 1.0, truncation=60)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_enumerate_states_lexicographic_and_independent():
+    chain = build_marginal(cycle_graph(7), (1 / 7,) * 7, C7_DESCENDING, 1)
+    states = chain.enumerate_states(5)
+    assert chain.s_nodes == (3, 4, 5, 6)
+    rows = [tuple(s) for s in states.tolist()]
+    assert rows == sorted(set(rows))
+    assert all(chain.is_valid_state(s) for s in rows)
+    assert len(rows) == 1 + 4 * 5 + 3 * 5**2
+
+
+def test_enumerate_states_cap():
+    from matchq.errors import TooLargeError
+
+    chain = build_marginal(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 5)
+    assert len(chain.enumerate_states(10, max_states=21)) == 21
+    with pytest.raises(TooLargeError):
+        chain.enumerate_states(10, max_states=20)
+
+
+def test_numeric_records_lu_solver_and_residual():
+    c7 = cycle_graph(7)
+    for rates in ((1 / 7,) * 7, (0.22,) + (0.13,) * 6):
+        for policy in (C7_DESCENDING, uniform_policy()):
+            report = fluid_report(c7, rates, policy, 1, 1.0, truncation=40)
+            assert report.solver == "lu"
+            assert 0.0 <= report.residual <= 1e-12
+    relabeled = fluid_report(
+        cycle_graph(5), (0.1, 0.1, 0.225, 0.35, 0.225),
+        priority_policy({1: (2, 5), 2: (1, 3), 3: (2, 4), 4: (3, 5), 5: (1, 4)}), 4, 1.0,
+    )
+    assert relabeled.method == "numeric-truncated"
+    assert relabeled.solver == "lu" and relabeled.residual <= 1e-12
+    closed = fluid_report(PENDANT, LAM_P, pendant_priority_policy(), 4, 1.0)
+    assert closed.solver == "closed-form" and closed.residual is None
+
+
+def test_numeric_records_power_iteration_fallback(monkeypatch):
+    import matchq.marginal as marginal
+
+    chain = build_marginal(PENDANT, LAM_P, pendant_priority_policy(), 4)
+    direct = stationary_numeric(chain, truncation=30)
+    monkeypatch.setattr(marginal, "spsolve", lambda a, b: np.full(len(b), np.nan))
+    fallback = stationary_numeric(chain, truncation=30)
+    assert direct.solver == "lu"
+    assert fallback.solver == "power-iteration"
+    assert fallback.residual <= 1e-12
+    assert np.max(np.abs(fallback.probs - direct.probs)) < 1e-9
+
+
+def test_numeric_wide_state_codes_match_glued_rays():
+    # nine pairwise adjacent coordinates behind a single neighbor of i0:
+    # 201**9 overflows int64, and only one coordinate is ever positive, so
+    # the law is nine geometric arms glued at the empty state
+    from matchq.graphs import Graph
+
+    outer = range(3, 12)
+    edges = [(1, 2)] + [(2, v) for v in outer]
+    edges += [(u, v) for u in outer for v in outer if u < v]
+    graph = Graph.from_edges(11, edges)
+    rates = tuple([0.3, 0.4] + [0.01 * k for k in range(1, 10)])
+    chain = build_marginal(graph, rates, uniform_policy(), 1)
+    dist = stationary_numeric(chain, truncation=200)
+    assert len(dist.states) == 1 + 9 * 200
+    ratio = {
+        k: rates[v - 1] / (rates[1] / 2 + sum(rates[u - 1] for u in outer if u != v))
+        for k, v in enumerate(outer)
+    }
+    empty = dist.prob((0,) * 9)
+    assert empty == pytest.approx(1 / (1 + sum(r / (1 - r) for r in ratio.values())),
+                                  rel=1e-12)
+    for k, r in ratio.items():
+        for level in (1, 2, 7):
+            x = tuple(level if c == k else 0 for c in range(9))
+            assert dist.prob(x) == pytest.approx(empty * r**level, rel=1e-9)

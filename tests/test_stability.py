@@ -436,3 +436,29 @@ def test_fivecycle_apex_verdicts_agree_with_empirical_classifier():
         if verdict.verdict == "inconclusive":
             continue
         assert verdict.verdict.split("-")[0] == exact.split("-")[0], (lam, rho)
+
+
+def test_residual_drift_bound_on_every_graph_up_to_six_nodes():
+    # construct_nonmaximal reports beta - hat_total as a lower bound on the
+    # drift of the designated node; check it against the numeric drift on
+    # every connected graph with at most 6 nodes that the construction
+    # accepts. Where a leaf hangs off a neighbor of that node the leaf
+    # cannot drain, the marginal chain is reducible and the solve refused.
+    from iso_enum import connected_graphs_up_to
+    from matchq.errors import ReducibleError
+
+    solved = reducible = 0
+    for _, graph in connected_graphs_up_to(6):
+        try:
+            inst = construct_nonmaximal(graph)
+        except NotApplicableError:
+            continue
+        try:
+            report = fluid_report(inst.graph, inst.rates, inst.policy, inst.node, 1.0,
+                                  truncation=25)
+        except ReducibleError:
+            reducible += 1
+            continue
+        solved += 1
+        assert report.drift >= inst.notes["residual_drift_lower_bound"] - 1e-12
+    assert (solved, reducible) == (84, 17)
