@@ -5,7 +5,9 @@ the online growth) and the public match_decision are run on fixed inputs,
 and their outputs are hashed field by field. So is the numeric marginal
 path: the stationary law (states, probabilities, tail mass) and the fluid
 report (drift, guard probabilities, tail mass, method) of fixed chains,
-or the type of the error they raise. The digests in golden_digests.json
+or the type of the error they raise, and the independent-set rate
+condition as `ncond_check`, the exact region verdicts and the online
+matching's margins report it. The digests in golden_digests.json
 were recorded once; a change that alters any output bit, or the order in
 which random draws are consumed, fails here.
 
@@ -30,6 +32,8 @@ from matchq.graphs import (
     complete_graph,
     cycle_graph,
     five_cycle_graph,
+    is_connected,
+    ncond_check,
     pendant_graph,
 )
 from matchq.marginal import build_marginal, fluid_report, stationary_numeric
@@ -41,8 +45,23 @@ from matchq.policies import (
     priority_policy,
     uniform_policy,
 )
-from matchq.randgraph import grow_and_match, type_distribution
-from matchq.stability import FAMILY_EPS_BOUND, construct_nonmaximal, counterexample
+from matchq.randgraph import (
+    grow_and_match,
+    tutte_condition_estimate,
+    type_distribution,
+)
+from matchq.serialize import verdict_to_obj
+from matchq.stability import (
+    FAMILY_EPS_BOUND,
+    FIVE_CYCLE_PRIORITY,
+    FIVE_CYCLE_UNIFORM,
+    PENDANT_PRIORITY,
+    PENDANT_UNIFORM,
+    construct_nonmaximal,
+    counterexample,
+    fivecycle_region,
+    pendant_region,
+)
 from matchq.simulate import (
     SimConfig,
     coupled_nonchaotic,
@@ -301,11 +320,100 @@ def _marginal_cases():
         )
 
 
+def _rate_graphs():
+    """The pendant, the 5-cycle, C7 and K4, then the first eight seeded
+    random connected graphs on 6-12 nodes."""
+    yield "pendant", PENDANT
+    yield "c5", C5
+    yield "c7", cycle_graph(7)
+    yield "k4", complete_graph(4)
+    rng = random.Random(61)
+    k = 0
+    while k < 8:
+        p = rng.randint(6, 12)
+        pairs = [(a, b) for a in range(1, p + 1) for b in range(a + 1, p + 1)]
+        graph = Graph.from_edges(p, rng.sample(pairs, rng.randint(p - 1, 2 * p)))
+        if is_connected(graph):
+            yield f"random-{k}", graph
+            k += 1
+
+
+def _rate_vectors(graph, seed):
+    """Equal rates (many tied margins), seeded random rates, rates
+    proportional to the degree, and on the pendant and the 5-cycle the
+    family points and one rate vector that violates the condition."""
+    rng = random.Random(seed)
+    p = graph.node_count
+    out = [
+        (1.0 / p,) * p,
+        tuple(rng.uniform(0.05, 1.0) for _ in graph.nodes),
+        tuple(float(len(graph.neighbors(v))) for v in graph.nodes),
+    ]
+    if graph in (PENDANT, C5):
+        out += [inst.rates for inst in _family_instances() if inst.graph == graph]
+        out.append((0.5, 0.1, 0.1, 0.3) if graph == PENDANT else (0.1,) * 4 + (0.6,))
+    return out
+
+
+def _family_instances():
+    for family, bound in sorted(FAMILY_EPS_BOUND.items()):
+        for eps in (bound / 4, bound / 2, 0.9 * bound):
+            yield counterexample(family, eps)
+
+
+def _ncond_digest(graph, vectors) -> str:
+    out = []
+    for rates in vectors:
+        res = ncond_check(graph, rates)
+        witness = None if res.witness is None else sorted(res.witness)
+        out.append((res.satisfied, res.min_margin.hex(), sorted(res.argmin), witness))
+    return _digest(out)
+
+
+def _tutte_digest(graph, vectors) -> str:
+    out = []
+    for rates in vectors:
+        margins = tutte_condition_estimate(graph, type_distribution(rates))
+        out.append([(sorted(s), m.hex()) for s, m in margins.items()])
+    return _digest(out)
+
+
+def _region_digest(region, points) -> str:
+    out = []
+    for rates in points:
+        try:
+            out.append(verdict_to_obj(region(rates)))
+        except MatchQError as exc:
+            out.append(type(exc).__name__)
+    return _digest(out)
+
+
+def _rate_condition_cases():
+    for k, (name, graph) in enumerate(_rate_graphs()):
+        vectors = _rate_vectors(graph, 70 + k)
+        yield f"ncond-{name}", lambda a=(graph, vectors): _ncond_digest(*a)
+        yield f"tutte-{name}", lambda a=(graph, vectors): _tutte_digest(*a)
+    regions = {
+        "pendant": (pendant_region, (PENDANT_PRIORITY, PENDANT_UNIFORM),
+                    [(0.3, 0.3, 0.35, 0.05), LAM, (0.5, 0.1, 0.1, 0.3)]),
+        "c5": (fivecycle_region, (FIVE_CYCLE_PRIORITY, FIVE_CYCLE_UNIFORM),
+               [(0.2,) * 5, C5_LAM, (0.1,) * 4 + (0.6,)]),
+    }
+    for name, (region, families, others) in regions.items():
+        for family in families:
+            points = [i.rates for i in _family_instances() if i.family == family]
+            yield f"region-{name}-{family}", lambda a=(region, points): _region_digest(*a)
+        # a stable point, an unstable one off the families, and one that
+        # fails the rate condition
+        yield f"region-{name}-off-family", lambda a=(region, others): _region_digest(*a)
+
+
 CASES = dict(_simulate_cases())
 CASES.update(_coupled_cases())
 CASES.update(_growth_cases())
 CASES["match-decision-sequence"] = _decision_digest
 CASES.update(_marginal_cases())
+CASES.update(_rate_condition_cases())
 
 
 def _expected() -> dict:
