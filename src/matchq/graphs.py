@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -28,7 +28,8 @@ from .errors import (
     ValidationError,
 )
 
-DEFAULT_ENUMERATION_CAP = 20
+# Independent-set enumeration is exponential; larger graphs are refused.
+ENUMERATION_CAP = 20
 
 # Canonical pendant layout: triangle on 1,2,3 with node 4 hanging off node 3.
 PENDANT_EDGES = ((1, 2), (1, 3), (2, 3), (3, 4))
@@ -202,16 +203,14 @@ def is_bipartite(graph: Graph) -> bool:
 # -- independent sets and the necessary rate condition ----------------------
 
 
-def independent_sets(
-    graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[frozenset[int]]:
+def independent_sets(graph: Graph) -> list[frozenset[int]]:
     """All non-empty independent sets, ordered by size then lexicographically.
 
-    Refuses graphs beyond `cap` nodes: the enumeration is exponential.
+    Refuses graphs beyond ENUMERATION_CAP nodes.
     """
-    if graph.node_count > cap:
+    if graph.node_count > ENUMERATION_CAP:
         raise TooLargeError(
-            f"independent-set enumeration capped at {cap} nodes, "
+            f"independent-set enumeration capped at {ENUMERATION_CAP} nodes, "
             f"graph has {graph.node_count}"
         )
     adj = {i: set(graph.neighbors(i)) for i in graph.nodes}
@@ -238,6 +237,16 @@ def neighbors_of_set(graph: Graph, nodes: Iterable[int]) -> frozenset[int]:
     return frozenset(result)
 
 
+def independent_set_rates(
+    graph: Graph, rates: Sequence[float]
+) -> Iterator[tuple[frozenset[int], float, float]]:
+    """(set, rate into the set, rate into its neighborhood) for every
+    independent set, in the order of `independent_sets`. Checks nothing:
+    every caller validates its own inputs."""
+    for ind in independent_sets(graph):
+        yield ind, rate_of_set(rates, ind), rate_of_set(rates, neighbors_of_set(graph, ind))
+
+
 @dataclass(frozen=True)
 class NcondResult:
     """Outcome of the independent-set rate check.
@@ -254,29 +263,21 @@ class NcondResult:
     witness: Optional[frozenset[int]]
 
 
-def ncond_check(
-    graph: Graph, rates: Sequence[float], cap: int = DEFAULT_ENUMERATION_CAP
-) -> NcondResult:
+def ncond_check(graph: Graph, rates: Sequence[float]) -> NcondResult:
     """Check that every independent set is strictly out-rated by its neighborhood."""
     rates = check_rates(graph, rates)
     if not is_connected(graph):
         raise NotConnectedError("rate condition is defined for connected graphs")
-    best_margin = float("inf")
-    best_set: Optional[frozenset[int]] = None
-    for ind in independent_sets(graph, cap=cap):
-        margin = rate_of_set(rates, neighbors_of_set(graph, ind)) - rate_of_set(
-            rates, ind
-        )
-        key = (margin, sorted(ind))
-        if best_set is None or key < (best_margin, sorted(best_set)):
-            best_margin, best_set = margin, ind
-    assert best_set is not None
-    satisfied = best_margin > 0.0
+    margin, _, worst = min(
+        (neighborhood - own, sorted(ind), ind)
+        for ind, own, neighborhood in independent_set_rates(graph, rates)
+    )
+    satisfied = margin > 0.0
     return NcondResult(
         satisfied=satisfied,
-        min_margin=best_margin,
-        argmin=best_set,
-        witness=None if satisfied else best_set,
+        min_margin=margin,
+        argmin=worst,
+        witness=None if satisfied else worst,
     )
 
 

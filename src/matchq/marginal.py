@@ -7,7 +7,10 @@ determines the fluid drift of node i0: the arrival rate into i0 minus,
 for each neighbor j, the rate of class-j arrivals that get matched with
 i0. Under a priority policy that happens exactly when every class j
 serves before i0 is empty (a "guard" event); under the uniform policy
-class j splits its rate evenly among i0 and the available others.
+class j splits its rate evenly among i0 and the available others. The
+same rule drains the chain's own coordinates, so it is written once, as
+a per-node table (`MarginalChain._splits`) that both the guard
+probabilities and the chain's down-rates read.
 
 For the canonical pendant graph and 5-cycle the marginal chain lives on
 two glued rays and is reversible, so the stationary law is an explicit
@@ -184,6 +187,11 @@ class StationaryDist:
         )
 
 
+def _check_truncation(truncation: int) -> None:
+    if truncation < 1:
+        raise ValidationError(f"truncation must be at least 1, got {truncation}")
+
+
 def _glued_rays(
     alpha: float, r1: float, r2: float, truncation: int, method: str
 ) -> StationaryDist:
@@ -219,6 +227,7 @@ def stationary_closed_pendant(
     """
     if len(rates) != 4:
         raise ValidationError("pendant closed form needs 4 rates")
+    _check_truncation(truncation)
     l1, l2, l3, _ = rates
     alpha = pendant_alpha(rates)
     r1 = l1 / (l3 + l2)
@@ -236,6 +245,7 @@ def stationary_closed_5cycle(
     """
     if len(rates) != 5:
         raise ValidationError("5-cycle closed form needs 5 rates")
+    _check_truncation(truncation)
     l1, l2, l3, l4, _ = rates
     alpha = fivecycle_alpha(rates)
     r1 = l1 / (l3 + l2)
@@ -276,31 +286,40 @@ class MarginalChain:
         return tuple(out)
 
     @cached_property
-    def _down_specs(self):
-        """Per coordinate: how neighboring arrival classes drain it."""
-        specs = []
-        for v in self.s_nodes:
+    def _splits(self) -> dict[int, tuple]:
+        """The class split, per target node: every coordinate, then i0.
+
+        An entry (j, coords, busy, step) says that a class-j arrival matches
+        the target with weight 1 / (busy + step for each positive coordinate
+        in coords). Priority: coords are those j serves first, busy is 1 and
+        step infinite, so the weight is 1 or 0; j is left out when i0 is
+        ahead. Uniform: coords are j's in-chain neighbors, busy counts j's
+        always-busy neighbors (i0) and step is 1.
+        """
+        priority = self.policy.kind == PRIORITY
+        out = {}
+        for target in self.s_nodes + (self.i0,):
             entries = []
-            for j in self.graph.neighbors(v):
-                lam_j = self.rates[j - 1]
-                if self.policy.kind == PRIORITY:
-                    ahead = priority_set(self.policy, self.graph, j, v)
-                    if self.i0 in ahead:
+            for j in self.graph.neighbors(target):
+                if priority:
+                    nodes = priority_set(self.policy, self.graph, j, target)
+                    if self.i0 in nodes:
                         continue
-                    guard = tuple(
-                        self._index[k] for k in ahead if k in self._index
-                    )
-                    entries.append((lam_j, guard))
+                    busy, step = 1.0, math.inf
                 else:
-                    sj = tuple(
-                        self._index[k]
-                        for k in self.graph.neighbors(j)
-                        if k in self._index
-                    )
-                    extra = 1 if self.graph.has_edge(j, self.i0) else 0
-                    entries.append((lam_j, sj, extra))
-            specs.append(tuple(entries))
-        return tuple(specs)
+                    nodes = self.graph.neighbors(j)
+                    busy, step = float(self.graph.has_edge(j, self.i0)), 1.0
+                coords = [self._index[k] for k in nodes if k in self._index]
+                entries.append((j, coords, busy, step))
+            out[target] = tuple(entries)
+        return out
+
+    def split(self, pos: np.ndarray, target: int):
+        """(j, divisor) for each class j in the target's split, where a
+        class-j arrival reaches the target with weight 1 / divisor at the
+        states whose positive coordinates are the rows of `pos`."""
+        for j, coords, busy, step in self._splits[target]:
+            yield j, busy + np.where(pos[:, coords], step, 0.0).sum(axis=1)
 
     def is_valid_state(self, x: Sequence[int]) -> bool:
         if len(x) != len(self.s_nodes) or any(v < 0 for v in x):
@@ -327,23 +346,18 @@ class MarginalChain:
         """Up and down rates of every coordinate at every state.
 
         `states` is an (n, m) int array; both results are (n, m) float
-        arrays. A down rate adds its neighboring classes in the order of
-        `_down_specs`, so it is the same float for one state or many.
+        arrays. A down rate adds the classes of the coordinate's split in
+        neighbor order, so it is the same float for one state or many.
         """
         pos = states > 0
         blocked = pos.astype(np.int64) @ self._adjacency > 0
         up = np.where(blocked, 0.0, self._coord_rates)
         down = np.zeros(states.shape)
-        for coord, entries in enumerate(self._down_specs):
+        for coord, v in enumerate(self.s_nodes):
             rows = np.flatnonzero(pos[:, coord])
-            sub = pos[rows]
             total = np.zeros(len(rows))
-            if self.policy.kind == PRIORITY:
-                for lam_j, guard in entries:
-                    total += np.where(sub[:, list(guard)].any(axis=1), 0.0, lam_j)
-            else:
-                for lam_j, sj, extra in entries:
-                    total += lam_j / (sub[:, list(sj)].sum(axis=1) + extra)
+            for j, divisor in self.split(pos[rows], v):
+                total += self.rates[j - 1] / divisor
             down[rows, coord] = total
         return up, down
 
@@ -416,6 +430,7 @@ def stationary_numeric(
     misbehaves. The reported tail mass is the probability of the boundary
     layer (some coordinate equal to the truncation level).
     """
+    _check_truncation(truncation)
     states = chain.enumerate_states(truncation)
     n, m = states.shape
     if n == 1:
@@ -612,16 +627,10 @@ def fluid_report(
 
     chain = build_marginal(graph, rates, policy, i0)
     dist = stationary_numeric(chain, truncation, tol)
-    pos = dist.state_array > 0
-    guard = {}
-    for j in graph.neighbors(i0):
-        if policy.kind == PRIORITY:
-            ahead = priority_set(policy, graph, j, i0)
-            coords = [chain._index[k] for k in ahead if k in chain._index]
-            guard[j] = _sequential_sum(dist.probs[~pos[:, coords].any(axis=1)])
-        else:
-            sj = [chain._index[k] for k in graph.neighbors(j) if k in chain._index]
-            guard[j] = _sequential_sum(dist.probs / (pos[:, sj].sum(axis=1) + 1))
+    guard = {
+        j: _sequential_sum(dist.probs / divisor)
+        for j, divisor in chain.split(dist.state_array > 0, i0)
+    }
     return _assemble(rates, i0, guard, dist, q0)
 
 

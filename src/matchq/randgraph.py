@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotConnectedError, TooLargeError, ValidationError
-from .graphs import Graph, independent_sets, is_connected, neighbors_of_set
+from .errors import NotConnectedError, ValidationError
+from .graphs import Graph, check_rates, independent_set_rates, is_connected
 from .policies import PRIORITY, Policy, _arrivals, _decision_step, validate_policy
 
 
@@ -181,7 +181,7 @@ def matching_is_valid(result: GrowthResult) -> bool:
 
 
 def tutte_condition_estimate(
-    template: Graph, mu: Sequence[float], cap: int = 20
+    template: Graph, mu: Sequence[float]
 ) -> dict[frozenset, float]:
     """Per-independent-set margins mu(I) - mu(E(I)).
 
@@ -189,14 +189,8 @@ def tutte_condition_estimate(
     the online matching to be asymptotically perfect; a positive margin
     names a set of types that must accumulate unmatched nodes.
     """
-    mu = tuple(float(m) for m in mu)
-    if len(mu) != template.node_count:
-        raise ValidationError("mu length must match the template")
-    if template.node_count > cap:
-        raise TooLargeError(f"enumeration capped at {cap} nodes")
-    out = {}
-    for ind in independent_sets(template, cap=cap):
-        m_i = sum(mu[v - 1] for v in ind)
-        m_e = sum(mu[v - 1] for v in neighbors_of_set(template, ind))
-        out[ind] = m_i - m_e
-    return out
+    mu = check_rates(template, mu)
+    return {
+        ind: own - neighborhood
+        for ind, own, neighborhood in independent_set_rates(template, mu)
+    }

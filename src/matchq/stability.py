@@ -32,11 +32,9 @@ from .graphs import (
     check_rates,
     classify,
     five_cycle_graph,
-    independent_sets,
+    independent_set_rates,
     ncond_check,
-    neighbors_of_set,
     pendant_graph,
-    rate_of_set,
 )
 from .marginal import (
     fivecycle_a,
@@ -92,17 +90,10 @@ class StabilityVerdict:
 
 
 def _ncond_inequalities(graph: Graph, rates) -> list[Inequality]:
-    out = []
-    for ind in independent_sets(graph):
-        name = "ncond:{" + ",".join(str(v) for v in sorted(ind)) + "}"
-        out.append(
-            Inequality(
-                name=name,
-                lhs=rate_of_set(rates, ind),
-                rhs=rate_of_set(rates, neighbors_of_set(graph, ind)),
-            )
-        )
-    return out
+    return [
+        Inequality("ncond:{" + ",".join(map(str, sorted(ind))) + "}", own, neighborhood)
+        for ind, own, neighborhood in independent_set_rates(graph, rates)
+    ]
 
 
 def pendant_region(rates: Sequence[float]) -> StabilityVerdict:
@@ -203,12 +194,9 @@ def _family_parts(family: str, eps: float):
     if family == PENDANT_UNIFORM:
         rates = (eps, eps, 0.5 - eps / 2, 0.5 - 0.75 * eps)
         return pendant_graph(), rates, uniform_policy(), 4, pendant_uniform_drift
-    if family == FIVE_CYCLE_UNIFORM:
-        rates = (eps, eps, 0.25 - eps / 4, 0.25 - eps / 4, 0.5 - 0.75 * eps)
-        return five_cycle_graph(), rates, uniform_policy(), 5, fivecycle_uniform_drift
-    raise ValidationError(
-        f"unknown family {family!r}; choose from {sorted(FAMILY_EPS_BOUND)}"
-    )
+    # FIVE_CYCLE_UNIFORM: counterexample has already refused unknown families
+    rates = (eps, eps, 0.25 - eps / 4, 0.25 - eps / 4, 0.5 - 0.75 * eps)
+    return five_cycle_graph(), rates, uniform_policy(), 5, fivecycle_uniform_drift
 
 
 def counterexample(family: str, eps: float) -> UnstableInstance:

@@ -105,6 +105,14 @@ def test_cli_fluid_reports_solver_and_residual(files, capsys):
             assert out["residual"] is None
 
 
+@pytest.mark.parametrize("truncation", ["0", "-1"])
+def test_cli_fluid_truncation_below_one_exit_2(files, truncation):
+    assert main([
+        "fluid", "--graph", str(files["pendant"]), "--rates", str(files["rates"]),
+        "--policy", str(files["policy"]), "--node", "4", "--truncation", truncation,
+    ]) == 2
+
+
 def test_cli_counterexample(files, capsys):
     assert main(["counterexample", "pendant-priority", "0.2"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from matchq.errors import (
     RatesOutsideRegionError,
     UnsupportedPolicyError,
+    ValidationError,
 )
 from matchq.graphs import complete_graph, cycle_graph, five_cycle_graph, pendant_graph
 from matchq.marginal import (
@@ -385,6 +386,34 @@ def test_marginal_solve_leaves_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("truncation", [0, -1, -3])
+def test_stationary_numeric_rejects_truncation_below_one(truncation):
+    chain = build_marginal(cycle_graph(7), (1 / 7,) * 7, C7_DESCENDING, 1)
+    with pytest.raises(ValidationError):
+        stationary_numeric(chain, truncation)
+
+
+@pytest.mark.parametrize("closed, rates", [(stationary_closed_pendant, LAM_P),
+                                           (stationary_closed_5cycle, LAM_5)])
+@pytest.mark.parametrize("truncation", [0, -1, -3])
+def test_closed_laws_reject_truncation_below_one(closed, rates, truncation):
+    assert len(closed(rates, 1)[1].states) == 3
+    with pytest.raises(ValidationError):
+        closed(rates, truncation)
+
+
+@pytest.mark.parametrize("route", ["closed-form-pendant", "numeric-truncated"])
+@pytest.mark.parametrize("truncation", [0, -1, -3])
+def test_fluid_report_rejects_truncation_below_one(route, truncation):
+    if route == "closed-form-pendant":
+        args = (PENDANT, LAM_P, pendant_priority_policy(), 4)
+    else:
+        args = (cycle_graph(7), (1 / 7,) * 7, C7_DESCENDING, 1)
+    assert fluid_report(*args, 1.0, truncation=1).method == route
+    with pytest.raises(ValidationError):
+        fluid_report(*args, 1.0, truncation=truncation)
 
 
 def test_enumerate_states_lexicographic_and_independent():

@@ -1,5 +1,7 @@
 """Online growth and matching: coupling with the queue, exact counting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,13 @@ def test_tutte_margins_pendant_family_all_negative():
     assert all(v < 0 for v in margins.values())
     assert min(margins.values()) == pytest.approx(-0.45, abs=1e-12)
     assert max(margins.values()) == pytest.approx(-0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu", [(math.nan, 0.2, 0.3, 0.4), (-0.1, 0.3, 0.4, 0.4),
+                                (0.3, 0.3, 0.4)])
+def test_tutte_rejects_invalid_mu(mu):
+    with pytest.raises(ValidationError):
+        tutte_condition_estimate(pendant_graph(), mu)
 
 
 def test_tutte_cap():
