@@ -13,7 +13,6 @@ from .graphs import (
     find_induced_odd_cycle,
     find_induced_pendant,
     five_cycle_graph,
-    independent_set_rates,
     independent_sets,
     is_bipartite,
     is_connected,
