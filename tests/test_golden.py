@@ -7,7 +7,10 @@ path: the stationary law (states, probabilities, tail mass) and the fluid
 report (drift, guard probabilities, tail mass, method) of fixed chains,
 or the type of the error they raise, and the independent-set rate
 condition as `ncond_check`, the exact region verdicts and the online
-matching's margins report it. The digests in golden_digests.json
+matching's margins report it. So is the command line: each `matchq` run
+is hashed by its exit code, stdout, stderr and every file under --out,
+and each subcommand's option table by its flags, types and defaults. The
+digests in golden_digests.json
 were recorded once; a change that alters any output bit, or the order in
 which random draws are consumed, fails here.
 
@@ -17,15 +20,21 @@ change of behaviour, never to refresh the fixtures silently):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import random
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from matchq.cli import build_parser, main
 from matchq.errors import MatchQError, NotApplicableError, NotConnectedError
 from matchq.graphs import (
     Graph,
@@ -407,6 +416,117 @@ def _rate_condition_cases():
         # fails the rate condition
         yield f"region-{name}-off-family", lambda a=(region, others): _region_digest(*a)
 
+# -- the command line -------------------------------------------------------------
+
+# Instance files, written into a fresh working directory for each run and
+# named by relative paths, so the manifest bytes do not depend on where
+# the test runs.
+CLI_FILES = {
+    "pendant.json": {"nodes": 4, "edges": [[1, 2], [1, 3], [2, 3], [3, 4]]},
+    "g5.json": {"nodes": 5, "edges": [[1, 2], [1, 3], [2, 3], [3, 4], [4, 5]]},
+    "square.json": {"nodes": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+    "k3.json": {"nodes": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
+    "rates.json": {"rates": list(LAM)},
+    "far.json": {"rates": [0.5, 0.1, 0.05, 0.3]},
+    "priority.json": {"kind": "priority",
+                      "order": {"1": [2, 3], "2": [1, 3], "3": [1, 2, 4], "4": [3]}},
+    "ml.json": {"kind": "ml"},
+    "uniform.json": {"kind": "uniform"},
+}
+_INSTANCE = ["--graph", "pendant.json", "--rates", "rates.json"]
+CLI_RUNS = {
+    "analyze": ["analyze", "--graph", "pendant.json"],
+    "ncond": ["ncond"] + _INSTANCE,
+    "fluid": ["fluid"] + _INSTANCE + ["--policy", "priority.json", "--node", "4"],
+    "simulate": ["simulate"] + _INSTANCE + [
+        "--policy", "priority.json", "--seed", "7", "--horizon", "1", "--scale", "400",
+        "--init-node", "4", "--node", "4"],
+    "stability": ["stability"] + _INSTANCE,
+    "counterexample": ["counterexample", "pendant-priority", "0.2"],
+    "construct-nonmaximal": ["construct-nonmaximal", "--graph", "g5.json"],
+    "randgraph": ["randgraph"] + _INSTANCE + [
+        "--policy", "uniform.json", "--n", "300", "--seed", "4"],
+}
+CLI_EXTRA = {
+    "simulate-replications": CLI_RUNS["simulate"] + ["--replications", "3"],
+    "simulate-ml-init": ["simulate"] + _INSTANCE + [
+        "--policy", "ml.json", "--seed", "11", "--horizon", "2", "--scale", "50",
+        "--init", "0,0,0,30", "--stride", "3"],
+    "randgraph-matching": CLI_RUNS["randgraph"] + ["--matching-out"],
+    "stability-empirical": ["stability"] + _INSTANCE + [
+        "--policy", "priority.json", "--empirical", "--seed", "5",
+        "--replications", "2", "--scales", "20", "40", "--horizon", "1"],
+    "construct-eps": ["construct-nonmaximal", "--graph", "g5.json", "--eps", "0.1"],
+}
+CLI_ERRORS = {
+    "exit2-eps": ["counterexample", "pendant-priority", "0.9"],
+    "exit2-eps-at-bound": ["counterexample", "pendant-priority", "0.4"],
+    "exit2-missing-file": ["analyze", "--graph", "absent.json"],
+    "exit2-truncation": CLI_RUNS["fluid"] + ["--truncation", "0"],
+    "exit2-node": CLI_RUNS["fluid"][:-1] + ["9"],
+    "exit2-empirical-seed": ["stability"] + _INSTANCE + [
+        "--policy", "priority.json", "--empirical"],
+    "exit2-init": CLI_RUNS["simulate"] + ["--init", "1,x", "--out", "out"],
+    "exit3-stability": ["stability", "--graph", "square.json", "--rates", "rates.json"],
+    "exit3-construct": ["construct-nonmaximal", "--graph", "k3.json", "--out", "out"],
+    "exit3-policy": ["fluid"] + _INSTANCE + ["--policy", "ml.json", "--node", "4"],
+    "exit3-region": ["fluid", "--graph", "pendant.json", "--rates", "far.json",
+                     "--policy", "priority.json", "--node", "4"],
+    "exit4-budget": ["stability"] + _INSTANCE + [
+        "--policy", "priority.json", "--empirical", "--seed", "1",
+        "--replications", "2", "--scales", "100000000", "200000000", "--horizon", "1"],
+}
+
+
+def _cli_digest(argv) -> str:
+    """Run `matchq argv` in a fresh working directory; hash its exit code,
+    stdout, stderr and every file it wrote, by relative path."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, obj in CLI_FILES.items():
+                Path(name).write_text(json.dumps(obj))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            written = sorted(
+                (str(f), hashlib.sha256(f.read_bytes()).hexdigest())
+                for f in Path().rglob("*") if f.is_file() and f.name not in CLI_FILES
+            )
+        finally:
+            os.chdir(cwd)
+    return _digest(code, out.getvalue(), err.getvalue(), written)
+
+
+def _options_digest(command) -> str:
+    """A subcommand's option table; --help is not hashed, as its line
+    width follows the terminal."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    rows = sorted(
+        (a.dest, a.option_strings, getattr(a.type, "__name__", a.type), a.default,
+         a.choices, a.required, a.nargs)
+        for a in sub.choices[command]._actions
+    )
+    return _digest(rows)
+
+
+def _cli_cases():
+    for command, argv in CLI_RUNS.items():
+        for fmt in ("json", "csv"):
+            yield f"cli-{command}-{fmt}", lambda a=argv + ["--format", fmt]: _cli_digest(a)
+            yield f"cli-{command}-{fmt}-out", lambda a=argv + [
+                "--format", fmt, "--out", "out"]: _cli_digest(a)
+        yield f"cli-options-{command}", lambda c=command: _options_digest(c)
+    for name, argv in CLI_EXTRA.items():
+        yield f"cli-{name}", lambda a=argv: _cli_digest(a)
+        for fmt in ("json", "csv"):
+            yield f"cli-{name}-{fmt}-out", lambda a=argv + [
+                "--format", fmt, "--out", "out"]: _cli_digest(a)
+    for name, argv in CLI_ERRORS.items():
+        yield f"cli-{name}", lambda a=argv: _cli_digest(a)
+
 
 CASES = dict(_simulate_cases())
 CASES.update(_coupled_cases())
@@ -414,6 +534,7 @@ CASES.update(_growth_cases())
 CASES["match-decision-sequence"] = _decision_digest
 CASES.update(_marginal_cases())
 CASES.update(_rate_condition_cases())
+CASES.update(_cli_cases())
 
 
 def _expected() -> dict:
