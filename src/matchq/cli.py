@@ -6,8 +6,13 @@ come out; every randomized command requires an explicit --seed, and every
 --out run writes a manifest with input hashes so results can be
 reproduced bit for bit.
 
-Exit codes: 0 ok, 2 parse/validation error, 3 not-applicable or region
-error, 4 budget exceeded.
+Every subcommand is declared through `_command`, which adds the instance
+files, --seed, --out and --format. Every report goes through `_emit`, the
+one place that chooses stdout or --out, JSON or CSV, and the one writer of
+manifest.json; simulate and randgraph write only their own trace,
+trajectory and matching files. Exit codes live on the error classes
+(`MatchQError.exit_code`): 0 ok, 2 parse/validation error, 3
+not-applicable or region error, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -19,12 +24,9 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
-    BudgetExceededError,
     IndexOutOfRangeError,
     MatchQError,
     NotApplicableError,
-    RatesOutsideRegionError,
-    UnsupportedPolicyError,
     ValidationError,
 )
 from .graphs import (
@@ -84,35 +86,48 @@ def _render_csv(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(obj: dict, args, name: str, extra_inputs=(), seed=None, files=None):
-    """Print to stdout, or write into --out with a manifest."""
-    fmt = getattr(args, "format", "json")
-    if getattr(args, "out", None):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            report = f"{name}.csv"
-            (out / report).write_text(_render_csv(obj))
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _emit(args, outputs, inputs=()):
+    """Print each report to stdout, or write it into --out with a manifest.
+
+    outputs lists the reports as (name, obj) pairs, in manifest order,
+    among the names of the files the command wrote into --out itself.
+    """
+    out = _out_dir(args) if args.out else None
+    written = []
+    for entry in outputs:
+        if isinstance(entry, str):
+            written.append(entry)
+            continue
+        name, obj = entry
+        if out is None:
+            sys.stdout.write(
+                _render_csv(obj) if args.format == "csv"
+                else json.dumps(obj, indent=2, sort_keys=True) + "\n"
+            )
+        elif args.format == "csv":
+            written.append(f"{name}.csv")
+            (out / written[-1]).write_text(_render_csv(obj))
         else:
-            report = f"{name}.json"
-            ser.dump_json(obj, out / report)
-        written = [report] + (files or [])
-        inputs = [p for p in extra_inputs if p]
+            written.append(f"{name}.json")
+            ser.dump_json(obj, out / written[-1])
+    if out is not None:
         ser.dump_json(
-            ser.manifest(args.command, args.argv, inputs, seed=seed, outputs=written),
+            ser.manifest(args.command, args.argv, inputs,
+                         seed=getattr(args, "seed", None), outputs=written),
             out / "manifest.json",
         )
-    elif fmt == "csv":
-        sys.stdout.write(_render_csv(obj))
-    else:
-        json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
 
 
 def _cmd_analyze(args):
     graph = _load_graph(args.graph)
     cls = classify(graph)
-    _emit(ser.classification_to_obj(cls), args, "analysis", [args.graph])
+    _emit(args, [("analysis", ser.classification_to_obj(cls))], [args.graph])
 
 
 def _cmd_ncond(args):
@@ -125,7 +140,7 @@ def _cmd_ncond(args):
         "argmin_set": sorted(res.argmin),
         "witness": sorted(res.witness) if res.witness is not None else None,
     }
-    _emit(obj, args, "ncond", [args.graph, args.rates])
+    _emit(args, [("ncond", obj)], [args.graph, args.rates])
 
 
 def _cmd_fluid(args):
@@ -135,12 +150,8 @@ def _cmd_fluid(args):
     report = fluid_report(
         graph, rates, policy, args.node, args.q0, truncation=args.truncation
     )
-    _emit(
-        ser.fluid_report_to_obj(report),
-        args,
-        "fluid",
-        [args.graph, args.rates, args.policy],
-    )
+    _emit(args, [("fluid", ser.fluid_report_to_obj(report))],
+          [args.graph, args.rates, args.policy])
 
 
 def _parse_initial(args, graph):
@@ -164,6 +175,8 @@ def _cmd_simulate(args):
     graph = _load_graph(args.graph)
     rates = _load_rates(args.rates)
     policy = _load_policy(args.policy)
+    if args.node is not None and not 1 <= args.node <= graph.node_count:
+        raise IndexOutOfRangeError(args.node, graph.node_count)
     initial = _parse_initial(args, graph)
     seeds = (
         [args.seed]
@@ -185,36 +198,14 @@ def _cmd_simulate(args):
             try:
                 drift = drift_estimate(trace, args.node)
             except MatchQError:
-                drift = None
-        summary = ser.trace_summary_to_obj(trace, node=args.node, drift=drift)
+                pass
         suffix = f"_rep{rep}" if args.replications > 1 else ""
         if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            ser.write_trace_csv(trace, out / f"trace{suffix}.csv")
-            if args.format == "csv":
-                report = f"summary{suffix}.csv"
-                (out / report).write_text(_render_csv(summary))
-            else:
-                report = f"summary{suffix}.json"
-                ser.dump_json(summary, out / report)
-            outputs += [f"trace{suffix}.csv", report]
-        elif args.format == "csv":
-            sys.stdout.write(_render_csv(summary))
-        else:
-            json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
-    if args.out:
-        ser.dump_json(
-            ser.manifest(
-                "simulate",
-                args.argv,
-                [args.graph, args.rates, args.policy],
-                seed=args.seed,
-                outputs=outputs,
-            ),
-            Path(args.out) / "manifest.json",
-        )
+            ser.write_trace_csv(trace, _out_dir(args) / f"trace{suffix}.csv")
+            outputs.append(f"trace{suffix}.csv")
+        summary = ser.trace_summary_to_obj(trace, node=args.node, drift=drift)
+        outputs.append((f"summary{suffix}", summary))
+    _emit(args, outputs, [args.graph, args.rates, args.policy])
 
 
 def _cmd_stability(args):
@@ -240,24 +231,19 @@ def _cmd_stability(args):
             "exact regions exist for the canonical pendant graph and 5-cycle; "
             "use --empirical for other instances"
         )
-    _emit(
-        ser.verdict_to_obj(verdict),
-        args,
-        "stability",
-        [args.graph, args.rates] + ([args.policy] if args.empirical else []),
-        seed=args.seed,
-    )
+    _emit(args, [("stability", ser.verdict_to_obj(verdict))],
+          [args.graph, args.rates] + ([args.policy] if args.empirical else []))
 
 
 def _cmd_counterexample(args):
     instance = counterexample(args.family, args.eps)
-    _emit(ser.instance_to_obj(instance), args, "instance", [])
+    _emit(args, [("instance", ser.instance_to_obj(instance))])
 
 
 def _cmd_construct(args):
     graph = _load_graph(args.graph)
     instance = construct_nonmaximal(graph, eps=args.eps)
-    _emit(ser.instance_to_obj(instance), args, "instance", [args.graph])
+    _emit(args, [("instance", ser.instance_to_obj(instance))], [args.graph])
 
 
 def _cmd_randgraph(args):
@@ -274,26 +260,33 @@ def _cmd_randgraph(args):
         "unmatched_by_type": list(result.queue),
         "mu": list(result.mu),
     }
-    files = []
+    outputs = [("randgraph", summary)]
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args)
         ser.write_growth_csv(result, out / "trajectory.csv")
-        files.append("trajectory.csv")
+        outputs.append("trajectory.csv")
         if args.matching_out:
             ser.dump_json(
                 {"pairs": [list(e) for e in result.matching_edges()]},
                 out / "matching.json",
             )
-            files.append("matching.json")
-    _emit(
-        summary,
-        args,
-        "randgraph",
-        [args.graph, args.rates, args.policy],
-        seed=args.seed,
-        files=files,
-    )
+            outputs.append("matching.json")
+    _emit(args, outputs, [args.graph, args.rates, args.policy])
+
+
+def _command(sub, name, func, help, files=(), seed=False, optional=()):
+    """Declare a subcommand: the instance files named in `files`, --seed if
+    asked for (each required unless named in `optional`), --out and --format."""
+    p = sub.add_parser(name, help=help)
+    for kind in files:
+        p.add_argument(f"--{kind}", required=kind not in optional,
+                       help=f"{kind} JSON file")
+    if seed:
+        p.add_argument("--seed", type=int, required="seed" not in optional)
+    p.add_argument("--out", help="output directory (writes a manifest)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,36 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"matchq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = ("graph", "rates", "policy")
 
-    def add_common(p, policy=True, seed=False):
-        p.add_argument("--graph", required=True, help="graph JSON file")
-        p.add_argument("--rates", required=True, help="rates JSON file")
-        if policy:
-            p.add_argument("--policy", required=True, help="policy JSON file")
-        if seed:
-            p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--out", help="output directory (writes a manifest)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    _command(sub, "analyze", _cmd_analyze, "classify a graph", files=("graph",))
 
-    p = sub.add_parser("analyze", help="classify a graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_analyze)
+    _command(sub, "ncond", _cmd_ncond, "check the independent-set rate condition",
+             files=("graph", "rates"))
 
-    p = sub.add_parser("ncond", help="check the independent-set rate condition")
-    add_common(p, policy=False)
-    p.set_defaults(func=_cmd_ncond)
-
-    p = sub.add_parser("fluid", help="fluid drift report for one node")
-    add_common(p)
+    p = _command(sub, "fluid", _cmd_fluid, "fluid drift report for one node",
+                 files=instance)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--q0", type=float, default=1.0)
     p.add_argument("--truncation", type=int, default=200)
-    p.set_defaults(func=_cmd_fluid)
 
-    p = sub.add_parser("simulate", help="run the event-driven simulator")
-    add_common(p, seed=True)
+    p = _command(sub, "simulate", _cmd_simulate, "run the event-driven simulator",
+                 files=instance, seed=True)
     p.add_argument("--horizon", type=float, required=True, help="scaled time units")
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--stride", type=int, default=1)
@@ -340,43 +318,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-node", type=int, help="start from scale * e_node")
     p.add_argument("--init", help="comma-separated raw initial queue vector")
     p.add_argument("--replications", type=int, default=1)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("stability", help="exact or empirical stability verdict")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--rates", required=True)
-    p.add_argument("--policy", help="needed with --empirical")
-    p.add_argument("--empirical", action="store_true")
-    p.add_argument("--seed", type=int)
+    p = _command(sub, "stability", _cmd_stability, "exact or empirical stability verdict",
+                 files=instance, seed=True, optional=("policy", "seed"))
+    p.add_argument("--empirical", action="store_true",
+                   help="classify by simulation; needs --policy and --seed")
     p.add_argument("--replications", type=int, default=10)
     p.add_argument("--scales", type=int, nargs="+", default=[1000, 10000])
     p.add_argument("--horizon", type=float, default=8.0)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("counterexample", help="emit a certified unstable instance")
+    p = _command(sub, "counterexample", _cmd_counterexample,
+                 "emit a certified unstable instance")
     p.add_argument("family", choices=sorted(FAMILY_EPS_BOUND))
     p.add_argument("eps", type=float)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_counterexample)
 
-    p = sub.add_parser(
-        "construct-nonmaximal",
-        help="destabilizing policy and rates for a general graph",
-    )
-    p.add_argument("--graph", required=True)
+    p = _command(sub, "construct-nonmaximal", _cmd_construct,
+                 "destabilizing policy and rates for a general graph", files=("graph",))
     p.add_argument("--eps", type=float)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("randgraph", help="grow and match a random typed graph")
-    add_common(p, seed=True)
+    p = _command(sub, "randgraph", _cmd_randgraph, "grow and match a random typed graph",
+                 files=instance, seed=True)
     p.add_argument("--n", type=int, required=True, help="number of nodes to grow")
     p.add_argument("--matching-out", action="store_true")
-    p.set_defaults(func=_cmd_randgraph)
 
     return parser
 
@@ -387,17 +350,10 @@ def main(argv=None) -> int:
     args.argv = argv  # recorded in manifest.json
     try:
         args.func(args)
-    except (NotApplicableError, RatesOutsideRegionError, UnsupportedPolicyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except MatchQError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     return 0
-
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -1,12 +1,16 @@
 """Exception hierarchy for matchq.
 
-The CLI maps these onto exit codes: input/validation problems exit 2,
-"not applicable" and region errors exit 3, budget overruns exit 4.
+Each class carries the exit code the CLI returns for it as `exit_code`:
+2 unless a section heading below says otherwise. Domain restrictions
+exit 3 and budget overruns exit 4; certificate parameters the user
+chose badly exit 2, like any other input problem.
 """
 
 
 class MatchQError(Exception):
     """Base class for all matchq errors."""
+
+    exit_code = 2
 
 
 # -- input and validation problems (CLI exit 2) ---------------------------
@@ -55,7 +59,23 @@ class InputFormatError(ValidationError):
     """Unparseable JSON instance file."""
 
 
-# -- capability limits and numeric failures --------------------------------
+# -- certificate parameters and witnesses (CLI exit 2) ---------------------
+
+
+class EpsilonOutOfRangeError(MatchQError):
+    """Counterexample parameter outside the family's interval."""
+
+
+class BoundaryDegenerateError(MatchQError):
+    """Requested instance sits on the region boundary (zero drift)."""
+
+
+class NoWitnessFoundError(MatchQError):
+    """A connected non-bipartite non-separable graph produced no induced
+    pendant and no induced odd cycle. This indicates an implementation bug."""
+
+
+# -- capability limits and numeric failures (CLI exit 2) -------------------
 
 
 class TooLargeError(MatchQError):
@@ -80,26 +100,19 @@ class ReducibleError(MatchQError):
 class UnsupportedPolicyError(MatchQError):
     """No analytical machinery for this policy kind."""
 
+    exit_code = 3
+
 
 class RatesOutsideRegionError(MatchQError):
     """Closed forms require the geometric ratios to be below one."""
 
-
-class EpsilonOutOfRangeError(MatchQError):
-    """Counterexample parameter outside the family's interval."""
-
-
-class BoundaryDegenerateError(MatchQError):
-    """Requested instance sits on the region boundary (zero drift)."""
+    exit_code = 3
 
 
 class NotApplicableError(MatchQError):
     """Construction undefined for this graph class."""
 
-
-class NoWitnessFoundError(MatchQError):
-    """A connected non-bipartite non-separable graph produced no induced
-    pendant and no induced odd cycle. This indicates an implementation bug."""
+    exit_code = 3
 
 
 # -- resource limits (CLI exit 4) -------------------------------------------
@@ -107,3 +120,5 @@ class NoWitnessFoundError(MatchQError):
 
 class BudgetExceededError(MatchQError):
     """Simulation budget exhausted before the experiment finished."""
+
+    exit_code = 4

@@ -11,7 +11,6 @@ four-way split used by the stability tooling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,17 +67,6 @@ class Graph:
         validate_edges(node_count, edges)
         canon = tuple(sorted((min(int(i), int(j)), max(int(i), int(j))) for i, j in edges))
         return cls(node_count, canon)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        from .serialize import graph_from_obj
-
-        return graph_from_obj(json.loads(text))
-
-    def to_json(self) -> str:
-        from .serialize import graph_to_obj
-
-        return json.dumps(graph_to_obj(self))
 
     @property
     def nodes(self) -> range:
@@ -374,16 +362,12 @@ def _induced_cycle_order(graph: Graph, subset: tuple[int, ...]) -> Optional[list
     return order
 
 
-def find_induced_odd_cycle(
-    graph: Graph, min_len: int = 5
-) -> Optional[tuple[int, ...]]:
-    """Smallest induced odd cycle of length >= min_len, as an ordered node tuple.
+def find_induced_odd_cycle(graph: Graph) -> Optional[tuple[int, ...]]:
+    """Smallest induced odd cycle of length >= 5, as an ordered node tuple.
 
     Within a length, the lexicographically first qualifying subset wins.
     """
-    if min_len % 2 == 0:
-        raise ValidationError("min_len must be odd")
-    length = min_len
+    length = 5
     while length <= graph.node_count:
         for subset in combinations(graph.nodes, length):
             order = _induced_cycle_order(graph, subset)
@@ -430,7 +414,7 @@ def classify(graph: Graph) -> GraphClass:
     pend = find_induced_pendant(graph)
     if pend is not None:
         return GraphClass(kind="non_separable_g7c", witness_kind="pendant", witness=pend)
-    cyc = find_induced_odd_cycle(graph, min_len=5)
+    cyc = find_induced_odd_cycle(graph)
     if cyc is not None:
         if len(cyc) == 5:
             return GraphClass(

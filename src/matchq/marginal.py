@@ -417,9 +417,7 @@ def build_marginal(
 
 
 def stationary_numeric(
-    chain: MarginalChain,
-    truncation: int = DEFAULT_TRUNCATION,
-    tol: float = DEFAULT_TOL,
+    chain: MarginalChain, truncation: int = DEFAULT_TRUNCATION
 ) -> StationaryDist:
     """Stationary law of the chain truncated to a box of side `truncation`.
 
@@ -498,7 +496,7 @@ def stationary_numeric(
     with np.errstate(all="ignore"):
         pi = spsolve(a, b)
     if not np.all(np.isfinite(pi)):
-        pi = _power_iteration(q, tol)
+        pi = _power_iteration(q)
         solver = SOLVER_POWER
     pi = np.where(np.abs(pi) < 1e-300, 0.0, pi)
     if pi.min() < -1e-9:
@@ -506,8 +504,8 @@ def stationary_numeric(
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ q)))
-    if residual > max(tol, 1e3 * np.finfo(float).eps * float(np.abs(q).max())):
-        raise NotConvergedError(f"balance residual {residual:.3e} above {tol:.1e}")
+    if residual > max(DEFAULT_TOL, 1e3 * np.finfo(float).eps * float(np.abs(q).max())):
+        raise NotConvergedError(f"balance residual {residual:.3e} above {DEFAULT_TOL:.1e}")
     boundary = (states >= truncation).any(axis=1).astype(float)
     tail = float(pi @ boundary)
     return StationaryDist(
@@ -520,7 +518,7 @@ def stationary_numeric(
     )
 
 
-def _power_iteration(q: sp.csr_matrix, tol: float, max_iter: int = 2_000_000):
+def _power_iteration(q: sp.csr_matrix, max_iter: int = 2_000_000):
     n = q.shape[0]
     lam = 1.05 * float(np.abs(q.diagonal()).max()) + 1e-12
     p = sp.eye(n) + q / lam
@@ -529,7 +527,7 @@ def _power_iteration(q: sp.csr_matrix, tol: float, max_iter: int = 2_000_000):
     for _ in range(max_iter):
         nxt = pt @ pi
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < tol / lam:
+        if np.max(np.abs(nxt - pi)) < DEFAULT_TOL / lam:
             return nxt
         pi = nxt
     raise NotConvergedError("power iteration did not converge")
@@ -582,7 +580,6 @@ def fluid_report(
     i0: int,
     q0: float,
     truncation: int = DEFAULT_TRUNCATION,
-    tol: float = DEFAULT_TOL,
 ) -> FluidReport:
     """Guard probabilities, drift, and emptying time for node i0.
 
@@ -592,8 +589,8 @@ def fluid_report(
     """
     rates = check_rates(graph, rates)
     validate_policy(policy, graph)
-    if q0 <= 0:
-        raise ValidationError("q0 must be positive")
+    if not (math.isfinite(q0) and q0 > 0):
+        raise ValidationError(f"q0 must be positive and finite, got {q0}")
 
     if graph.edges == PENDANT_EDGES and i0 == 4:
         if _is_pendant_priority(policy):
@@ -626,7 +623,7 @@ def fluid_report(
             return _assemble(rates, i0, guard, dist, q0)
 
     chain = build_marginal(graph, rates, policy, i0)
-    dist = stationary_numeric(chain, truncation, tol)
+    dist = stationary_numeric(chain, truncation)
     guard = {
         j: _sequential_sum(dist.probs / divisor)
         for j, divisor in chain.split(dist.state_array > 0, i0)

@@ -19,7 +19,6 @@ drivers read their events from the one chunked stream in _arrivals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -53,17 +52,6 @@ class Policy:
             raise ValidationError("priority policy needs an order map")
         if self.kind != PRIORITY and self.order is not None:
             raise ValidationError(f"{self.kind} policy takes no order map")
-
-    def to_json(self) -> str:
-        from .serialize import policy_to_obj
-
-        return json.dumps(policy_to_obj(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Policy":
-        from .serialize import policy_from_obj
-
-        return policy_from_obj(json.loads(text))
 
 
 def priority_policy(order: Mapping[int, Sequence[int]]) -> Policy:
@@ -224,6 +212,12 @@ def _decision_step(policy: Policy, graph: Graph):
 
 
 _CHUNK = 8192
+
+
+def check_seed(seed) -> None:
+    """Seeds feed numpy's SeedSequence, which takes nonnegative integers."""
+    if seed < 0:
+        raise ValidationError(f"seed {seed} must be nonnegative")
 
 
 def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None,

@@ -25,7 +25,14 @@ import numpy as np
 
 from .errors import NotConnectedError, ValidationError
 from .graphs import Graph, check_rates, independent_set_rates, is_connected
-from .policies import PRIORITY, Policy, _arrivals, _decision_step, validate_policy
+from .policies import (
+    PRIORITY,
+    Policy,
+    _arrivals,
+    _decision_step,
+    check_seed,
+    validate_policy,
+)
 
 
 def type_distribution(rates: Sequence[float]) -> tuple[float, ...]:
@@ -96,6 +103,7 @@ def grow_and_match(
         raise NotConnectedError("template must be connected with >= 2 nodes")
     if n_nodes < 0:
         raise ValidationError("n_nodes must be nonnegative")
+    check_seed(seed)
 
     p = template.node_count
     if checkpoints is None:

@@ -23,7 +23,7 @@ from typing import Any
 from .errors import InputFormatError
 from .graphs import Graph
 from .policies import PRIORITY, Policy, priority_policy
-from .simulate import SimTrace
+from .simulate import SimTrace, hitting_time
 from .stability import StabilityVerdict, UnstableInstance
 
 
@@ -104,10 +104,7 @@ def instance_to_obj(instance: UnstableInstance) -> dict:
         "drift": instance.drift,
         "family": instance.family,
         "eps": instance.eps,
-        "notes": {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in instance.notes.items()
-        },
+        "notes": _jsonable(instance.notes),
     }
 
 
@@ -191,9 +188,8 @@ def trace_summary_to_obj(trace: SimTrace, node=None, drift=None) -> dict:
         "arrivals": [int(a) for a in trace.arrivals[1:]],
     }
     if node is not None:
-        raw = trace.first_zero[node - 1]
         out["node"] = node
-        out["hitting_time"] = "inf" if math.isnan(raw) else raw / trace.scale
+        out["hitting_time"] = _num(hitting_time(trace, node))
     if drift is not None:
         out["drift"] = {
             "slope": drift.slope,

@@ -33,12 +33,16 @@ from .policies import (
     Policy,
     _arrivals,
     _decision_step,
+    check_seed,
     check_state,
     validate_policy,
 )
 
 def replication_seeds(master_seed: int, count: int) -> list[int]:
     """Independent per-replication seeds derived from one master seed."""
+    check_seed(master_seed)
+    if count < 1:
+        raise ValidationError(f"need at least 1 replication, got {count}")
     children = np.random.SeedSequence(int(master_seed)).spawn(count)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
@@ -88,9 +92,6 @@ class SimTrace:
     def scaled_times(self) -> np.ndarray:
         return self.times / self.scale
 
-    def scaled_states(self) -> np.ndarray:
-        return self.states / self.scale
-
 
 @dataclass(frozen=True)
 class DriftEstimate:
@@ -122,6 +123,7 @@ class NonchaoticReport:
 def _prepare(graph: Graph, rates, policy: Policy, config: SimConfig):
     rates = check_rates(graph, rates)
     validate_policy(policy, graph)
+    check_seed(config.seed)
     if graph.node_count < 2 or not is_connected(graph):
         raise NotConnectedError("simulation needs a connected graph with >= 2 nodes")
     if config.initial_state is None:

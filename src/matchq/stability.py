@@ -48,6 +48,7 @@ from .marginal import (
 )
 from .policies import (
     Policy,
+    check_seed,
     five_cycle_priority_policy,
     pendant_priority_policy,
     priority_policy,
@@ -384,6 +385,11 @@ class ClassifyBudget:
             raise ValidationError("need at least 2 seeds for stderr estimates")
         if len(self.scales) < 2:
             raise ValidationError("need at least 2 scales for consistency checks")
+        if not all(s >= 1 for s in self.scales):
+            raise ValidationError(f"every scale must be >= 1, got {list(self.scales)}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
+        check_seed(self.master_seed)
 
 
 def _node_seeds(budget: ClassifyBudget, node: int, scale: int, count: int) -> list[int]:

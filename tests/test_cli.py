@@ -40,12 +40,13 @@ def files(tmp_path):
 def test_graph_round_trip():
     g = pendant_graph()
     assert ser.graph_from_obj(json.loads(json.dumps(ser.graph_to_obj(g)))) == g
-    assert Graph.from_json(g.to_json()) == g
+    assert json.loads(json.dumps(ser.graph_to_obj(g))) == {
+        "nodes": 4, "edges": [[1, 2], [1, 3], [2, 3], [3, 4]]}
 
 
 def test_policy_round_trip():
     for pol in (pendant_priority_policy(), ml_policy()):
-        assert ser.policy_from_obj(json.loads(pol.to_json())) == pol
+        assert ser.policy_from_obj(json.loads(json.dumps(ser.policy_to_obj(pol)))) == pol
 
 
 def test_instance_round_trip():

@@ -290,11 +290,11 @@ def test_induced_pendant_role_order():
 
 
 def test_induced_odd_cycle():
-    assert find_induced_odd_cycle(FIVE_CYCLE, 5) == (1, 2, 4, 5, 3)
+    assert find_induced_odd_cycle(FIVE_CYCLE) == (1, 2, 4, 5, 3)
     seven = cycle_graph(7)
-    found = find_induced_odd_cycle(seven, 5)
+    found = find_induced_odd_cycle(seven)
     assert found is not None and len(found) == 7
-    assert find_induced_odd_cycle(complete_graph(5), 5) is None
+    assert find_induced_odd_cycle(complete_graph(5)) is None
 
 
 def test_induced_searches_prefer_first_and_smallest():
@@ -312,11 +312,11 @@ def test_induced_searches_prefer_first_and_smallest():
         [(i, i + 1) for i in range(1, 7)] + [(1, 7)]
         + [(i, i + 1) for i in range(8, 12)] + [(8, 12)],
     )
-    found = find_induced_odd_cycle(both, 5)
+    found = find_induced_odd_cycle(both)
     assert len(found) == 5 and set(found) == {8, 9, 10, 11, 12}
     # a 9-cycle has no shorter induced odd cycle, so the search climbs
     nine = cycle_graph(9)
-    assert len(find_induced_odd_cycle(nine, 5)) == 9
+    assert len(find_induced_odd_cycle(nine)) == 9
 
 
 # -- classification ---------------------------------------------------------------------
@@ -353,6 +353,6 @@ def test_classify_always_produces_a_witness_or_structure(graph):
     if cls.kind == "separable":
         assert cls.order >= 2
         assert find_induced_pendant(graph) is None
-        assert find_induced_odd_cycle(graph, 5) is None
+        assert find_induced_odd_cycle(graph) is None
     elif cls.kind.startswith("non_separable"):
         assert cls.witness is not None

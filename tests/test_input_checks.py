@@ -1,4 +1,5 @@
-"""Inputs that used to slip through: run configs, non-finite rates, CLI argv."""
+"""Inputs that used to slip through: run configs, seeds, non-finite rates and
+q0, CLI argv; and the exit code each error class carries through the CLI."""
 
 import json
 import math
@@ -8,12 +9,13 @@ import pytest
 
 import matchq.serialize as ser
 from matchq.cli import main
-from matchq.errors import ValidationError
+from matchq.errors import MatchQError, ValidationError
 from matchq.graphs import check_rates, pendant_graph
+from matchq.marginal import fluid_report
 from matchq.policies import ml_policy, pendant_priority_policy, uniform_policy
 from matchq.randgraph import grow_and_match, type_distribution
-from matchq.simulate import SimConfig, coupled_nonexpansive, simulate
-from matchq.stability import pendant_region
+from matchq.simulate import SimConfig, coupled_nonexpansive, replication_seeds, simulate
+from matchq.stability import ClassifyBudget, pendant_region
 
 PENDANT = pendant_graph()
 LAM = (0.1, 0.1, 0.45, 0.35)
@@ -113,3 +115,118 @@ def test_cli_unparseable_initial_vector_exit_2(files, capsys):
 @pytest.mark.parametrize("node", ["0", "9"])
 def test_cli_initial_node_out_of_range_exit_2(files, node):
     assert main(_simulate_argv(files, "--init-node", node)) == 2
+
+
+def _stability_argv(d, *extra):
+    return [
+        "stability", "--graph", str(d / "pendant.json"), "--rates",
+        str(d / "rates.json"), "--policy", str(d / "ml.json"), "--empirical",
+        "--seed", "1", "--replications", "2", "--scales", "20", "40",
+        "--horizon", "1", *extra,
+    ]
+
+
+def _fluid_argv(d, *extra):
+    return [
+        "fluid", "--graph", str(d / "pendant.json"), "--rates",
+        str(d / "rates.json"), "--policy", str(d / "priority.json"), "--node", "4",
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: _simulate_argv(d, "--node", "9"),
+        lambda d: _simulate_argv(d, "--node", "0"),
+        lambda d: _simulate_argv(d, "--seed", "-1"),
+        lambda d: _simulate_argv(d, "--seed", "-1", "--replications", "3"),
+        lambda d: _simulate_argv(d, "--replications", "-2"),
+        lambda d: _simulate_argv(d, "--replications", "0"),
+        lambda d: _stability_argv(d, "--horizon", "inf"),
+        lambda d: _stability_argv(d, "--horizon", "nan"),
+        lambda d: _stability_argv(d, "--scales", "-5", "20"),
+        lambda d: _stability_argv(d, "--seed", "-1"),
+        lambda d: _fluid_argv(d, "--q0", "nan"),
+        lambda d: _fluid_argv(d, "--q0", "inf"),
+        lambda d: ["randgraph", "--graph", str(d / "pendant.json"), "--rates",
+                   str(d / "rates.json"), "--policy", str(d / "ml.json"),
+                   "--seed", "-1", "--n", "10"],
+    ],
+    ids=[
+        "simulate-node-9", "simulate-node-0", "simulate-seed", "simulate-rep-seed",
+        "simulate-replications-neg", "simulate-replications-0",
+        "stability-horizon-inf", "stability-horizon-nan", "stability-scales",
+        "stability-seed", "fluid-q0-nan", "fluid-q0-inf", "randgraph-seed",
+    ],
+)
+def test_cli_bad_input_is_a_typed_error(files, capsys, argv):
+    ser.dump_json(ser.policy_to_obj(pendant_priority_policy()), files / "priority.json")
+    out = files / "out"
+    assert main(argv(files) + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q0", [math.nan, math.inf])
+def test_fluid_report_rejects_non_finite_q0(q0):
+    with pytest.raises(ValidationError):
+        fluid_report(PENDANT, LAM, pendant_priority_policy(), 4, q0)
+
+
+@pytest.mark.parametrize("bad", [dict(seed=-1), dict(count=0), dict(count=-2)])
+def test_replication_seeds_range(bad):
+    args = dict(seed=3, count=2) | bad
+    with pytest.raises(ValidationError):
+        replication_seeds(args["seed"], args["count"])
+
+
+def test_negative_seed_rejected_by_every_driver():
+    with pytest.raises(ValidationError):
+        simulate(PENDANT, LAM, ml_policy(), SimConfig(horizon=1.0, seed=-1))
+    with pytest.raises(ValidationError):
+        grow_and_match(PENDANT, type_distribution(LAM), uniform_policy(), 10, seed=-1)
+    with pytest.raises(ValidationError):
+        ClassifyBudget(master_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(horizon=math.inf), dict(horizon=math.nan), dict(horizon=0.0),
+     dict(scales=(-5, 20)), dict(scales=(0, 20))],
+)
+def test_classify_budget_range(bad):
+    with pytest.raises(ValidationError):
+        ClassifyBudget(**bad)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+EXIT_3 = {"NotApplicableError", "RatesOutsideRegionError", "UnsupportedPolicyError"}
+EXIT_4 = {"BudgetExceededError"}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [MatchQError] + sorted(set(_subclasses(MatchQError)), key=lambda c: c.__name__),
+    ids=lambda c: c.__name__,
+)
+def test_every_error_class_exits_with_its_documented_code(files, capsys, monkeypatch,
+                                                          cls):
+    exc = cls.__new__(cls)
+    Exception.__init__(exc, "raised on purpose")
+
+    def fail(graph):
+        raise exc
+
+    monkeypatch.setattr("matchq.cli.classify", fail)
+    expected = 3 if cls.__name__ in EXIT_3 else 4 if cls.__name__ in EXIT_4 else 2
+    assert main(["analyze", "--graph", str(files / "pendant.json")]) == expected
+    assert capsys.readouterr().err == "error: raised on purpose\n"
