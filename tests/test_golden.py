@@ -7,11 +7,14 @@ path: the stationary law (states, probabilities, tail mass) and the fluid
 report (drift, guard probabilities, tail mass, method) of fixed chains,
 or the type of the error they raise, and the independent-set rate
 condition as `ncond_check`, the exact region verdicts and the online
-matching's margins report it. So is the command line: each `matchq` run
-is hashed by its exit code, stdout, stderr and every file under --out,
-and each subcommand's option table by its flags, types and defaults. The
-digests in golden_digests.json
-were recorded once; a change that alters any output bit, or the order in
+matching's margins report it. So are the closed forms of the pendant
+graph and the 5-cycle: both geometric laws, fluid_report's closed route,
+the node-3 and node-4 constants, the four counterexample families and
+construct_nonmaximal on graphs whose witness is a 5-cycle. So is the
+command line: each `matchq` run is hashed by its exit code, stdout,
+stderr and every file under --out, and each subcommand's option table by
+its flags, types and defaults. The digests in golden_digests.json were
+recorded once; a change that alters any output bit, or the order in
 which random draws are consumed, fails here.
 
 To print the digests of the current code (only to inspect a deliberate
@@ -45,7 +48,14 @@ from matchq.graphs import (
     ncond_check,
     pendant_graph,
 )
-from matchq.marginal import build_marginal, fluid_report, stationary_numeric
+from matchq.marginal import (
+    build_marginal,
+    fivecycle_node_reports,
+    fluid_report,
+    stationary_closed_5cycle,
+    stationary_closed_pendant,
+    stationary_numeric,
+)
 from matchq.policies import (
     five_cycle_priority_policy,
     match_decision,
@@ -416,6 +426,85 @@ def _rate_condition_cases():
         # fails the rate condition
         yield f"region-{name}-off-family", lambda a=(region, others): _region_digest(*a)
 
+
+def _hexed(value):
+    """Floats as float.hex, inside tuples, lists and dicts."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_hexed(v) for v in value]
+    if isinstance(value, dict):
+        return sorted((k, _hexed(v)) for k, v in value.items())
+    return value
+
+
+def _closed_digest(fn, *args) -> str:
+    """The fields of fn(*args), floats as float.hex, or its error's type and text."""
+    try:
+        out = fn(*args)
+    except MatchQError as exc:
+        return _digest(type(exc).__name__, str(exc))
+    if isinstance(out, tuple):  # (alpha, StationaryDist)
+        alpha, dist = out
+        return _digest(alpha.hex(), dist.state_array, dist.probs, dist.tail_mass.hex(),
+                       dist.method, dist.solver, dist.residual)
+    return _digest(_hexed(vars(out)))
+
+
+def _instance_digest(inst) -> str:
+    order = inst.policy.order and sorted(inst.policy.order.items())
+    return _digest(inst.graph.edges, _hexed(inst.rates), inst.policy.kind, order,
+                   inst.node, inst.drift.hex(), inst.family, _hexed(inst.eps),
+                   _hexed(inst.notes))
+
+
+# The closed forms: the glued-rays laws of the pendant graph and the
+# 5-cycle, every drift read from them, and transplants of the 5-cycle.
+CLOSED_POINTS = {
+    "pendant": (PENDANT, 4, {"priority": pendant_priority_policy(), "uniform": uniform_policy()},
+                [LAM, (0.3, 0.3, 0.35, 0.05), (0.12, 0.21, 0.4, 0.3), (0.35, 0.2, 0.3, 0.25)]),
+    "c5": (C5, 5, {"priority": five_cycle_priority_policy(), "uniform": uniform_policy()},
+           [C5_LAM, (0.13, 0.21, 0.3, 0.27, 0.3), (0.3, 0.15, 0.2, 0.3, 0.25),
+            (0.5, 0.1, 0.1, 0.1, 0.2)]),
+}
+
+
+def _c5_witness_graphs():
+    """The 5-cycle, the 5-cycle with a node on a chordless 4-cycle, and the
+    Petersen graph: each classifies with an induced 5-cycle as witness."""
+    yield "c5", C5
+    yield "c5-plus", Graph.from_edges(6, list(C5.edges) + [(1, 6), (4, 6)])
+    ring = [(v, v % 5 + 1) for v in range(1, 6)]
+    star = [(6, 8), (8, 10), (10, 7), (7, 9), (9, 6)]
+    yield "petersen", Graph.from_edges(10, ring + star + [(v, v + 5) for v in range(1, 6)])
+
+
+def _closed_form_cases():
+    for name, (graph, node, policies, points) in CLOSED_POINTS.items():
+        for pname, pol in policies.items():
+            for t in (5, 200):
+                yield f"closed-fluid-{name}-{pname}-T{t}", lambda a=(graph, node, pol, points, t): (
+                    _digest([_closed_digest(fluid_report, a[0], r, a[2], a[1], 2.0, a[4])
+                             for r in a[3]])
+                )
+        closed = stationary_closed_pendant if name == "pendant" else stationary_closed_5cycle
+        yield f"closed-stationary-{name}", lambda a=(closed, points): _digest(
+            [_closed_digest(a[0], r, t) for r in a[1] for t in (1, 3, 7)]
+        )
+    yield "closed-fivecycle-node-reports", lambda: _digest(
+        [_closed_digest(fivecycle_node_reports, r)
+         for r in CLOSED_POINTS["c5"][3] + [(0.2,) * 5, (1e-9, 0.1, 0.225, 0.225, 0.35)]]
+    )
+    for family, bound in sorted(FAMILY_EPS_BOUND.items()):
+        yield f"closed-counterexample-{family}", lambda f=family, b=bound: _digest(
+            [_instance_digest(counterexample(f, x * b)) for x in (0.01, 0.125, 0.25, 0.5, 0.9)]
+        )
+    for name, graph in _c5_witness_graphs():
+        yield f"closed-construct-{name}", lambda g=graph: _digest(
+            _instance_digest(construct_nonmaximal(g)),
+            _instance_digest(construct_nonmaximal(g, 0.05)),
+        )
+
 # -- the command line -------------------------------------------------------------
 
 # Instance files, written into a fresh working directory for each run and
@@ -534,6 +623,7 @@ CASES.update(_growth_cases())
 CASES["match-decision-sequence"] = _decision_digest
 CASES.update(_marginal_cases())
 CASES.update(_rate_condition_cases())
+CASES.update(_closed_form_cases())
 CASES.update(_cli_cases())
 
 
