@@ -14,9 +14,16 @@ probabilities and the chain's down-rates read.
 
 For the canonical pendant graph and 5-cycle the marginal chain lives on
 two glued rays and is reversible, so the stationary law is an explicit
-pair of geometric arms. Everything else goes through a truncated sparse
-solve of the balance equations, assembled over an (n, m) int array of
-states with rates computed for all states at once.
+pair of geometric arms. That law is written once (`_GluedRays`, built
+from each arm's up and down rates), and one table (`_CLOSED_FORMS`) says
+per graph which arms the chain has and which arms each neighbour of i0
+waits on; under the uniform rule those neighbours' rates are halved.
+fluid_report's closed route, the public alpha and stationary functions,
+the stability regions and the counterexample families all read it.
+Everything else goes through a truncated sparse solve of the balance
+equations, assembled over an (n, m) int array of states with rates
+computed for all states at once; it is the independent check of the
+closed forms.
 """
 
 from __future__ import annotations
@@ -65,14 +72,7 @@ _MAX_STATES = 500_000
 
 def pendant_alpha(rates: Sequence[float]) -> float:
     """Empty-state probability of the pendant marginal chain (sum form)."""
-    l1, l2, l3, _ = rates
-    d1 = l3 + l2 - l1
-    d2 = l3 + l1 - l2
-    if d1 <= 0 or d2 <= 0:
-        raise RatesOutsideRegionError(
-            "pendant closed form needs l1 < l2 + l3 and l2 < l1 + l3"
-        )
-    return 1.0 / (1.0 + l1 / d1 + l2 / d2)
+    return _PENDANT.law(rates).alpha
 
 
 def pendant_alpha_quotient(rates: Sequence[float]) -> float:
@@ -83,69 +83,7 @@ def pendant_alpha_quotient(rates: Sequence[float]) -> float:
 
 def fivecycle_alpha(rates: Sequence[float]) -> float:
     """Empty-state probability of the 5-cycle marginal chain at the apex."""
-    l1, l2, l3, l4, _ = rates
-    d1 = l2 + l3 - l1
-    d2 = l1 + l4 - l2
-    if d1 <= 0 or d2 <= 0:
-        raise RatesOutsideRegionError(
-            "5-cycle closed form needs l1 < l2 + l3 and l2 < l1 + l4"
-        )
-    return 1.0 / (1.0 + l1 / d1 + l2 / d2)
-
-
-def fivecycle_a(rates: Sequence[float]) -> float:
-    """Aggregate service weight multiplying the apex empty probability."""
-    l1, l2, l3, l4, _ = rates
-    d2 = l1 + l4 - l2
-    d1 = l2 + l3 - l1
-    if d1 <= 0 or d2 <= 0:
-        raise RatesOutsideRegionError("ratios outside the geometric region")
-    return l3 * (l1 + l4) / d2 + l4 * (l2 + l3) / d1
-
-
-# -- closed-form drifts for the four analyzed families ------------------------
-
-
-def pendant_priority_drift(rates: Sequence[float]) -> float:
-    """Fluid slope of the tail queue under the destabilizing priority rule."""
-    l3, l4 = rates[2], rates[3]
-    return l4 - pendant_alpha(rates) * l3
-
-
-def pendant_uniform_drift(rates: Sequence[float]) -> float:
-    """Fluid slope of the tail queue under the uniform rule.
-
-    The uniform marginal chain equals the priority one with the hub rate
-    halved, so the constant is evaluated at the substituted rates.
-    """
-    l1, l2, l3, l4 = rates
-    a = pendant_alpha((l1, l2, l3 / 2.0, l4))
-    return l4 - (l3 / 2.0) * (1.0 + a)
-
-
-def fivecycle_priority_drift(rates: Sequence[float]) -> float:
-    """Fluid slope of the apex queue under the destabilizing priority rule."""
-    return rates[4] - fivecycle_a(rates) * fivecycle_alpha(rates)
-
-
-def fivecycle_uniform_drift(rates: Sequence[float]) -> float:
-    """Fluid slope of the apex queue under the uniform rule."""
-    l1, l2, l3, l4, l5 = rates
-    sub = (l1, l2, l3 / 2.0, l4 / 2.0, l5)
-    a = fivecycle_alpha(sub)
-    r1 = l1 / (l3 / 2.0 + l2)
-    r2 = l2 / (l1 + l4 / 2.0)
-    p_x1_zero = a / (1.0 - r2)
-    p_x1_pos = a * r1 / (1.0 - r1)
-    p_x2_zero = a / (1.0 - r1)
-    p_x2_pos = a * r2 / (1.0 - r2)
-    return (
-        l5
-        - l3 * p_x1_zero
-        - (l3 / 2.0) * p_x1_pos
-        - l4 * p_x2_zero
-        - (l4 / 2.0) * p_x2_pos
-    )
+    return _FIVE_CYCLE.law(rates).alpha
 
 
 # -- stationary distributions --------------------------------------------------
@@ -192,29 +130,147 @@ def _check_truncation(truncation: int) -> None:
         raise ValidationError(f"truncation must be at least 1, got {truncation}")
 
 
-def _glued_rays(
-    alpha: float, r1: float, r2: float, truncation: int, method: str
-) -> StationaryDist:
-    probs = [alpha]
-    for i in range(1, truncation + 1):
-        probs.append(alpha * r1**i)
-    for j in range(1, truncation + 1):
-        probs.append(alpha * r2**j)
-    tail = alpha * (
-        r1 ** (truncation + 1) / (1.0 - r1) + r2 ** (truncation + 1) / (1.0 - r2)
-    )
-    # (0, 0), then (i, 0) and (0, j) for i, j = 1..truncation
-    arm = np.arange(1, truncation + 1)
-    flat = np.zeros_like(arm)
-    states = np.vstack([[0, 0], np.column_stack([arm, flat]), np.column_stack([flat, arm])])
-    return StationaryDist(
-        state_array=states,
-        probs=np.asarray(probs, dtype=float),
-        tail_mass=tail,
-        method=method,
-        solver=SOLVER_CLOSED,
-        residual=None,
-    )
+class _GluedRays:
+    """The marginal chain on two adjacent coordinates.
+
+    At most one coordinate is positive, so the chain lives on two arms
+    glued at the empty state. Arm k climbs at rate up[k] and falls at rate
+    down[k]; the chain is reversible, with pi(empty) = alpha and
+    pi(level n on arm k) = alpha * r_k**n for the arm ratio
+    r_k = up[k] / down[k]. alpha exists only while both ratios are below
+    one; reading it outside that region raises RatesOutsideRegionError
+    with the message `outside`.
+    """
+
+    def __init__(self, up, down, outside: str):
+        self.up, self.down, self.outside = up, down, outside
+        self.gaps = (down[0] - up[0], down[1] - up[1])
+
+    @cached_property
+    def ratios(self) -> tuple[float, float]:
+        return (self.up[0] / self.down[0], self.up[1] / self.down[1])
+
+    @cached_property
+    def alpha(self) -> float:
+        if self.gaps[0] <= 0 or self.gaps[1] <= 0:
+            raise RatesOutsideRegionError(self.outside)
+        return 1.0 / (1.0 + self.up[0] / self.gaps[0] + self.up[1] / self.gaps[1])
+
+    def guard(self, arms: tuple[int, ...], share: float) -> float:
+        """Expected weight with which a class-j arrival matches i0, where j
+        waits on the given arms and takes `share` of a match while one of
+        them is positive."""
+        if len(arms) == 2:
+            return share + (1.0 - share) * self.alpha
+        k = arms[0]
+        r = self.ratios[k]
+        return self.alpha / (1.0 - self.ratios[1 - k]) + share * (self.alpha * r / (1.0 - r))
+
+    def tail_mass(self, truncation: int) -> float:
+        """Probability of the levels beyond `truncation` on either arm."""
+        r1, r2 = self.ratios
+        return self.alpha * (
+            r1 ** (truncation + 1) / (1.0 - r1) + r2 ** (truncation + 1) / (1.0 - r2)
+        )
+
+    def stationary(self, truncation: int, method: str) -> tuple[float, StationaryDist]:
+        """alpha, and the law on the empty state and levels 1..truncation of
+        each arm."""
+        _check_truncation(truncation)
+        if 2 * truncation + 1 > _MAX_STATES:
+            raise TooLargeError(f"truncated marginal space exceeds {_MAX_STATES} states")
+        alpha, (r1, r2) = self.alpha, self.ratios
+        probs = [alpha]
+        for i in range(1, truncation + 1):
+            probs.append(alpha * r1**i)
+        for j in range(1, truncation + 1):
+            probs.append(alpha * r2**j)
+        # (0, 0), then (i, 0) and (0, j) for i, j = 1..truncation
+        arm = np.arange(1, truncation + 1)
+        flat = np.zeros_like(arm)
+        states = np.vstack([[0, 0], np.column_stack([arm, flat]), np.column_stack([flat, arm])])
+        return alpha, StationaryDist(
+            state_array=states,
+            probs=np.asarray(probs, dtype=float),
+            tail_mass=self.tail_mass(truncation),
+            method=method,
+            solver=SOLVER_CLOSED,
+            residual=None,
+        )
+
+
+@dataclass(frozen=True)
+class _GluedFamily:
+    """A node i0 of a canonical graph whose marginal chain is glued rays.
+
+    arms gives each coordinate as (its node, the nodes whose arrivals
+    drain it), and waits maps each neighbour j of i0 to the arms j must
+    find empty before a class-j arrival reaches i0. That holds under a
+    priority rule in which every such j serves those arms before i0 (the
+    guard then takes no share of a positive arm), and under the uniform
+    rule, where j splits its arrivals evenly between i0 and a positive
+    arm: its rate is halved in the down rates, and its guard takes half a
+    match there.
+    """
+
+    i0: int
+    arms: tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]
+    waits: dict[int, tuple[int, ...]]
+    outside: str
+
+    def law(self, rates, uniform: bool = False) -> _GluedRays:
+        def rate(v):
+            return rates[v - 1] / 2.0 if uniform and v in self.waits else rates[v - 1]
+
+        return _GluedRays(
+            tuple(rates[v - 1] for v, _ in self.arms),
+            tuple(sum(rate(w) for w in drain) for _, drain in self.arms),
+            self.outside,
+        )
+
+    def serves_first(self, policy: Policy) -> bool:
+        """Whether every neighbour of i0 serves the arms it waits on first."""
+        if policy.kind != PRIORITY:
+            return False
+        return all(
+            policy.order[j].index(self.arms[k][0]) < policy.order[j].index(self.i0)
+            for j, arms in self.waits.items()
+            for k in arms
+        )
+
+    def service(self, rates) -> tuple[float, float]:
+        """(c, alpha) with i0's drift rate(i0) - c * alpha under priority,
+        where each neighbour j waits on one arm: c sums rate(j) * D / (D - u)
+        of the other arm, that is rate(j) * P(j's arm empty) / alpha."""
+        law = self.law(rates)
+        alpha = law.alpha
+        c = sum(
+            rates[j - 1] * law.down[1 - k] / law.gaps[1 - k]
+            for j, (k,) in self.waits.items()
+        )
+        return c, alpha
+
+
+# The canonical pendant graph at its tail and 5-cycle at its apex, the
+# chains fluid_report solves in closed form, keyed by the graph's edges.
+_PENDANT = _GluedFamily(
+    i0=4, arms=((1, (2, 3)), (2, (1, 3))), waits={3: (0, 1)},
+    outside="pendant closed form needs l1 < l2 + l3 and l2 < l1 + l3",
+)
+_FIVE_CYCLE = _GluedFamily(
+    i0=5, arms=((1, (2, 3)), (2, (1, 4))), waits={3: (0,), 4: (1,)},
+    outside="5-cycle closed form needs l1 < l2 + l3 and l2 < l1 + l4",
+)
+_CLOSED_FORMS = {
+    PENDANT_EDGES: (_PENDANT, CLOSED_FORM_PENDANT),
+    FIVE_CYCLE_EDGES: (_FIVE_CYCLE, CLOSED_FORM_FIVE_CYCLE),
+}
+# Node 3 of the 5-cycle is glued rays too, but fluid_report solves it
+# numerically, which checks fivecycle_node_reports.
+_FIVE_CYCLE_NODE3 = _GluedFamily(
+    i0=3, arms=((2, (1, 4)), (4, (2, 5))), waits={1: (0,), 5: (1,)},
+    outside="node-3 constants need the base ratios below one",
+)
 
 
 def stationary_closed_pendant(
@@ -227,12 +283,7 @@ def stationary_closed_pendant(
     """
     if len(rates) != 4:
         raise ValidationError("pendant closed form needs 4 rates")
-    _check_truncation(truncation)
-    l1, l2, l3, _ = rates
-    alpha = pendant_alpha(rates)
-    r1 = l1 / (l3 + l2)
-    r2 = l2 / (l3 + l1)
-    return alpha, _glued_rays(alpha, r1, r2, truncation, CLOSED_FORM_PENDANT)
+    return _PENDANT.law(rates).stationary(truncation, CLOSED_FORM_PENDANT)
 
 
 def stationary_closed_5cycle(
@@ -245,12 +296,7 @@ def stationary_closed_5cycle(
     """
     if len(rates) != 5:
         raise ValidationError("5-cycle closed form needs 5 rates")
-    _check_truncation(truncation)
-    l1, l2, l3, l4, _ = rates
-    alpha = fivecycle_alpha(rates)
-    r1 = l1 / (l3 + l2)
-    r2 = l2 / (l1 + l4)
-    return alpha, _glued_rays(alpha, r1, r2, truncation, CLOSED_FORM_FIVE_CYCLE)
+    return _FIVE_CYCLE.law(rates).stationary(truncation, CLOSED_FORM_FIVE_CYCLE)
 
 
 # -- the general marginal chain -------------------------------------------------
@@ -559,20 +605,6 @@ class FluidReport:
     residual: Optional[float]
 
 
-def _is_pendant_priority(policy: Policy) -> bool:
-    if policy.kind != PRIORITY:
-        return False
-    o3 = policy.order[3]
-    return o3.index(4) == len(o3) - 1
-
-
-def _is_fivecycle_priority(policy: Policy) -> bool:
-    if policy.kind != PRIORITY:
-        return False
-    o3, o4 = policy.order[3], policy.order[4]
-    return o3.index(1) < o3.index(5) and o4.index(2) < o4.index(5)
-
-
 def fluid_report(
     graph: Graph,
     rates,
@@ -592,35 +624,15 @@ def fluid_report(
     if not (math.isfinite(q0) and q0 > 0):
         raise ValidationError(f"q0 must be positive and finite, got {q0}")
 
-    if graph.edges == PENDANT_EDGES and i0 == 4:
-        if _is_pendant_priority(policy):
-            alpha, dist = stationary_closed_pendant(rates, truncation)
-            return _assemble(rates, i0, {3: alpha}, dist, q0)
-        if policy.kind == UNIFORM:
-            l1, l2, l3, l4 = rates
-            alpha, dist = stationary_closed_pendant(
-                (l1, l2, l3 / 2.0, l4), truncation
-            )
-            return _assemble(rates, i0, {3: (1.0 + alpha) / 2.0}, dist, q0)
-    if graph.edges == FIVE_CYCLE_EDGES and i0 == 5:
-        if _is_fivecycle_priority(policy):
-            alpha, dist = stationary_closed_5cycle(rates, truncation)
-            l1, l2, l3, l4, _ = rates
-            r1 = l1 / (l3 + l2)
-            r2 = l2 / (l1 + l4)
-            guard = {3: alpha / (1.0 - r2), 4: alpha / (1.0 - r1)}
-            return _assemble(rates, i0, guard, dist, q0)
-        if policy.kind == UNIFORM:
-            l1, l2, l3, l4, l5 = rates
-            sub = (l1, l2, l3 / 2.0, l4 / 2.0, l5)
-            alpha, dist = stationary_closed_5cycle(sub, truncation)
-            r1 = l1 / (l3 / 2.0 + l2)
-            r2 = l2 / (l1 + l4 / 2.0)
-            guard = {
-                3: alpha / (1.0 - r2) + (alpha * r1 / (1.0 - r1)) / 2.0,
-                4: alpha / (1.0 - r1) + (alpha * r2 / (1.0 - r2)) / 2.0,
-            }
-            return _assemble(rates, i0, guard, dist, q0)
+    family, method = _CLOSED_FORMS.get(graph.edges, (None, None))
+    uniform = policy.kind == UNIFORM
+    if family is not None and family.i0 == i0 and (uniform or family.serves_first(policy)):
+        _check_truncation(truncation)
+        law = family.law(rates, uniform)
+        share = 0.5 if uniform else 0.0
+        guard = {j: law.guard(arms, share) for j, arms in family.waits.items()}
+        return _assemble(rates, i0, guard, q0, method, law.tail_mass(truncation),
+                         SOLVER_CLOSED, None)
 
     chain = build_marginal(graph, rates, policy, i0)
     dist = stationary_numeric(chain, truncation)
@@ -628,7 +640,8 @@ def fluid_report(
         j: _sequential_sum(dist.probs / divisor)
         for j, divisor in chain.split(dist.state_array > 0, i0)
     }
-    return _assemble(rates, i0, guard, dist, q0)
+    return _assemble(rates, i0, guard, q0, dist.method, dist.tail_mass, dist.solver,
+                     dist.residual)
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -636,7 +649,7 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def _assemble(rates, i0, guard, dist: StationaryDist, q0) -> FluidReport:
+def _assemble(rates, i0, guard, q0, method, tail_mass, solver, residual) -> FluidReport:
     drift = rates[i0 - 1] - sum(rates[j - 1] * w for j, w in guard.items())
     rho = q0 / (-drift) if drift < 0 else math.inf
     return FluidReport(
@@ -644,11 +657,11 @@ def _assemble(rates, i0, guard, dist: StationaryDist, q0) -> FluidReport:
         guard_probs=guard,
         drift=drift,
         rho=rho,
-        method=dist.method,
-        tail_mass=dist.tail_mass,
+        method=method,
+        tail_mass=tail_mass,
         q0=q0,
-        solver=dist.solver,
-        residual=dist.residual,
+        solver=solver,
+        residual=residual,
     )
 
 
@@ -672,19 +685,15 @@ def fivecycle_node_reports(rates: Sequence[float]) -> FiveCycleNodeReports:
     Node 3: while its queue is large, the (2,4)-marginal chain is the
     glued-rays chain with ratios l2/(l1+l4) and l4/(l5+l2); the drift is
     l3 - c * alpha24. Node 4: class-5 arrivals always feed it and class-2
-    arrivals feed it while node 1 is empty; alpha13 bounds that idle
+    arrivals feed it while node 1 is empty; alpha13 = 1 - l1/(l2+l3), one
+    minus the ratio of node 1's arm in the apex chain, bounds that idle
     fraction from below, giving drift l4 - l5 - l2 * alpha13.
     """
     if len(rates) != 5:
         raise ValidationError("expected 5 rates")
     l1, l2, l3, l4, l5 = rates
-    d24_1 = l1 + l4 - l2
-    d24_2 = l5 + l2 - l4
-    if d24_1 <= 0 or d24_2 <= 0:
-        raise RatesOutsideRegionError("node-3 constants need the base ratios below one")
-    alpha24 = 1.0 / (1.0 + l2 / d24_1 + l4 / d24_2)
-    c = l5 * (l1 + l4) / d24_1 + l1 * (l5 + l2) / d24_2
-    alpha13 = 1.0 - l1 / (l2 + l3)
+    c, alpha24 = _FIVE_CYCLE_NODE3.service(rates)
+    alpha13 = 1.0 - _FIVE_CYCLE.law(rates).ratios[0]
     return FiveCycleNodeReports(
         alpha24=alpha24,
         c=c,

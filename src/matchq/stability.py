@@ -3,12 +3,14 @@
 The pendant graph and the 5-cycle admit exact stability regions under
 their canonical destabilizing priority rules: the independent-set rate
 condition plus one (pendant) or three (5-cycle) closed-form drift
-inequalities. Four parametric families produce instances that satisfy
-the rate condition yet have a positive fluid drift at one node, and
-`construct_nonmaximal` transplants such a family onto any connected
-non-bipartite non-separable graph that embeds a pendant or a 5-cycle,
-budgeting the leftover nodes' arrival rates so the rate condition still
-holds while the designated node keeps a positive residual drift.
+inequalities, whose constants come from the glued-rays law in
+`marginal`. Four parametric families produce instances that satisfy the
+rate condition yet have a positive fluid drift at one node, read from
+fluid_report's closed route, and `construct_nonmaximal` transplants such
+a family onto any connected non-bipartite non-separable graph that
+embeds a pendant or a 5-cycle, budgeting the leftover nodes' arrival
+rates so the rate condition still holds while the designated node keeps
+a positive residual drift.
 """
 
 from __future__ import annotations
@@ -36,16 +38,7 @@ from .graphs import (
     ncond_check,
     pendant_graph,
 )
-from .marginal import (
-    fivecycle_a,
-    fivecycle_alpha,
-    fivecycle_node_reports,
-    fivecycle_priority_drift,
-    fivecycle_uniform_drift,
-    pendant_alpha,
-    pendant_priority_drift,
-    pendant_uniform_drift,
-)
+from .marginal import _FIVE_CYCLE, fivecycle_node_reports, fluid_report, pendant_alpha
 from .policies import (
     Policy,
     check_seed,
@@ -129,8 +122,7 @@ def fivecycle_region(rates: Sequence[float]) -> StabilityVerdict:
     rates = check_rates(graph, rates)
     ineqs = _ncond_inequalities(graph, rates)
     if all(iq.satisfied for iq in ineqs):
-        a = fivecycle_a(rates)
-        alpha = fivecycle_alpha(rates)
+        a, alpha = _FIVE_CYCLE.service(rates)
         reports = fivecycle_node_reports(rates)
         ineqs.append(Inequality("five_cycle:apex<a*alpha", rates[4], a * alpha))
         ineqs.append(
@@ -182,22 +174,16 @@ FAMILY_EPS_BOUND = {
 def _family_parts(family: str, eps: float):
     if family == PENDANT_PRIORITY:
         rates = (eps / 2, eps / 2, 0.5 - eps / 4, 0.5 - 0.75 * eps)
-        return pendant_graph(), rates, pendant_priority_policy(), 4, pendant_priority_drift
+        return pendant_graph(), rates, pendant_priority_policy(), 4
     if family == FIVE_CYCLE_PRIORITY:
         rates = (eps / 2, eps / 2, 0.25 - eps / 8, 0.25 - eps / 8, 0.5 - 0.75 * eps)
-        return (
-            five_cycle_graph(),
-            rates,
-            five_cycle_priority_policy(),
-            5,
-            fivecycle_priority_drift,
-        )
+        return five_cycle_graph(), rates, five_cycle_priority_policy(), 5
     if family == PENDANT_UNIFORM:
         rates = (eps, eps, 0.5 - eps / 2, 0.5 - 0.75 * eps)
-        return pendant_graph(), rates, uniform_policy(), 4, pendant_uniform_drift
+        return pendant_graph(), rates, uniform_policy(), 4
     # FIVE_CYCLE_UNIFORM: counterexample has already refused unknown families
     rates = (eps, eps, 0.25 - eps / 4, 0.25 - eps / 4, 0.5 - 0.75 * eps)
-    return five_cycle_graph(), rates, uniform_policy(), 5, fivecycle_uniform_drift
+    return five_cycle_graph(), rates, uniform_policy(), 5
 
 
 def counterexample(family: str, eps: float) -> UnstableInstance:
@@ -217,8 +203,8 @@ def counterexample(family: str, eps: float) -> UnstableInstance:
         raise EpsilonOutOfRangeError(
             f"{family} needs eps in (0, {bound:.6g}], got {eps}"
         )
-    graph, rates, policy, node, drift_fn = _family_parts(family, eps)
-    drift = drift_fn(rates)
+    graph, rates, policy, node = _family_parts(family, eps)
+    drift = fluid_report(graph, rates, policy, node, 1.0).drift
     if drift <= 1e-12:
         raise BoundaryDegenerateError(
             f"drift {drift:.3e} vanishes at eps={eps}; pick eps strictly inside"

@@ -1,6 +1,8 @@
 """Marginal chains: generator tables, closed forms, numeric solves, drifts."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from matchq.errors import (
     RatesOutsideRegionError,
+    TooLargeError,
     UnsupportedPolicyError,
     ValidationError,
 )
@@ -16,12 +19,9 @@ from matchq.marginal import (
     build_marginal,
     fivecycle_alpha,
     fivecycle_node_reports,
-    fivecycle_priority_drift,
     fluid_report,
     pendant_alpha,
     pendant_alpha_quotient,
-    pendant_priority_drift,
-    pendant_uniform_drift,
     stationary_closed_5cycle,
     stationary_closed_pendant,
     stationary_numeric,
@@ -34,6 +34,7 @@ from matchq.policies import (
     uniform_policy,
 )
 from matchq.simulate import SimConfig, drift_estimate, simulate
+from matchq.stability import PENDANT_PRIORITY, PENDANT_UNIFORM, counterexample
 
 PENDANT = pendant_graph()
 FIVE_CYCLE = five_cycle_graph()
@@ -246,7 +247,9 @@ def test_fluid_report_numeric_path_matches_closed_form_after_relabeling():
     rates = (0.1, 0.1, 0.225, 0.35, 0.225)
     report = fluid_report(std, rates, policy, 4, 1.0)
     assert report.method == "numeric-truncated"
-    assert report.drift == pytest.approx(fivecycle_priority_drift(LAM_5), abs=1e-9)
+    closed = fluid_report(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 5, 1.0)
+    assert closed.method == "closed-form-five-cycle"
+    assert report.drift == pytest.approx(closed.drift, abs=1e-9)
     assert report.tail_mass < 1e-9
 
 
@@ -343,12 +346,14 @@ def test_guard_occupancy_matches_simulation():
 def test_uniform_drift_formulas_cross_check():
     # direct evaluation of the two closed forms at the parametric instances
     eps = 0.2
-    assert pendant_uniform_drift((eps, eps, 0.5 - eps / 2, 0.5 - 0.75 * eps)) == (
-        pytest.approx(eps * (7 - 15 * eps) / (4 * (1 + 7 * eps)), abs=1e-12)
+    uniform = counterexample(PENDANT_UNIFORM, eps)
+    assert uniform.rates == (eps, eps, 0.5 - eps / 2, 0.5 - 0.75 * eps)
+    assert uniform.drift == pytest.approx(eps * (7 - 15 * eps) / (4 * (1 + 7 * eps)), abs=1e-12)
+    priority = counterexample(PENDANT_PRIORITY, eps)
+    assert priority.rates == (eps / 2, eps / 2, 0.5 - eps / 4, 0.5 - 0.75 * eps)
+    assert priority.drift == pytest.approx(
+        (eps / 4) * (1 - 2.5 * eps) / (0.5 + 0.75 * eps), abs=1e-12
     )
-    assert pendant_priority_drift(
-        (eps / 2, eps / 2, 0.5 - eps / 4, 0.5 - 0.75 * eps)
-    ) == pytest.approx((eps / 4) * (1 - 2.5 * eps) / (0.5 + 0.75 * eps), abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -402,6 +407,42 @@ def test_closed_laws_reject_truncation_below_one(closed, rates, truncation):
     assert len(closed(rates, 1)[1].states) == 3
     with pytest.raises(ValidationError):
         closed(rates, truncation)
+
+
+@pytest.mark.parametrize("closed, rates", [(stationary_closed_pendant, LAM_P),
+                                           (stationary_closed_5cycle, LAM_5)])
+def test_closed_laws_cap_the_state_count(closed, rates):
+    # the numeric path stops at the same cap; 2 * 249_999 + 1 states fit
+    assert len(closed(rates, 249_999)[1].states) == 499_999
+    with pytest.raises(TooLargeError):
+        closed(rates, 10**8)
+
+
+def test_fluid_closed_route_builds_no_state_array(tmp_path):
+    # the closed route reads the analytic tail mass, so a huge truncation
+    # costs nothing; it used to build a (2T + 1, 2) array
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import matchq
+
+    env = dict(os.environ, PYTHONPATH=str(Path(matchq.__file__).parents[1]))
+    (tmp_path / "g.json").write_text('{"nodes": 4, "edges": [[1, 2], [1, 3], [2, 3], [3, 4]]}')
+    (tmp_path / "r.json").write_text('{"rates": [0.1, 0.1, 0.45, 0.35]}')
+    (tmp_path / "p.json").write_text(
+        '{"kind": "priority", "order": {"1": [2, 3], "2": [1, 3], "3": [1, 2, 4], "4": [3]}}'
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "matchq.cli", "fluid", "--graph", "g.json", "--rates",
+         "r.json", "--policy", "p.json", "--node", "4", "--truncation", "100000000"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["method"] == "closed-form-pendant" and report["tail_mass"] == 0.0
+    assert report["drift"] == fluid_report(PENDANT, LAM_P, pendant_priority_policy(), 4,
+                                           1.0).drift
 
 
 @pytest.mark.parametrize("route", ["closed-form-pendant", "numeric-truncated"])

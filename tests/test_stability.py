@@ -176,6 +176,18 @@ def test_priority_families_sit_inside_rate_region_but_outside_stability(family):
         assert inst.drift > 0
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_EPS_BOUND))
+def test_counterexample_drift_is_the_fluid_report_drift(family):
+    # one closed route: the certificate carries fluid_report's drift bit
+    # for bit (the 5-cycle families used to differ in the last bits)
+    bound = FAMILY_EPS_BOUND[family]
+    for eps in np.linspace(0.0, bound, 202)[1:-1]:
+        inst = counterexample(family, float(eps))
+        report = fluid_report(inst.graph, inst.rates, inst.policy, inst.node, 1.0)
+        assert report.method.startswith("closed-form")
+        assert inst.drift.hex() == report.drift.hex(), eps
+
+
 @pytest.mark.parametrize("family", [PENDANT_UNIFORM, FIVE_CYCLE_UNIFORM])
 def test_uniform_families_certified(family):
     for eps in np.linspace(0.02, FAMILY_EPS_BOUND[family] * 0.98, 7):
@@ -393,7 +405,8 @@ def _sample_fivecycle_apex_instances(rng, want_stable, count):
     The non-apex inequalities are required to hold with slack, so the
     verdict is decided by the apex drift (which has an exact constant).
     """
-    from matchq.marginal import fivecycle_a, fivecycle_alpha, fivecycle_node_reports
+    from matchq.errors import RatesOutsideRegionError
+    from matchq.marginal import fivecycle_node_reports
 
     out = []
     while len(out) < count:
@@ -405,9 +418,10 @@ def _sample_fivecycle_apex_instances(rng, want_stable, count):
         if not res.satisfied or res.min_margin < 0.05:
             continue
         try:
-            apex_margin = fivecycle_a(lam) * fivecycle_alpha(lam) - l5
+            apex_margin = -fluid_report(five_cycle_graph(), lam, five_cycle_priority_policy(),
+                                        5, 1.0).drift
             rep = fivecycle_node_reports(lam)
-        except Exception:
+        except RatesOutsideRegionError:
             continue
         if rep.node3_drift > -0.05 or rep.node4_drift > -0.05:
             continue
