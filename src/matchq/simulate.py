@@ -132,12 +132,13 @@ def _prepare(graph: Graph, rates, policy: Policy, config: SimConfig):
         state = check_state(graph, config.initial_state)
     if not (config.horizon > 0):
         raise ValidationError("horizon must be positive")
-    if math.isinf(config.horizon) and config.max_events is None and (
-        config.stop_node is None and not config.stop_when_empty
-    ):
-        raise ValidationError("infinite horizon needs max_events or a stop condition")
     if config.scale < 1:
         raise ValidationError("scale must be >= 1")
+    # the raw clock runs to horizon * scale, which can overflow a finite horizon
+    if math.isinf(config.horizon * config.scale) and config.max_events is None and (
+        config.stop_node is None and not config.stop_when_empty
+    ):
+        raise ValidationError("infinite horizon * scale needs max_events or a stop condition")
     p = graph.node_count
     if config.stop_node is not None and not 1 <= config.stop_node <= p:
         raise ValidationError(f"stop_node {config.stop_node} outside 1..{p}")

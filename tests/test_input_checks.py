@@ -3,6 +3,7 @@ q0, CLI argv; and the exit code each error class carries through the CLI."""
 
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -75,6 +76,26 @@ def test_infinite_rate_rejected_before_the_event_loop(monkeypatch):
     with pytest.raises(ValidationError):
         simulate(PENDANT, (0.1, math.inf, 0.45, 0.35), ml_policy(),
                  SimConfig(horizon=1.0, seed=0))
+
+
+def test_horizon_overflowing_with_the_scale_is_refused(files):
+    # horizon * scale overflows to inf, so the run would never reach its
+    # end; a subprocess with a timeout fails instead of hanging
+    import subprocess
+    from pathlib import Path
+
+    import matchq
+
+    env = dict(os.environ, PYTHONPATH=str(Path(matchq.__file__).parents[1]))
+    argv = _simulate_argv(files, "--scale", "10000", "--stride", "0")
+    argv[argv.index("--horizon") + 1] = "1e305"
+    run = subprocess.run([sys.executable, "-m", "matchq.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=10)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    config = SimConfig(horizon=1e305, seed=0, scale=10000, max_events=10)
+    assert simulate(PENDANT, LAM, ml_policy(), config).n_events == 10
 
 
 @pytest.fixture
