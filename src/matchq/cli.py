@@ -18,6 +18,8 @@ not-applicable or region error, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -67,23 +69,27 @@ def _load_policy(path):
     return ser.policy_from_obj(ser.load_json(path))
 
 
+def _cell(value) -> str:
+    return json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else str(value)
+
+
 def _render_csv(obj: dict) -> str:
-    """Flat CSV rendering: inequality tables as rows, otherwise key,value."""
-    lines = []
+    """Flat CSV rendering: inequality tables as rows, then the verdict and
+    any evidence; otherwise key,value. Dicts and lists become JSON cells,
+    quoted where they hold commas."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     if "inequalities" in obj:
-        lines.append("name,lhs,rhs,satisfied,margin")
-        for iq in obj["inequalities"]:
-            lines.append(
-                f"{iq['name']},{iq['lhs']},{iq['rhs']},{iq['satisfied']},{iq['margin']}"
-            )
-        lines.append(f"verdict,{obj['verdict']},,,")
-        return "\n".join(lines) + "\n"
-    lines.append("key,value")
-    for key, value in sorted(obj.items()):
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True)
-        lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
+        columns = ["name", "lhs", "rhs", "satisfied", "margin"]
+        writer.writerow(columns)
+        writer.writerows([_cell(iq[c]) for c in columns] for iq in obj["inequalities"])
+        writer.writerow(["verdict", obj["verdict"], "", "", ""])
+        if obj["evidence"] is not None:
+            writer.writerow(["evidence", _cell(obj["evidence"]), "", "", ""])
+    else:
+        writer.writerow(["key", "value"])
+        writer.writerows([key, _cell(value)] for key, value in sorted(obj.items()))
+    return out.getvalue()
 
 
 def _out_dir(args) -> Path:

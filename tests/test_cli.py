@@ -1,6 +1,11 @@
 """File formats, round-trips, CLI subcommands, exit codes, manifests."""
 
+import contextlib
+import csv
+import io
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -249,6 +254,57 @@ def test_cli_ncond_csv(files, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "key,value"
     assert "satisfied,True" in lines
+
+
+def _csv_reports(argv):
+    """Run `matchq argv` in a fresh directory holding the golden instance
+    files; yield (where, text) for stdout and every CSV file it wrote."""
+    from pathlib import Path
+
+    from test_golden import CLI_FILES
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, obj in CLI_FILES.items():
+                Path(name).write_text(json.dumps(obj))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            yield "stdout", out.getvalue()
+            for path in sorted(Path().rglob("*.csv")):
+                yield str(path), path.read_text()
+        finally:
+            os.chdir(cwd)
+
+
+def _golden_csv_runs():
+    from test_golden import CLI_EXTRA, CLI_RUNS
+
+    for name, argv in {**CLI_RUNS, **CLI_EXTRA}.items():
+        yield pytest.param(argv + ["--format", "csv"], id=name)
+        yield pytest.param(argv + ["--format", "csv", "--out", "out"], id=f"{name}-out")
+
+
+@pytest.mark.parametrize("argv", _golden_csv_runs())
+def test_every_csv_report_parses_to_full_rows(argv):
+    # JSON cells hold commas (lists, dicts, names such as ncond:{1,4}), so
+    # they must be quoted; the empirical evidence must not be dropped
+    seen = 0
+    for where, text in _csv_reports(argv):
+        if where == "stdout" and "--out" in argv:
+            assert text == ""
+            continue
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows), where
+        for cell in (c for row in rows for c in row if c[:1] in ("[", "{")):
+            json.loads(cell)
+        seen += 1
+        if "--empirical" in argv:
+            evidence = {row[0]: row[1] for row in rows}["evidence"]
+            assert json.loads(evidence)["events_used"] > 0
+    assert seen
 
 
 def test_verdict_json_handles_empirical_evidence():
