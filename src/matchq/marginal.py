@@ -214,17 +214,15 @@ class _GluedFamily:
     """
 
     i0: int
-    arms: tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]
+    arms: tuple[tuple[int, tuple[int, int]], tuple[int, tuple[int, int]]]
     waits: dict[int, tuple[int, ...]]
     outside: str
 
     def law(self, rates, uniform: bool = False) -> _GluedRays:
-        def rate(v):
-            return rates[v - 1] / 2.0 if uniform and v in self.waits else rates[v - 1]
-
+        rate = [r / 2.0 if uniform and v in self.waits else r for v, r in enumerate(rates, 1)]
         return _GluedRays(
             tuple(rates[v - 1] for v, _ in self.arms),
-            tuple(sum(rate(w) for w in drain) for _, drain in self.arms),
+            tuple(rate[a - 1] + rate[b - 1] for _, (a, b) in self.arms),
             self.outside,
         )
 
