@@ -203,7 +203,7 @@ class _GluedRays:
 class _GluedFamily:
     """A node i0 of a canonical graph whose marginal chain is glued rays.
 
-    arms gives each coordinate as (its node, the nodes whose arrivals
+    arms gives each coordinate as (its node, the two nodes whose arrivals
     drain it), and waits maps each neighbour j of i0 to the arms j must
     find empty before a class-j arrival reaches i0. That holds under a
     priority rule in which every such j serves those arms before i0 (the
@@ -213,18 +213,26 @@ class _GluedFamily:
     match there.
     """
 
+    name: str
+    size: int
     i0: int
     arms: tuple[tuple[int, tuple[int, int]], tuple[int, tuple[int, int]]]
     waits: dict[int, tuple[int, ...]]
-    outside: str
 
     def law(self, rates, uniform: bool = False) -> _GluedRays:
+        if len(rates) != self.size:
+            raise ValidationError(f"{self.name} closed form needs {self.size} rates")
         rate = [r / 2.0 if uniform and v in self.waits else r for v, r in enumerate(rates, 1)]
         return _GluedRays(
             tuple(rates[v - 1] for v, _ in self.arms),
             tuple(rate[a - 1] + rate[b - 1] for _, (a, b) in self.arms),
             self.outside,
         )
+
+    @cached_property
+    def outside(self) -> str:
+        conditions = (f"l{v} < l{a} + l{b}" for v, (a, b) in self.arms)
+        return f"{self.name} closed form needs " + " and ".join(conditions)
 
     def serves_first(self, policy: Policy) -> bool:
         """Whether every neighbour of i0 serves the arms it waits on first."""
@@ -252,12 +260,10 @@ class _GluedFamily:
 # The canonical pendant graph at its tail and 5-cycle at its apex, the
 # chains fluid_report solves in closed form, keyed by the graph's edges.
 _PENDANT = _GluedFamily(
-    i0=4, arms=((1, (2, 3)), (2, (1, 3))), waits={3: (0, 1)},
-    outside="pendant closed form needs l1 < l2 + l3 and l2 < l1 + l3",
+    "pendant", 4, i0=4, arms=((1, (2, 3)), (2, (1, 3))), waits={3: (0, 1)}
 )
 _FIVE_CYCLE = _GluedFamily(
-    i0=5, arms=((1, (2, 3)), (2, (1, 4))), waits={3: (0,), 4: (1,)},
-    outside="5-cycle closed form needs l1 < l2 + l3 and l2 < l1 + l4",
+    "5-cycle", 5, i0=5, arms=((1, (2, 3)), (2, (1, 4))), waits={3: (0,), 4: (1,)}
 )
 _CLOSED_FORMS = {
     PENDANT_EDGES: (_PENDANT, CLOSED_FORM_PENDANT),
@@ -266,8 +272,7 @@ _CLOSED_FORMS = {
 # Node 3 of the 5-cycle is glued rays too, but fluid_report solves it
 # numerically, which checks fivecycle_node_reports.
 _FIVE_CYCLE_NODE3 = _GluedFamily(
-    i0=3, arms=((2, (1, 4)), (4, (2, 5))), waits={1: (0,), 5: (1,)},
-    outside="node-3 constants need the base ratios below one",
+    "5-cycle node-3", 5, i0=3, arms=((2, (1, 4)), (4, (2, 5))), waits={1: (0,), 5: (1,)}
 )
 
 
@@ -279,8 +284,6 @@ def stationary_closed_pendant(
     Coordinates are the two triangle base queues. The arms have ratios
     l1/(l3+l2) and l2/(l3+l1); both must be below one.
     """
-    if len(rates) != 4:
-        raise ValidationError("pendant closed form needs 4 rates")
     return _PENDANT.law(rates).stationary(truncation, CLOSED_FORM_PENDANT)
 
 
@@ -292,8 +295,6 @@ def stationary_closed_5cycle(
     Coordinates are the two base queues; arm ratios l1/(l3+l2) and
     l2/(l1+l4).
     """
-    if len(rates) != 5:
-        raise ValidationError("5-cycle closed form needs 5 rates")
     return _FIVE_CYCLE.law(rates).stationary(truncation, CLOSED_FORM_FIVE_CYCLE)
 
 
@@ -687,10 +688,8 @@ def fivecycle_node_reports(rates: Sequence[float]) -> FiveCycleNodeReports:
     minus the ratio of node 1's arm in the apex chain, bounds that idle
     fraction from below, giving drift l4 - l5 - l2 * alpha13.
     """
-    if len(rates) != 5:
-        raise ValidationError("expected 5 rates")
-    l1, l2, l3, l4, l5 = rates
     c, alpha24 = _FIVE_CYCLE_NODE3.service(rates)
+    l1, l2, l3, l4, l5 = rates
     alpha13 = 1.0 - _FIVE_CYCLE.law(rates).ratios[0]
     return FiveCycleNodeReports(
         alpha24=alpha24,

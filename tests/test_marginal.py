@@ -119,6 +119,14 @@ def test_alpha_outside_region():
         pendant_alpha((0.5, 0.1, 0.3, 0.2))
 
 
+def test_closed_forms_check_the_rate_count():
+    for closed, rates in ((pendant_alpha, LAM_P[:3]), (fivecycle_alpha, LAM_5 + (0.1,)),
+                          (fivecycle_node_reports, LAM_5[:4]),
+                          (stationary_closed_pendant, LAM_5), (stationary_closed_5cycle, LAM_P)):
+        with pytest.raises(ValidationError):
+            closed(rates)
+
+
 def test_closed_form_detailed_balance():
     l1, l2, l3, _ = LAM_P
     alpha, dist = stationary_closed_pendant(LAM_P, truncation=60)
