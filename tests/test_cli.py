@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -259,8 +260,6 @@ def test_cli_ncond_csv(files, capsys):
 def _csv_reports(argv):
     """Run `matchq argv` in a fresh directory holding the golden instance
     files; yield (where, text) for stdout and every CSV file it wrote."""
-    from pathlib import Path
-
     from test_golden import CLI_FILES
 
     cwd = os.getcwd()

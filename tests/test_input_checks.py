@@ -4,10 +4,13 @@ q0, CLI argv; and the exit code each error class carries through the CLI."""
 import json
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import matchq
 import matchq.serialize as ser
 from matchq.cli import main
 from matchq.errors import MatchQError, ValidationError
@@ -81,11 +84,6 @@ def test_infinite_rate_rejected_before_the_event_loop(monkeypatch):
 def test_horizon_overflowing_with_the_scale_is_refused(files):
     # horizon * scale overflows to inf, so the run would never reach its
     # end; a subprocess with a timeout fails instead of hanging
-    import subprocess
-    from pathlib import Path
-
-    import matchq
-
     env = dict(os.environ, PYTHONPATH=str(Path(matchq.__file__).parents[1]))
     argv = _simulate_argv(files, "--scale", "10000", "--stride", "0")
     argv[argv.index("--horizon") + 1] = "1e305"

@@ -3,11 +3,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matchq
 from matchq.errors import (
     RatesOutsideRegionError,
     TooLargeError,
@@ -427,14 +431,8 @@ def test_closed_laws_cap_the_state_count(closed, rates):
 
 
 def test_fluid_closed_route_builds_no_state_array(tmp_path):
-    # the closed route reads the analytic tail mass, so a huge truncation
-    # costs nothing; it used to build a (2T + 1, 2) array
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import matchq
-
+    # the closed route reads the analytic tail mass and builds no state
+    # array, so a huge truncation costs nothing
     env = dict(os.environ, PYTHONPATH=str(Path(matchq.__file__).parents[1]))
     (tmp_path / "g.json").write_text('{"nodes": 4, "edges": [[1, 2], [1, 3], [2, 3], [3, 4]]}')
     (tmp_path / "r.json").write_text('{"rates": [0.1, 0.1, 0.45, 0.35]}')

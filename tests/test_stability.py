@@ -178,8 +178,8 @@ def test_priority_families_sit_inside_rate_region_but_outside_stability(family):
 
 @pytest.mark.parametrize("family", sorted(FAMILY_EPS_BOUND))
 def test_counterexample_drift_is_the_fluid_report_drift(family):
-    # one closed route: the certificate carries fluid_report's drift bit
-    # for bit (the 5-cycle families used to differ in the last bits)
+    # one closed route: each certificate carries fluid_report's drift bit
+    # for bit, on the 5-cycle families too
     bound = FAMILY_EPS_BOUND[family]
     for eps in np.linspace(0.0, bound, 202)[1:-1]:
         inst = counterexample(family, float(eps))
