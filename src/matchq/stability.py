@@ -194,6 +194,11 @@ def counterexample(family: str, eps: float) -> UnstableInstance:
     refused. The emitted instance is certified: the rate condition is
     checked and the predicted drift is strictly positive.
     """
+    return _certified(family, eps)[0]
+
+
+def _certified(family: str, eps: float):
+    """counterexample's instance and its rate-condition check."""
     bound = FAMILY_EPS_BOUND.get(family)
     if bound is None:
         raise ValidationError(
@@ -220,7 +225,7 @@ def counterexample(family: str, eps: float) -> UnstableInstance:
         drift=drift,
         family=family,
         eps=eps,
-    )
+    ), result
 
 
 # -- transplanting a family onto a general graph --------------------------------
@@ -294,7 +299,7 @@ def construct_nonmaximal(
         label_positions = (1, 2, 4, 5, 3)
     if eps is None:
         eps = FAMILY_EPS_BOUND[family] / 2.0
-    base = counterexample(family, eps)
+    base, base_condition = _certified(family, eps)
 
     node_of_label = {}
     for pos, node in enumerate(cls.witness):
@@ -305,7 +310,7 @@ def construct_nonmaximal(
     for label, node in node_of_label.items():
         rates[node - 1] = base.rates[label - 1]
 
-    tau = ncond_check(base.graph, base.rates).min_margin
+    tau = base_condition.min_margin
     beta = base.drift
     gamma = 0.5 * min(tau, beta, min(base.rates))
     hat_nodes = [v for v in graph.nodes if v not in kept]
