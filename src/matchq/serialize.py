@@ -20,6 +20,8 @@ import math
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .errors import InputFormatError
 from .graphs import Graph
 from .policies import PRIORITY, Policy, priority_policy
@@ -200,18 +202,32 @@ def trace_summary_to_obj(trace: SimTrace, node=None, drift=None) -> dict:
     return out
 
 
+# Rows formatted per block; a block's cells are alive at once, so memory
+# stays flat however long the trace is.
+_TRACE_BLOCK = 4096
+
+
+def _int_cells(column: np.ndarray) -> list[str]:
+    """Decimal strings of an integer column, each distinct value formatted once."""
+    values, inverse = np.unique(column, return_inverse=True)
+    return np.array([str(v) for v in values.tolist()], dtype=object)[inverse].tolist()
+
+
 def write_trace_csv(trace: SimTrace, path: Path) -> None:
+    """The trace as CSV: a header, then one row per snapshot, times as
+    %.9f raw clock values and CRLF line ends (the bytes csv.writer gives).
+    Cells are formatted a column at a time, _TRACE_BLOCK rows at once."""
+    header = ["t", "class", "matched"] + [f"q_{i}" for i in range(1, trace.node_count + 1)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "class", "matched"]
-            + [f"q_{i}" for i in range(1, trace.node_count + 1)]
-        )
-        for k in range(len(trace.times)):
-            writer.writerow(
-                [f"{trace.times[k]:.9f}", int(trace.classes[k]), int(trace.matched[k])]
-                + [int(v) for v in trace.states[k]]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(trace.times), _TRACE_BLOCK):
+            rows = slice(lo, lo + _TRACE_BLOCK)
+            columns = [[f"{t:.9f}" for t in trace.times[rows].tolist()]]
+            columns += [
+                _int_cells(col)
+                for col in (trace.classes[rows], trace.matched[rows], *trace.states[rows].T)
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def write_growth_csv(result, path: Path) -> None:

@@ -175,7 +175,7 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
     rec_t: list[float] = []
     rec_c: list[int] = []
     rec_m: list[int] = []
-    rec_s: list[list[int]] = []
+    rec_s: list[int] = []      # the whole of q per snapshot, index 0 included
 
     t = 0.0
     events = 0
@@ -210,7 +210,7 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
                 rec_t.append(t)
                 rec_c.append(c)
                 rec_m.append(j)
-                rec_s.append(q[1:])
+                rec_s.extend(q)
             if stop:
                 break
         arrivals += np.bincount(cls[: events - start], minlength=p + 1)
@@ -230,7 +230,9 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
         times=np.asarray(rec_t, dtype=float),
         classes=np.asarray(rec_c, dtype=np.int64),
         matched=np.asarray(rec_m, dtype=np.int64),
-        states=np.asarray(rec_s, dtype=np.int64).reshape(len(rec_s), p),
+        states=np.ascontiguousarray(
+            np.fromiter(rec_s, dtype=np.int64, count=len(rec_s)).reshape(-1, p + 1)[:, 1:]
+        ),
         final_state=tuple(q[1:]),
         end_time=t,
         n_events=events,
