@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -254,9 +255,16 @@ def load_json(path: str | Path) -> dict:
         raise InputFormatError(f"{path}: {exc}")
 
 
+_JSON_BLOCK = 16384  # tokens per write; about 1 MB of them held at once
+
+
 def dump_json(obj: dict, path: str | Path) -> None:
+    # the encoder's tokens joined and written in blocks: json.dump writes
+    # each token on its own, and json.dumps holds every token at once
+    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        while block := "".join(islice(tokens, _JSON_BLOCK)):
+            fh.write(block)
         fh.write("\n")
 
 

@@ -1,6 +1,7 @@
 """Trace CSV: the column-wise writer against a per-row csv.writer oracle."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -95,3 +96,13 @@ def test_trace_states_are_a_contiguous_int64_table(stride):
     assert trace.states.dtype == np.int64
     assert trace.states.flags["C_CONTIGUOUS"]
     assert trace.states.shape == (len(trace.times), 4)
+
+
+@pytest.mark.parametrize("pairs", [0, 3, ser._JSON_BLOCK])
+def test_dump_json_writes_the_json_dumps_text(tmp_path, pairs):
+    # each pair is several tokens, so the largest object spans several blocks
+    obj = {"pairs": [[k, 2 * k] for k in range(pairs)], "n": pairs, "z": None}
+    ser.dump_json(obj, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_text() == (
+        json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    )
