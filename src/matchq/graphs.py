@@ -217,11 +217,17 @@ def independent_sets(graph: Graph) -> list[frozenset[int]]:
 
 def neighbors_of_set(graph: Graph, nodes: Iterable[int]) -> frozenset[int]:
     """Union of the neighborhoods of the given nodes."""
-    result: set[int] = set()
+    nodes = tuple(nodes)
     for i in nodes:
         if not 1 <= i <= graph.node_count:
             raise IndexOutOfRangeError(i, graph.node_count)
-        result.update(graph.neighbors(i))
+    return _neighborhood(graph.adjacency, nodes)
+
+
+def _neighborhood(adjacency, nodes) -> frozenset[int]:
+    result: set[int] = set()
+    for i in nodes:
+        result.update(adjacency[i])
     return frozenset(result)
 
 
@@ -231,8 +237,9 @@ def independent_set_rates(
     """(set, rate into the set, rate into its neighborhood) for every
     independent set, in the order of `independent_sets`. Checks nothing:
     every caller validates its own inputs."""
+    adjacency = graph.adjacency
     for ind in independent_sets(graph):
-        yield ind, rate_of_set(rates, ind), rate_of_set(rates, neighbors_of_set(graph, ind))
+        yield ind, rate_of_set(rates, ind), rate_of_set(rates, _neighborhood(adjacency, ind))
 
 
 @dataclass(frozen=True)
@@ -256,10 +263,12 @@ def ncond_check(graph: Graph, rates: Sequence[float]) -> NcondResult:
     rates = check_rates(graph, rates)
     if not is_connected(graph):
         raise NotConnectedError("rate condition is defined for connected graphs")
-    margin, _, worst = min(
-        (neighborhood - own, sorted(ind), ind)
-        for ind, own, neighborhood in independent_set_rates(graph, rates)
-    )
+    # the smallest (margin, sorted set); members are sorted only on a tie
+    margin = worst = None
+    for ind, own, neighborhood in independent_set_rates(graph, rates):
+        m = neighborhood - own
+        if worst is None or m < margin or (m == margin and sorted(ind) < sorted(worst)):
+            margin, worst = m, ind
     satisfied = margin > 0.0
     return NcondResult(
         satisfied=satisfied,

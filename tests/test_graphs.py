@@ -190,6 +190,8 @@ def test_neighbors_of_set():
     assert neighbors_of_set(PENDANT, {4}) == frozenset({3})
     assert neighbors_of_set(PENDANT, {1, 4}) == frozenset({2, 3})
     assert neighbors_of_set(PENDANT, set()) == frozenset()
+    with pytest.raises(IndexOutOfRangeError):
+        neighbors_of_set(PENDANT, {4, 5})
 
 
 # -- rate condition ---------------------------------------------------------------
@@ -217,6 +219,15 @@ def test_ncond_single_edge_always_violated():
     assert res.witness == frozenset({1})
     res2 = ncond_check(edge, (0.7, 0.3))
     assert res2.witness == frozenset({1})
+
+
+def test_ncond_tie_goes_to_the_lexicographically_smallest_set():
+    # {3} and {1, 2, 4} both have margin exactly 0; {3} comes first by
+    # size, but the witness is the smaller sorted set [1, 2, 4]
+    star = Graph.from_edges(4, [(1, 3), (2, 3), (3, 4)])
+    res = ncond_check(star, (0.25, 0.25, 1.0, 0.5))
+    assert res.min_margin == 0.0
+    assert res.witness == frozenset({1, 2, 4})
 
 
 def test_ncond_requires_connected():
