@@ -51,6 +51,8 @@ from .graphs import (
     PENDANT_EDGES,
     Graph,
     check_rates,
+    five_cycle_graph,
+    pendant_graph,
 )
 from .policies import PRIORITY, UNIFORM, Policy, priority_set, validate_policy
 
@@ -214,14 +216,13 @@ class _GluedFamily:
     """
 
     name: str
-    size: int
+    graph: Graph
     i0: int
     arms: tuple[tuple[int, tuple[int, int]], tuple[int, tuple[int, int]]]
     waits: dict[int, tuple[int, ...]]
 
     def law(self, rates, uniform: bool = False) -> _GluedRays:
-        if len(rates) != self.size:
-            raise ValidationError(f"{self.name} closed form needs {self.size} rates")
+        rates = check_rates(self.graph, rates)
         rate = [r / 2.0 if uniform and v in self.waits else r for v, r in enumerate(rates, 1)]
         return _GluedRays(
             tuple(rates[v - 1] for v, _ in self.arms),
@@ -260,10 +261,12 @@ class _GluedFamily:
 # The canonical pendant graph at its tail and 5-cycle at its apex, the
 # chains fluid_report solves in closed form, keyed by the graph's edges.
 _PENDANT = _GluedFamily(
-    "pendant", 4, i0=4, arms=((1, (2, 3)), (2, (1, 3))), waits={3: (0, 1)}
+    "pendant", pendant_graph(), i0=4,
+    arms=((1, (2, 3)), (2, (1, 3))), waits={3: (0, 1)},
 )
 _FIVE_CYCLE = _GluedFamily(
-    "5-cycle", 5, i0=5, arms=((1, (2, 3)), (2, (1, 4))), waits={3: (0,), 4: (1,)}
+    "5-cycle", five_cycle_graph(), i0=5,
+    arms=((1, (2, 3)), (2, (1, 4))), waits={3: (0,), 4: (1,)},
 )
 _CLOSED_FORMS = {
     PENDANT_EDGES: (_PENDANT, CLOSED_FORM_PENDANT),
@@ -272,7 +275,8 @@ _CLOSED_FORMS = {
 # Node 3 of the 5-cycle is glued rays too, but fluid_report solves it
 # numerically, which checks fivecycle_node_reports.
 _FIVE_CYCLE_NODE3 = _GluedFamily(
-    "5-cycle node-3", 5, i0=3, arms=((2, (1, 4)), (4, (2, 5))), waits={1: (0,), 5: (1,)}
+    "5-cycle node-3", five_cycle_graph(), i0=3,
+    arms=((2, (1, 4)), (4, (2, 5))), waits={1: (0,), 5: (1,)},
 )
 
 

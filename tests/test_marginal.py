@@ -537,3 +537,15 @@ def test_numeric_wide_state_codes_match_glued_rays():
         for level in (1, 2, 7):
             x = tuple(level if c == k else 0 for c in range(9))
             assert dist.prob(x) == pytest.approx(empty * r**level, rel=1e-9)
+
+
+@pytest.mark.parametrize("closed, rates", [
+    (pendant_alpha, (0.1, math.nan, 0.45, 0.35)),
+    (fivecycle_alpha, (0.1, 0.1, math.nan, 0.225, 0.35)),
+    (stationary_closed_pendant, (0.1, 0.1, 0.45, math.nan)),
+    (stationary_closed_5cycle, (math.nan, 0.1, 0.225, 0.225, 0.35)),
+    (fivecycle_node_reports, (0.1, 0.1, 0.225, 0.225, math.nan)),
+], ids=lambda v: v.__name__ if callable(v) else "nan")
+def test_closed_forms_reject_a_nan_rate(closed, rates):
+    with pytest.raises(ValidationError, match="finite and strictly positive"):
+        closed(rates)
