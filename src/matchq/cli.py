@@ -70,13 +70,15 @@ def _load_policy(path):
 
 
 def _cell(value) -> str:
-    return json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else str(value)
+    """A cell as the JSON report writes the value; strings stay unquoted."""
+    return value if isinstance(value, str) else json.dumps(value, sort_keys=True)
 
 
 def _render_csv(obj: dict) -> str:
     """Flat CSV rendering: inequality tables as rows, then the verdict and
-    any evidence; otherwise key,value. Dicts and lists become JSON cells,
-    quoted where they hold commas."""
+    any evidence; otherwise key,value. Every value but a string is written
+    as JSON (null, true, false, lists and dicts), quoted where it holds
+    commas."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if "inequalities" in obj:
