@@ -1,12 +1,13 @@
 """Simple undirected matching graphs and their structural classification.
 
 Nodes are labeled 1..p. Edges are unordered pairs. The module provides
-connectivity and bipartiteness tests, exhaustive independent-set
-enumeration, the necessary stability condition on arrival rates
-(every independent set must receive strictly less arrival mass than its
-neighborhood), separability, and exact induced-subgraph searches for the
-pendant graph and for odd cycles. `classify` combines these into the
-four-way split used by the stability tooling.
+connectivity and bipartiteness tests on one breadth-first traversal
+(`bfs_levels`), exhaustive independent-set enumeration, the necessary
+stability condition on arrival rates (every independent set must receive
+strictly less arrival mass than its neighborhood), separability, and
+exact induced-subgraph searches for the pendant graph and for odd cycles.
+`classify` combines these into the four-way split used by the stability
+tooling.
 """
 
 from __future__ import annotations
@@ -94,14 +95,6 @@ class Graph:
         s = set(nodes)
         return frozenset(e for e in self.edges if e[0] in s and e[1] in s)
 
-    def complement(self) -> "Graph":
-        comp = [
-            (i, j)
-            for i, j in combinations(self.nodes, 2)
-            if (i, j) not in self.edge_set
-        ]
-        return Graph(self.node_count, tuple(comp))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(p={self.node_count}, edges={list(self.edges)})"
 
@@ -150,37 +143,39 @@ def rate_of_set(rates: Sequence[float], nodes: Iterable[int]) -> float:
 # -- connectivity and coloring ----------------------------------------------
 
 
+def bfs_levels(graph: Graph, sources: Iterable[int]) -> dict[int, int]:
+    """Hop distance from the nearest source, for every node reachable from one."""
+    dist = {v: 0 for v in sources}
+    frontier = list(dist)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in graph.neighbors(v):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def is_connected(graph: Graph) -> bool:
     """True iff every pair of nodes is joined by a path."""
-    if graph.node_count == 0:
-        return True
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in graph.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == graph.node_count
+    return len(bfs_levels(graph, graph.nodes[:1])) == graph.node_count
 
 
 def two_coloring(graph: Graph) -> Optional[dict[int, int]]:
-    """A proper 2-coloring (values 0/1), or None if the graph is odd-cyclic."""
+    """A proper 2-coloring (values 0/1), or None if the graph is odd-cyclic.
+
+    Each component is colored by the parity of the hop distance from its
+    smallest node."""
     color: dict[int, int] = {}
     for start in graph.nodes:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in graph.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
+        if start not in color:
+            color.update((v, d % 2) for v, d in bfs_levels(graph, (start,)).items())
+    if any(color[i] == color[j] for i, j in graph.edges):
+        return None
     return color
 
 
@@ -290,33 +285,16 @@ class Separability:
 def separability(graph: Graph) -> Optional[Separability]:
     """Partition into maximal independent sets with all cross edges present.
 
-    Equivalently, every connected component of the complement graph must be
-    a clique; the components then form the partition. Returns None when the
-    graph is not separable.
+    The parts are the closed non-neighborhoods N̄[u] = {u} plus the nodes
+    not adjacent to u: the graph is separable iff there are at least two
+    distinct ones and they are pairwise disjoint, i.e. their sizes sum to
+    p. Returns None when the graph is not separable.
     """
-    comp = graph.complement()
-    seen: set[int] = set()
-    parts: list[frozenset[int]] = []
-    for start in comp.nodes:
-        if start in seen:
-            continue
-        block = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in comp.neighbors(v):
-                if w not in block:
-                    block.add(w)
-                    stack.append(w)
-        seen |= block
-        for i, j in combinations(sorted(block), 2):
-            if not comp.has_edge(i, j):
-                return None
-        parts.append(frozenset(block))
-    if len(parts) < 2:
+    nodes = frozenset(graph.nodes)
+    parts = {nodes.difference(graph.neighbors(u)) for u in graph.nodes}
+    if len(parts) < 2 or sum(map(len, parts)) != graph.node_count:
         return None
-    parts.sort(key=min)
-    return Separability(order=len(parts), partition=tuple(parts))
+    return Separability(order=len(parts), partition=tuple(sorted(parts, key=min)))
 
 
 # -- induced-subgraph searches ------------------------------------------------
@@ -339,10 +317,9 @@ def find_induced_pendant(graph: Graph) -> Optional[tuple[int, int, int, int]]:
         degs = sorted(deg.values())
         if degs != [1, 2, 2, 3]:
             continue
+        # the degree-3 node is adjacent to the other three, the tail included
         hub = next(v for v in subset if deg[v] == 3)
         tail = next(v for v in subset if deg[v] == 1)
-        if not graph.has_edge(hub, tail):
-            continue
         t1, t2 = sorted(v for v in subset if deg[v] == 2)
         return (t1, t2, hub, tail)
     return None
@@ -362,10 +339,8 @@ def _induced_cycle_order(graph: Graph, subset: tuple[int, ...]) -> Optional[list
     order = [start, min(nbrs_in)]
     while len(order) < len(subset):
         prev, cur = order[-2], order[-1]
-        nxt = [w for w in graph.neighbors(cur) if w in sset and w != prev]
-        if len(nxt) != 1:
-            return None
-        order.append(nxt[0])
+        # cur has degree 2 in the subset and prev is one of its neighbors
+        order.append(next(w for w in graph.neighbors(cur) if w in sset and w != prev))
     if not graph.has_edge(order[-1], start):
         return None
     return order
@@ -424,11 +399,9 @@ def classify(graph: Graph) -> GraphClass:
     if pend is not None:
         return GraphClass(kind="non_separable_g7c", witness_kind="pendant", witness=pend)
     cyc = find_induced_odd_cycle(graph)
+    if cyc is not None and len(cyc) == 5:
+        return GraphClass(kind="non_separable_g7c", witness_kind="five_cycle", witness=cyc)
     if cyc is not None:
-        if len(cyc) == 5:
-            return GraphClass(
-                kind="non_separable_g7c", witness_kind="five_cycle", witness=cyc
-            )
         return GraphClass(kind="non_separable_g7", witness_kind="odd_cycle", witness=cyc)
     raise NoWitnessFoundError(
         "connected non-bipartite non-separable graph with no induced pendant "

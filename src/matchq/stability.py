@@ -31,6 +31,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    bfs_levels,
     check_rates,
     classify,
     five_cycle_graph,
@@ -231,22 +232,6 @@ def _certified(family: str, eps: float):
 # -- transplanting a family onto a general graph --------------------------------
 
 
-def _bfs_levels(graph: Graph, sources: set[int]) -> dict[int, int]:
-    dist = {v: 0 for v in sources}
-    frontier = list(sources)
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in graph.neighbors(v):
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
 def _hat_rates(graph: Graph, kept: set[int], budget: float) -> dict[int, float]:
     """Split a rate budget over the nodes outside `kept`.
 
@@ -255,21 +240,18 @@ def _hat_rates(graph: Graph, kept: set[int], budget: float) -> dict[int, float]:
     is strictly out-rated by a single node one level closer. Within a
     level the total is split evenly.
     """
-    dist = _bfs_levels(graph, kept)
-    hat = [v for v in graph.nodes if v not in kept]
+    dist = bfs_levels(graph, kept)
     levels: dict[int, list[int]] = {}
-    for v in hat:
-        levels.setdefault(dist[v], []).append(v)
-    max_size = max(len(m) for m in levels.values())
-    r = 1.0 / (2.0 * (1.0 + max_size))
-    weights = {d: r**d for d in levels}
-    total_w = sum(weights[d] for d in levels)
-    out = {}
-    for d, members in levels.items():
-        level_total = budget * weights[d] / total_w
-        for v in members:
-            out[v] = level_total / len(members)
-    return out
+    for v in graph.nodes:
+        if v not in kept:
+            levels.setdefault(dist[v], []).append(v)
+    r = 1.0 / (2.0 * (1.0 + max(len(m) for m in levels.values())))
+    total_w = sum(r**d for d in levels)
+    return {
+        v: budget * r**d / total_w / len(members)
+        for d, members in levels.items()
+        for v in members
+    }
 
 
 def construct_nonmaximal(
@@ -301,9 +283,7 @@ def construct_nonmaximal(
         eps = FAMILY_EPS_BOUND[family] / 2.0
     base, base_condition = _certified(family, eps)
 
-    node_of_label = {}
-    for pos, node in enumerate(cls.witness):
-        node_of_label[label_positions[pos]] = node
+    node_of_label = dict(zip(label_positions, cls.witness))
     kept = set(cls.witness)
 
     rates = [0.0] * graph.node_count
@@ -313,9 +293,8 @@ def construct_nonmaximal(
     tau = base_condition.min_margin
     beta = base.drift
     gamma = 0.5 * min(tau, beta, min(base.rates))
-    hat_nodes = [v for v in graph.nodes if v not in kept]
     hat_total = 0.0
-    if hat_nodes:
+    if len(kept) < graph.node_count:
         hat_total = gamma * (1.0 - 1e-6)
         for v, r in _hat_rates(graph, kept, hat_total).items():
             rates[v - 1] = r
@@ -422,9 +401,7 @@ def empirical_classify(
                 )
             slopes, hits, empties = [], [], []
             for seed in _node_seeds(budget, i0, scale, budget.seeds):
-                initial = tuple(
-                    scale if v == i0 else 0 for v in graph.nodes
-                )
+                initial = tuple(scale if v == i0 else 0 for v in graph.nodes)
                 expected_events = budget.horizon * scale * lambar
                 stride = max(1, int(expected_events // 4000))
                 trace = simulate(
@@ -447,11 +424,8 @@ def empirical_classify(
                 except MatchQError:
                     slopes.append(None)
                 hits.append(hitting_time(trace, i0))
-                empties.append(
-                    trace.empty_time / scale
-                    if not math.isnan(trace.empty_time)
-                    else math.inf
-                )
+                empty = trace.empty_time
+                empties.append(math.inf if math.isnan(empty) else empty / scale)
             ok_slopes = [s for s in slopes if s is not None]
             mean_slope = float(np.mean([s[0] for s in ok_slopes])) if ok_slopes else math.nan
             sem = (

@@ -14,6 +14,7 @@ from matchq.errors import (
 )
 from matchq.graphs import (
     Graph,
+    bfs_levels,
     classify,
     complete_graph,
     cycle_graph,
@@ -131,6 +132,23 @@ def test_connectivity():
     assert is_connected(TRIANGLE)
     assert is_connected(PENDANT)
     assert not is_connected(Graph.from_edges(4, [(1, 2), (3, 4)]))
+
+
+def test_bfs_levels_hop_distance_from_nearest_source():
+    path = Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)])
+    assert bfs_levels(path, [1]) == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5}
+    assert bfs_levels(path, {1, 6}) == {1: 0, 6: 0, 2: 1, 5: 1, 3: 2, 4: 2}
+    assert bfs_levels(PENDANT, [4]) == {4: 0, 3: 1, 1: 2, 2: 2}
+    # unreachable nodes are absent
+    assert bfs_levels(Graph.from_edges(4, [(1, 2), (3, 4)]), [3]) == {3: 0, 4: 1}
+    assert bfs_levels(PENDANT, []) == {}
+
+
+def test_two_coloring_colors_each_component_from_its_smallest_node():
+    forest = Graph.from_edges(6, [(1, 4), (4, 2), (3, 6), (5, 6)])
+    assert two_coloring(forest) == {1: 0, 4: 1, 2: 0, 3: 0, 6: 1, 5: 0}
+    # an odd cycle in the second component only
+    assert two_coloring(Graph.from_edges(5, [(1, 2), (3, 4), (4, 5), (3, 5)])) is None
 
 
 def test_bipartite():
