@@ -5,6 +5,7 @@ are fixed; every expected value is either an exact rational evaluated
 with fractions or an independently recomputed formula.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -355,6 +356,11 @@ def test_ac07_coupling_invariants():
 # -- 8. exhaustive small-graph structure ---------------------------------------------
 
 
+# sha256 over repr((p, graph.edges)) of every graph connected_graphs_up_to(8)
+# yields, in order
+ENUMERATION_SHA256 = "bc11ee25e4833390b19844357bc0027458bb4c047f0893e811759316245918d7"
+
+
 def test_ac08_exhaustive_graph_structure():
     # Choice recorded: one representative per isomorphism class of
     # connected graphs on up to 8 nodes (class counts asserted below).
@@ -366,9 +372,11 @@ def test_ac08_exhaustive_graph_structure():
     induced_in_separable = 0
     separability_disagreements = 0
     total = 0
+    sequence = hashlib.sha256()  # pins the representatives and their order
     for p, graph in connected_graphs_up_to(8):
         counts[p] += 1
         total += 1
+        sequence.update(repr((p, graph.edges)).encode())
         sep = separability(graph)
         if (sep is not None) != brute_force_separable(graph):
             separability_disagreements += 1
@@ -383,6 +391,7 @@ def test_ac08_exhaustive_graph_structure():
     elapsed = time.perf_counter() - start
     ok = (
         counts == KNOWN_CONNECTED_COUNTS
+        and sequence.hexdigest() == ENUMERATION_SHA256
         and witness_failures == 0
         and induced_in_separable == 0
         and separability_disagreements == 0
@@ -391,7 +400,8 @@ def test_ac08_exhaustive_graph_structure():
     ok = _line(
         "AC-08",
         ok,
-        f"{total} classes (counts {list(counts.values())}); "
+        f"{total} classes (counts {list(counts.values())}, sequence "
+        f"sha256 {sequence.hexdigest()[:12]}); "
         f"witness failures {witness_failures}, induced-in-separable "
         f"{induced_in_separable}, separability disagreements "
         f"{separability_disagreements}; {elapsed:.0f}s",
