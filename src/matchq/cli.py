@@ -96,7 +96,10 @@ def _render_csv(obj: dict) -> str:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out {out}: {exc.strerror}") from None
     return out
 
 
@@ -222,6 +225,8 @@ def _cmd_stability(args):
     if args.empirical:
         if args.seed is None:
             raise ValidationError("--empirical requires --seed")
+        if args.policy is None:
+            raise ValidationError("--empirical requires --policy")
         policy = _load_policy(args.policy)
         budget = ClassifyBudget(
             seeds=args.replications,

@@ -25,6 +25,7 @@ from .errors import (
     BoundaryDegenerateError,
     BudgetExceededError,
     EpsilonOutOfRangeError,
+    IndexOutOfRangeError,
     MatchQError,
     NotApplicableError,
     ValidationError,
@@ -388,6 +389,11 @@ def empirical_classify(
     rates = check_rates(graph, rates)
     lambar = sum(rates)
     probe = list(graph.nodes) if nodes is None else [int(v) for v in nodes]
+    if not probe:
+        raise ValidationError("empirical_classify needs at least one node to probe")
+    for v in probe:
+        if not 1 <= v <= graph.node_count:
+            raise IndexOutOfRangeError(v, graph.node_count)
     events_used = 0
     node_evidence: dict[int, dict] = {}
     node_flags: dict[int, str] = {}

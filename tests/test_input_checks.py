@@ -166,6 +166,8 @@ def _fluid_argv(d, *extra):
         lambda d: _stability_argv(d, "--horizon", "nan"),
         lambda d: _stability_argv(d, "--scales", "-5", "20"),
         lambda d: _stability_argv(d, "--seed", "-1"),
+        lambda d: ["stability", "--graph", str(d / "pendant.json"), "--rates",
+                   str(d / "rates.json"), "--empirical", "--seed", "1"],
         lambda d: _fluid_argv(d, "--q0", "nan"),
         lambda d: _fluid_argv(d, "--q0", "inf"),
         lambda d: ["randgraph", "--graph", str(d / "pendant.json"), "--rates",
@@ -176,7 +178,7 @@ def _fluid_argv(d, *extra):
         "simulate-node-9", "simulate-node-0", "simulate-seed", "simulate-rep-seed",
         "simulate-replications-neg", "simulate-replications-0",
         "stability-horizon-inf", "stability-horizon-nan", "stability-scales",
-        "stability-seed", "fluid-q0-nan", "fluid-q0-inf", "randgraph-seed",
+        "stability-seed", "stability-no-policy", "fluid-q0-nan", "fluid-q0-inf", "randgraph-seed",
     ],
 )
 def test_cli_bad_input_is_a_typed_error(files, capsys, argv):
@@ -188,6 +190,21 @@ def test_cli_bad_input_is_a_typed_error(files, capsys, argv):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["existing-file", "under-a-file"])
+def test_cli_out_not_a_directory_exit_2(files, capsys, under):
+    blocker = files / "blocker.txt"
+    blocker.write_text("x")
+    out = blocker / under if under else blocker
+    argv = ["ncond", "--graph", str(files / "pendant.json"), "--rates",
+            str(files / "rates.json"), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out}: ")
+    assert captured.err.count("\n") == 1
+    assert blocker.read_text() == "x"
 
 
 @pytest.mark.parametrize("q0", [math.nan, math.inf])

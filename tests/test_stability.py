@@ -9,6 +9,7 @@ from matchq.errors import (
     BoundaryDegenerateError,
     BudgetExceededError,
     EpsilonOutOfRangeError,
+    IndexOutOfRangeError,
     NotApplicableError,
     ValidationError,
 )
@@ -316,6 +317,20 @@ def test_empirical_triangle_stable():
         ClassifyBudget(seeds=6, scales=(300, 1500), horizon=4.0),
     )
     assert verdict.verdict == "stable-empirical"
+
+
+@pytest.mark.parametrize(
+    "nodes, error", [([], ValidationError), ([9], IndexOutOfRangeError),
+                     ([4, 0], IndexOutOfRangeError)],
+)
+def test_empirical_classify_checks_nodes_before_simulating(monkeypatch, nodes, error):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking nodes")
+
+    monkeypatch.setattr("matchq.stability.simulate", no_simulation)
+    with pytest.raises(error):
+        empirical_classify(pendant_graph(), (0.1, 0.1, 0.45, 0.35),
+                           pendant_priority_policy(), nodes=nodes)
 
 
 def test_empirical_pendant_family_unstable_at_tail():
