@@ -24,7 +24,6 @@ from .graphs import (
 )
 from .policies import (
     Policy,
-    apply_transition,
     five_cycle_priority_policy,
     match_decision,
     ml_policy,

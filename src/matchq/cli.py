@@ -38,6 +38,7 @@ from .graphs import (
     ncond_check,
 )
 from .marginal import fluid_report
+from .policies import five_cycle_priority_policy, pendant_priority_policy
 from .randgraph import grow_and_match, type_distribution
 from .simulate import (
     SimConfig,
@@ -219,6 +220,13 @@ def _cmd_simulate(args):
     _emit(args, outputs, [args.graph, args.rates, args.policy])
 
 
+# The exact regions and the one priority rule each holds for, by graph.
+_EXACT_REGIONS = {
+    PENDANT_EDGES: (pendant_region, pendant_priority_policy),
+    FIVE_CYCLE_EDGES: (fivecycle_region, five_cycle_priority_policy),
+}
+
+
 def _cmd_stability(args):
     graph = _load_graph(args.graph)
     rates = _load_rates(args.rates)
@@ -235,17 +243,21 @@ def _cmd_stability(args):
             master_seed=args.seed,
         )
         verdict = empirical_classify(graph, rates, policy, budget)
-    elif graph.edges == PENDANT_EDGES:
-        verdict = pendant_region(rates)
-    elif graph.edges == FIVE_CYCLE_EDGES:
-        verdict = fivecycle_region(rates)
+    elif graph.edges in _EXACT_REGIONS:
+        region, canonical = _EXACT_REGIONS[graph.edges]
+        if args.policy is not None and _load_policy(args.policy) != canonical():
+            raise NotApplicableError(
+                "the exact region holds for the graph's canonical priority rule "
+                "only; use --empirical for other policies"
+            )
+        verdict = region(rates)
     else:
         raise NotApplicableError(
             "exact regions exist for the canonical pendant graph and 5-cycle; "
             "use --empirical for other instances"
         )
     _emit(args, [("stability", ser.verdict_to_obj(verdict))],
-          [args.graph, args.rates] + ([args.policy] if args.empirical else []))
+          [args.graph, args.rates] + ([args.policy] if args.policy else []))
 
 
 def _cmd_counterexample(args):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,12 +77,6 @@ def pendant_alpha(rates: Sequence[float]) -> float:
     return _PENDANT.law(rates).alpha
 
 
-def pendant_alpha_quotient(rates: Sequence[float]) -> float:
-    """The same constant written as a single quotient; used for cross-checks."""
-    l1, l2, l3, _ = rates
-    return (l3 * l3 - (l1 - l2) ** 2) / (l3 * (l3 + l1 + l2))
-
-
 def fivecycle_alpha(rates: Sequence[float]) -> float:
     """Empty-state probability of the 5-cycle marginal chain at the apex."""
     return _FIVE_CYCLE.law(rates).alpha
@@ -112,19 +106,6 @@ class StationaryDist:
     @cached_property
     def states(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.state_array.tolist()))
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    def prob(self, state: tuple[int, ...]) -> float:
-        i = self.index.get(tuple(state))
-        return 0.0 if i is None else float(self.probs[i])
-
-    def mass(self, predicate: Callable[[tuple[int, ...]], bool]) -> float:
-        return float(
-            sum(p for s, p in zip(self.states, self.probs) if predicate(s))
-        )
 
 
 def _check_truncation(truncation: int) -> None:
@@ -326,15 +307,6 @@ class MarginalChain:
         return {v: k for k, v in enumerate(self.s_nodes)}
 
     @cached_property
-    def _s_adjacent(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for v in self.s_nodes:
-            out.append(
-                tuple(self._index[w] for w in self.graph.neighbors(v) if w in self._index)
-            )
-        return tuple(out)
-
-    @cached_property
     def _splits(self) -> dict[int, tuple]:
         """The class split, per target node: every coordinate, then i0.
 
@@ -370,14 +342,6 @@ class MarginalChain:
         for j, coords, busy, step in self._splits[target]:
             yield j, busy + np.where(pos[:, coords], step, 0.0).sum(axis=1)
 
-    def is_valid_state(self, x: Sequence[int]) -> bool:
-        if len(x) != len(self.s_nodes) or any(v < 0 for v in x):
-            return False
-        return all(
-            x[k] == 0 or all(x[m] == 0 for m in self._s_adjacent[k])
-            for k in range(len(x))
-        )
-
     @cached_property
     def _coord_rates(self) -> np.ndarray:
         return np.array([self.rates[v - 1] for v in self.s_nodes], dtype=float)
@@ -387,8 +351,8 @@ class MarginalChain:
         """0/1 adjacency matrix among the coordinates."""
         m = len(self.s_nodes)
         adj = np.zeros((m, m), dtype=np.int64)
-        for k, nbrs in enumerate(self._s_adjacent):
-            adj[k, list(nbrs)] = 1
+        for k, v in enumerate(self.s_nodes):
+            adj[k, [self._index[w] for w in self.graph.neighbors(v) if w in self._index]] = 1
         return adj
 
     def rates_at(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,35 +374,23 @@ class MarginalChain:
             down[rows, coord] = total
         return up, down
 
-    def transitions(self, x: tuple[int, ...]):
-        """All positive-rate moves from x as (coordinate, delta, rate)."""
-        up, down = self.rates_at(np.array([x], dtype=np.int64).reshape(1, -1))
-        out = []
-        for coord in range(len(self.s_nodes)):
-            if up[0, coord] > 0.0:
-                out.append((coord, +1, float(up[0, coord])))
-            if down[0, coord] > 0.0:
-                out.append((coord, -1, float(down[0, coord])))
-        return out
-
-    def enumerate_states(
-        self, truncation: int, max_states: int = _MAX_STATES
-    ) -> np.ndarray:
+    def enumerate_states(self, truncation: int) -> np.ndarray:
         """All states with every coordinate at most `truncation`, as the rows
         of an (n, m) int array in lexicographic order.
 
         Built one coordinate at a time: a prefix extends by 0..truncation
-        when no earlier neighbor of the new coordinate is positive, else by
-        0 alone, so the rows stay sorted.
+        when no earlier neighbor of the new coordinate k (row k of the
+        adjacency matrix) is positive, else by 0 alone, so the rows stay
+        sorted.
         """
         states = np.zeros((1, 0), dtype=np.int64)
-        for k, nbrs in enumerate(self._s_adjacent):
-            earlier = [j for j in nbrs if j < k]
+        for k in range(len(self.s_nodes)):
+            earlier = np.flatnonzero(self._adjacency[k, :k])
             counts = np.where((states[:, earlier] > 0).any(axis=1), 1, truncation + 1)
             n = int(counts.sum())
-            if n > max_states:
+            if n > _MAX_STATES:
                 raise TooLargeError(
-                    f"truncated marginal space exceeds {max_states} states"
+                    f"truncated marginal space exceeds {_MAX_STATES} states"
                 )
             offsets = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
             states = np.column_stack([np.repeat(states, counts, axis=0), offsets])

@@ -263,22 +263,6 @@ def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None
         t = float(times[-1])
 
 
-def apply_transition(
-    state: Sequence[int], arriving: int, decision: Optional[int]
-) -> tuple[int, ...]:
-    """Next queue vector: enqueue the arrival or remove the matched item."""
-    out = list(int(q) for q in state)
-    if decision is None:
-        out[arriving - 1] += 1
-    else:
-        if out[decision - 1] <= 0:
-            raise InvalidStateError(
-                f"cannot match against empty queue of class {decision}"
-            )
-        out[decision - 1] -= 1
-    return tuple(out)
-
-
 def priority_set(policy: Policy, graph: Graph, j: int, i: int) -> frozenset[int]:
     """Neighbors of j that j serves strictly before i."""
     if policy.kind != PRIORITY:

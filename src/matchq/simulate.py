@@ -67,7 +67,6 @@ class SimConfig:
     stop_node: Optional[int] = None
     stop_when_empty: bool = False
     max_events: Optional[int] = None
-    check_states: bool = False
 
 
 @dataclass
@@ -169,8 +168,6 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
     stop_node = config.stop_node
     stop_empty = config.stop_when_empty
     max_events = config.max_events
-    check = config.check_states
-    edges = graph.edges
 
     rec_t: list[float] = []
     rec_c: list[int] = []
@@ -201,10 +198,6 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
                 if q[c] == 0:
                     nnz += 1
                 q[c] += 1
-                if check:
-                    for a, b in edges:
-                        if q[a] and q[b]:
-                            raise InvalidStateError(f"state left the state space at t={t}")
             events += 1
             if stride and events % stride == 0:
                 rec_t.append(t)
@@ -267,11 +260,14 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, stderr
 
 
+# fewest recorded snapshots in the fit window for a slope worth reporting
+_MIN_SAMPLES = 100
+
+
 def drift_estimate(
     trace: SimTrace,
     node: int,
     window: Optional[tuple[float, float]] = None,
-    min_samples: int = 100,
 ) -> DriftEstimate:
     """Least-squares slope of the node's scaled queue over a scaled window.
 
@@ -291,9 +287,9 @@ def drift_estimate(
     w0, w1 = window
     mask = (t_scaled >= w0) & (t_scaled <= w1)
     n = int(mask.sum())
-    if n < min_samples:
+    if n < _MIN_SAMPLES:
         raise InsufficientSamplesError(
-            f"{n} samples in window {window}, need {min_samples}"
+            f"{n} samples in window {window}, need {_MIN_SAMPLES}"
         )
     x = trace.times[mask]
     y = trace.states[mask, node - 1].astype(float)

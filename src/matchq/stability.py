@@ -391,6 +391,8 @@ def empirical_classify(
     probe = list(graph.nodes) if nodes is None else [int(v) for v in nodes]
     if not probe:
         raise ValidationError("empirical_classify needs at least one node to probe")
+    if len(set(probe)) < len(probe):
+        raise ValidationError(f"nodes {probe} name a node twice; evidence is kept per node")
     for v in probe:
         if not 1 <= v <= graph.node_count:
             raise IndexOutOfRangeError(v, graph.node_count)

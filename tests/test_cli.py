@@ -13,7 +13,12 @@ import pytest
 import matchq.serialize as ser
 from matchq.cli import main
 from matchq.graphs import Graph, five_cycle_graph, pendant_graph
-from matchq.policies import ml_policy, pendant_priority_policy
+from matchq.policies import (
+    five_cycle_priority_policy,
+    ml_policy,
+    pendant_priority_policy,
+    priority_policy,
+)
 from matchq.stability import counterexample
 
 
@@ -204,6 +209,33 @@ def test_cli_stability_not_applicable_exit_3(files, tmp_path, capsys):
     rc = main(["stability", "--graph", str(files["square"]),
                "--rates", str(tmp_path / "r4.json")])
     assert rc == 3
+
+
+def test_cli_stability_exact_route_takes_only_the_canonical_rule(files, tmp_path, capsys):
+    # each exact region holds for one priority rule; on the 5-cycle node 1's
+    # order is part of it (the node-3 inequality), though the apex chain
+    # never reads it
+    ser.dump_json({"rates": [0.1, 0.1, 0.225, 0.225, 0.35]}, tmp_path / "r5.json")
+    ser.dump_json(ser.policy_to_obj(five_cycle_priority_policy()), tmp_path / "p5.json")
+    flipped = {**five_cycle_priority_policy().order, 1: (3, 2)}
+    ser.dump_json(ser.policy_to_obj(priority_policy(flipped)), tmp_path / "flip5.json")
+    pendant = ["stability", "--graph", str(files["pendant"]), "--rates", str(files["rates"])]
+    c5 = ["stability", "--graph", str(files["c5"]), "--rates", str(tmp_path / "r5.json")]
+    for argv in (pendant + ["--policy", str(files["ml"])],
+                 c5 + ["--policy", str(files["ml"])],
+                 c5 + ["--policy", str(tmp_path / "flip5.json")]):
+        assert main(argv + ["--out", str(tmp_path / "refused")]) == 3
+        assert "--empirical" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    for name, argv, policy in (("pendant", pendant, files["policy"]),
+                               ("c5", c5, tmp_path / "p5.json")):
+        out_dir = tmp_path / name
+        assert main(argv + ["--policy", str(policy), "--out", str(out_dir)]) == 0
+        assert main(argv) == 0
+        assert json.loads((out_dir / "stability.json").read_text()) == json.loads(
+            capsys.readouterr().out)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert str(policy) in manifest["inputs"]
 
 
 def test_cli_construct_not_applicable_exit_3(files, tmp_path):

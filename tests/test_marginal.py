@@ -25,7 +25,6 @@ from matchq.marginal import (
     fivecycle_node_reports,
     fluid_report,
     pendant_alpha,
-    pendant_alpha_quotient,
     stationary_closed_5cycle,
     stationary_closed_pendant,
     stationary_numeric,
@@ -39,6 +38,7 @@ from matchq.policies import (
 )
 from matchq.simulate import SimConfig, drift_estimate, simulate
 from matchq.stability import PENDANT_PRIORITY, PENDANT_UNIFORM, counterexample
+from oracles import law, law_gap, pendant_alpha_quotient
 
 PENDANT = pendant_graph()
 FIVE_CYCLE = five_cycle_graph()
@@ -47,7 +47,15 @@ LAM_5 = (0.1, 0.1, 0.225, 0.225, 0.35)
 
 
 def _rates_map(chain, x):
-    return {(coord, delta): rate for coord, delta, rate in chain.transitions(x)}
+    """Every positive-rate move from state x as {(coordinate, delta): rate}."""
+    up, down = chain.rates_at(np.array([x], dtype=np.int64))
+    out = {}
+    for coord in range(len(x)):
+        if up[0, coord] > 0.0:
+            out[(coord, +1)] = float(up[0, coord])
+        if down[0, coord] > 0.0:
+            out[(coord, -1)] = float(down[0, coord])
+    return out
 
 
 def test_pendant_marginal_generator_table():
@@ -134,25 +142,27 @@ def test_closed_forms_check_the_rate_count():
 def test_closed_form_detailed_balance():
     l1, l2, l3, _ = LAM_P
     alpha, dist = stationary_closed_pendant(LAM_P, truncation=60)
+    prob = law(dist)
     for i in range(0, 50):
-        up = dist.prob((i, 0)) * l1
-        down = dist.prob((i + 1, 0)) * (l3 + l2)
+        up = prob[(i, 0)] * l1
+        down = prob[(i + 1, 0)] * (l3 + l2)
         assert up == pytest.approx(down, rel=1e-12)
     for j in range(0, 50):
-        up = dist.prob((0, j)) * l2
-        down = dist.prob((0, j + 1)) * (l3 + l1)
+        up = prob[(0, j)] * l2
+        down = prob[(0, j + 1)] * (l3 + l1)
         assert up == pytest.approx(down, rel=1e-12)
 
 
 def test_closed_form_detailed_balance_five_cycle():
     l1, l2, l3, l4, _ = LAM_5
     _, dist = stationary_closed_5cycle(LAM_5, truncation=60)
+    prob = law(dist)
     for i in range(0, 50):
-        assert dist.prob((i, 0)) * l1 == pytest.approx(
-            dist.prob((i + 1, 0)) * (l3 + l2), rel=1e-12
+        assert prob[(i, 0)] * l1 == pytest.approx(
+            prob[(i + 1, 0)] * (l3 + l2), rel=1e-12
         )
-        assert dist.prob((0, i)) * l2 == pytest.approx(
-            dist.prob((0, i + 1)) * (l1 + l4), rel=1e-12
+        assert prob[(0, i)] * l2 == pytest.approx(
+            prob[(0, i + 1)] * (l1 + l4), rel=1e-12
         )
 
 
@@ -169,14 +179,14 @@ def test_numeric_matches_closed_forms():
     chain = build_marginal(PENDANT, LAM_P, pendant_priority_policy(), 4)
     numeric = stationary_numeric(chain, truncation=200)
     _, closed = stationary_closed_pendant(LAM_P, truncation=200)
-    gap = max(abs(numeric.prob(s) - closed.prob(s)) for s in numeric.states)
+    gap = law_gap(numeric, closed)
     assert gap < 1e-10
     assert numeric.tail_mass < 1e-9
 
     chain5 = build_marginal(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 5)
     numeric5 = stationary_numeric(chain5, truncation=200)
     _, closed5 = stationary_closed_5cycle(LAM_5, truncation=200)
-    gap5 = max(abs(numeric5.prob(s) - closed5.prob(s)) for s in numeric5.states)
+    gap5 = law_gap(numeric5, closed5)
     assert gap5 < 1e-10
 
 
@@ -211,11 +221,12 @@ def test_fluid_report_guard_sets():
     assert report.guard_probs == {3: pytest.approx(9 / 13, abs=1e-12)}
     r5 = fluid_report(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 5, 1.0)
     _, dist5 = stationary_closed_5cycle(LAM_5)
+    empty = dist5.state_array == 0
     assert r5.guard_probs[3] == pytest.approx(
-        dist5.mass(lambda s: s[0] == 0), abs=1e-9
+        float(sum(dist5.probs[empty[:, 0]])), abs=1e-9
     )
     assert r5.guard_probs[4] == pytest.approx(
-        dist5.mass(lambda s: s[1] == 0), abs=1e-9
+        float(sum(dist5.probs[empty[:, 1]])), abs=1e-9
     )
 
 
@@ -293,7 +304,7 @@ def test_fivecycle_node3_constants_match_generic_numeric_machinery():
     assert chain.s_nodes == (2, 4)
     dist = stationary_numeric(chain, truncation=200)
     rep = fivecycle_node_reports(LAM_5)
-    assert dist.prob((0, 0)) == pytest.approx(rep.alpha24, abs=1e-9)
+    assert law(dist)[(0, 0)] == pytest.approx(rep.alpha24, abs=1e-9)
     report = fluid_report(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 3, 1.0)
     assert report.drift == pytest.approx(rep.node3_drift, abs=1e-9)
 
@@ -380,7 +391,7 @@ def test_closed_vs_numeric_on_random_instances(seed):
     chain = build_marginal(PENDANT, lam, pendant_priority_policy(), 4)
     numeric = stationary_numeric(chain, truncation=120)
     _, closed = stationary_closed_pendant(lam, truncation=120)
-    gap = max(abs(numeric.prob(s) - closed.prob(s)) for s in numeric.states)
+    gap = law_gap(numeric, closed)
     assert gap < 1e-8
 
 
@@ -469,17 +480,23 @@ def test_enumerate_states_lexicographic_and_independent():
     assert chain.s_nodes == (3, 4, 5, 6)
     rows = [tuple(s) for s in states.tolist()]
     assert rows == sorted(set(rows))
-    assert all(chain.is_valid_state(s) for s in rows)
+    # no two adjacent coordinates are positive together
+    adjacent = [(chain.s_nodes.index(a), chain.s_nodes.index(b))
+                for a, b in chain.graph.edges if a in chain.s_nodes and b in chain.s_nodes]
+    assert (states >= 0).all()
+    assert not any(((states[:, a] > 0) & (states[:, b] > 0)).any() for a, b in adjacent)
     assert len(rows) == 1 + 4 * 5 + 3 * 5**2
 
 
-def test_enumerate_states_cap():
-    from matchq.errors import TooLargeError
+def test_enumerate_states_cap(monkeypatch):
+    import matchq.marginal as marginal
 
     chain = build_marginal(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 5)
-    assert len(chain.enumerate_states(10, max_states=21)) == 21
+    monkeypatch.setattr(marginal, "_MAX_STATES", 21)
+    assert len(chain.enumerate_states(10)) == 21
+    monkeypatch.setattr(marginal, "_MAX_STATES", 20)
     with pytest.raises(TooLargeError):
-        chain.enumerate_states(10, max_states=20)
+        chain.enumerate_states(10)
 
 
 def test_numeric_records_lu_solver_and_residual():
@@ -530,13 +547,14 @@ def test_numeric_wide_state_codes_match_glued_rays():
         k: rates[v - 1] / (rates[1] / 2 + sum(rates[u - 1] for u in outer if u != v))
         for k, v in enumerate(outer)
     }
-    empty = dist.prob((0,) * 9)
+    prob = law(dist)
+    empty = prob[(0,) * 9]
     assert empty == pytest.approx(1 / (1 + sum(r / (1 - r) for r in ratio.values())),
                                   rel=1e-12)
     for k, r in ratio.items():
         for level in (1, 2, 7):
             x = tuple(level if c == k else 0 for c in range(9))
-            assert dist.prob(x) == pytest.approx(empty * r**level, rel=1e-9)
+            assert prob[x] == pytest.approx(empty * r**level, rel=1e-9)
 
 
 @pytest.mark.parametrize("closed, rates", [

@@ -14,7 +14,6 @@ from matchq.errors import (
 from matchq.graphs import complete_graph, pendant_graph
 from matchq.policies import (
     Policy,
-    apply_transition,
     in_state_space,
     match_decision,
     ml_policy,
@@ -24,6 +23,7 @@ from matchq.policies import (
     uniform_policy,
     validate_policy,
 )
+from oracles import apply_transition
 
 PENDANT = pendant_graph()
 FIG_POLICY = pendant_priority_policy()

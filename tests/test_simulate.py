@@ -14,6 +14,7 @@ from matchq.errors import (
 from matchq.graphs import Graph, complete_graph, five_cycle_graph, pendant_graph
 from matchq.marginal import pendant_alpha
 from matchq.policies import (
+    five_cycle_priority_policy,
     ml_policy,
     pendant_priority_policy,
     priority_policy,
@@ -61,15 +62,27 @@ def test_reproducible_bit_for_bit():
         assert a.n_events == b.n_events
 
 
+def _no_edge_both_positive(graph, states):
+    pos = states > 0
+    return not any((pos[:, a - 1] & pos[:, b - 1]).any() for a, b in graph.edges)
+
+
 def test_visited_states_stay_in_state_space():
+    # at stride 1 the trace records the state after every event
+    c5 = five_cycle_graph()
     for policy in (FIG_POLICY, ml_policy(), uniform_policy()):
         for seed in (0, 1):
-            simulate(
-                PENDANT,
-                LAM,
-                policy,
-                _cfg(horizon=3000.0, seed=seed, check_states=True, trace_stride=0),
-            )
+            trace = simulate(PENDANT, LAM, policy,
+                             _cfg(horizon=3000.0, seed=seed, trace_stride=1))
+            assert len(trace.states) == trace.n_events
+            assert _no_edge_both_positive(PENDANT, trace.states)
+    # the sample paths of the sim-c5-*-stride3-checked golden cases
+    for policy in (five_cycle_priority_policy(), ml_policy(), uniform_policy()):
+        trace = simulate(c5, (0.1, 0.1, 0.225, 0.225, 0.35), policy,
+                         SimConfig(horizon=12000.0, seed=15, initial_state=(3, 0, 0, 0, 2),
+                                   trace_stride=1))
+        assert len(trace.states) == trace.n_events
+        assert _no_edge_both_positive(c5, trace.states)
 
 
 def test_triangle_at_most_one_positive_queue():

@@ -321,7 +321,7 @@ def test_empirical_triangle_stable():
 
 @pytest.mark.parametrize(
     "nodes, error", [([], ValidationError), ([9], IndexOutOfRangeError),
-                     ([4, 0], IndexOutOfRangeError)],
+                     ([4, 0], IndexOutOfRangeError), ([4, 4], ValidationError)],
 )
 def test_empirical_classify_checks_nodes_before_simulating(monkeypatch, nodes, error):
     def no_simulation(*args, **kwargs):
