@@ -1,12 +1,29 @@
 """Helpers the tests share.
 
-pendant_alpha_quotient and apply_transition restate what the package
-computes another way, so a test that agrees with them checks the package
-by a second route; law reads a stationary law as a dict keyed by state,
-and law_gap compares two laws state by state.
+pendant_alpha_quotient, apply_transition and dense_row_stationary restate
+what the package computes another way, so a test that agrees with them
+checks the package by a second route; law reads a stationary law as a
+dict keyed by state, and law_gap compares two laws state by state.
 """
 
-from matchq.errors import InvalidStateError
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve
+
+from matchq.errors import InvalidStateError, NotConvergedError, ReducibleError
+from matchq.marginal import (
+    DEFAULT_TOL,
+    DEFAULT_TRUNCATION,
+    NUMERIC_TRUNCATED,
+    SOLVER_CLOSED,
+    SOLVER_LU,
+    SOLVER_POWER,
+    MarginalChain,
+    StationaryDist,
+    _check_truncation,
+    _power_iteration,
+)
 
 
 def pendant_alpha_quotient(rates):
@@ -42,3 +59,110 @@ def law_gap(numeric, closed):
     closed = law(closed)
     return max(abs(p - closed.get(s, 0.0)) for s, p in law(numeric).items())
 
+
+def dense_row_stationary(
+    chain: MarginalChain, truncation: int = DEFAULT_TRUNCATION
+) -> StationaryDist:
+    """stationary_numeric by the dense-row route: the same assembly and
+    gates, but the last balance equation is replaced by a row of ones for
+    sum(pi) = 1, solved with SuperLU's default ordering. It keeps every
+    state's equation but that one, where stationary_numeric drops the
+    empty state's, so the two agree up to the rounding in Q's row sums.
+
+    Stationary law of the chain truncated to a box of side `truncation`.
+
+    Transitions leaving the box are suppressed, which keeps the generator
+    conservative. Solves the global balance equations by a direct sparse
+    factorization with one balance row replaced by normalization; falls
+    back to power iteration on the uniformized kernel if the direct solve
+    misbehaves. The reported tail mass is the probability of the boundary
+    layer (some coordinate equal to the truncation level).
+    """
+    _check_truncation(truncation)
+    states = chain.enumerate_states(truncation)
+    n, m = states.shape
+    if n == 1:
+        return StationaryDist(
+            state_array=states,
+            probs=np.array([1.0]),
+            tail_mass=0.0,
+            method=NUMERIC_TRUNCATED,
+            solver=SOLVER_CLOSED,
+            residual=0.0,
+        )
+    # Mixed-radix codes: the states are sorted lexicographically, so their
+    # codes are sorted and a neighbor is found by binary search. Python
+    # integers take over when the codes would overflow int64.
+    radix = truncation + 1
+    wide = radix**m > np.iinfo(np.int64).max
+    place = np.array([radix ** (m - 1 - k) for k in range(m)],
+                     dtype=object if wide else np.int64)
+    codes = states.astype(place.dtype) @ place
+    up, down = chain.rates_at(states)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    # Per state, the diagonal subtracts the rates in coordinate order, up
+    # before down; rows without a move subtract nothing, so each entry is
+    # the same float as a state-by-state sum.
+    for k in range(m):
+        for delta, rate in ((+1, up[:, k]), (-1, down[:, k])):
+            src = np.flatnonzero(rate > 0.0)
+            if delta > 0:
+                src = src[states[src, k] < truncation]  # suppressed: leaves the box
+            rows.append(src)
+            cols.append(np.searchsorted(codes, codes[src] + delta * place[k]))
+            vals.append(rate[src])
+            diag[src] -= rate[src]
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    every = np.arange(n)
+    q = sp.coo_matrix(
+        (np.concatenate([vals, diag]), (np.concatenate([rows, every]),
+                                        np.concatenate([cols, every]))),
+        shape=(n, n),
+    ).tocsr()
+
+    ncomp, _ = connected_components(q, directed=True, connection="strong")
+    if ncomp != 1:
+        raise ReducibleError(
+            f"truncated chain splits into {ncomp} communicating classes"
+        )
+
+    # Balance equations pi Q = 0 as Q^T pi = 0, with the last one replaced
+    # by sum(pi) = 1.
+    keep = cols != n - 1
+    a = sp.coo_matrix(
+        (
+            np.concatenate([vals[keep], diag[:-1], np.ones(n)]),
+            (
+                np.concatenate([cols[keep], every[:-1], np.full(n, n - 1)]),
+                np.concatenate([rows[keep], every[:-1], every]),
+            ),
+        ),
+        shape=(n, n),
+    ).tocsr()
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    solver = SOLVER_LU
+    with np.errstate(all="ignore"):
+        pi = spsolve(a, b)
+    if not np.all(np.isfinite(pi)):
+        pi = _power_iteration(q)
+        solver = SOLVER_POWER
+    pi = np.where(np.abs(pi) < 1e-300, 0.0, pi)
+    if pi.min() < -1e-9:
+        raise NotConvergedError(f"negative mass {pi.min():.3e} in stationary solve")
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+    residual = float(np.max(np.abs(pi @ q)))
+    if residual > max(DEFAULT_TOL, 1e3 * np.finfo(float).eps * float(np.abs(q).max())):
+        raise NotConvergedError(f"balance residual {residual:.3e} above {DEFAULT_TOL:.1e}")
+    boundary = (states >= truncation).any(axis=1).astype(float)
+    tail = float(pi @ boundary)
+    return StationaryDist(
+        state_array=states,
+        probs=pi,
+        tail_mass=tail,
+        method=NUMERIC_TRUNCATED,
+        solver=solver,
+        residual=residual,
+    )

@@ -38,7 +38,8 @@ import numpy as np
 import pytest
 
 from matchq.cli import build_parser, main
-from matchq.errors import MatchQError, NotApplicableError, NotConnectedError
+import matchq.marginal
+from matchq.errors import MatchQError, NotApplicableError, NotConnectedError, ReducibleError
 from matchq.graphs import (
     Graph,
     complete_graph,
@@ -87,6 +88,7 @@ from matchq.simulate import (
     coupled_nonexpansive,
     simulate,
 )
+from oracles import dense_row_stationary
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -308,7 +310,11 @@ def _nonmaximal_graphs(count, seed=51):
         yield inst
 
 
-def _marginal_cases():
+def _marginal_chains():
+    """Every chain the marginal digests pin, as (case name, graph, rates,
+    policy, node, truncation): 96 chains under 56 names, since each
+    nonmaximal case pins its instance under its own policy and under the
+    uniform rule."""
     c7 = cycle_graph(7)
     orders = {
         "descending": priority_policy(
@@ -321,22 +327,60 @@ def _marginal_cases():
     for rname, rates in (("equal", (1 / 7,) * 7), ("skewed", (0.22,) + (0.13,) * 6)):
         for oname, pol in orders.items():
             for t in (20, 60):
-                yield f"marginal-c7-{rname}-{oname}-T{t}", lambda r=rates, pol=pol, t=t: (
-                    _marginal_digest(c7, r, pol, 1, t)
-                )
+                yield f"marginal-c7-{rname}-{oname}-T{t}", c7, rates, pol, 1, t
     for family, bound in sorted(FAMILY_EPS_BOUND.items()):
         inst = counterexample(family, bound / 2)
         p = inst.graph.node_count
         rotation = {v: v % p + 1 for v in inst.graph.nodes}
-        yield f"marginal-family-{family}-T200", lambda a=(inst, rotation): (
-            _marginal_digest(*_relabel(a[0].graph, a[0].rates, a[0].policy,
-                                       a[0].node, a[1]), 200)
-        )
+        yield (f"marginal-family-{family}-T200",
+               *_relabel(inst.graph, inst.rates, inst.policy, inst.node, rotation), 200)
     for k, inst in enumerate(_nonmaximal_graphs(40)):
-        yield f"marginal-nonmaximal-{k:02d}-T6", lambda inst=inst: _digest(
-            _marginal_digest(inst.graph, inst.rates, inst.policy, inst.node, 6),
-            _marginal_digest(inst.graph, inst.rates, uniform_policy(), inst.node, 6),
-        )
+        for pol in (inst.policy, uniform_policy()):
+            yield f"marginal-nonmaximal-{k:02d}-T6", inst.graph, inst.rates, pol, inst.node, 6
+
+
+MARGINAL_CHAINS = list(_marginal_chains())
+
+
+def _marginal_cases():
+    groups = {}
+    for name, *chain in MARGINAL_CHAINS:
+        groups.setdefault(name, []).append(chain)
+    for name, chains in groups.items():
+        if len(chains) == 1:
+            yield name, lambda c=chains[0]: _marginal_digest(*c)
+        else:
+            yield name, lambda cs=chains: _digest(*(_marginal_digest(*c) for c in cs))
+
+
+@pytest.mark.parametrize("graph, rates, policy, node, truncation", [
+    pytest.param(*chain, id=f"{name}-{chain[2].kind}") for name, *chain in MARGINAL_CHAINS
+])
+def test_pinned_solve_agrees_with_dense_row_solve(graph, rates, policy, node, truncation,
+                                                  monkeypatch):
+    # stationary_numeric pins the empty state and drops its balance
+    # equation; the oracle drops the last one for a row of ones. Q's row
+    # sums vanish only to rounding, so the two systems have different
+    # exact answers: within 1e-14 while the law sits inside the box, and
+    # within 5e-14 once 1% or more of it lies on the truncation boundary.
+    chain = build_marginal(graph, rates, policy, node)
+    try:
+        pinned = stationary_numeric(chain, truncation)
+    except ReducibleError as exc:
+        with pytest.raises(ReducibleError) as dense_exc:
+            dense_row_stationary(chain, truncation)
+        assert str(dense_exc.value) == str(exc)
+        return
+    dense = dense_row_stationary(chain, truncation)
+    assert pinned.solver == dense.solver
+    assert pinned.residual <= 1e-15 and dense.residual <= 1e-15
+    gap = np.max(np.abs(pinned.probs - dense.probs))
+    assert gap <= (1e-14 if max(pinned.tail_mass, dense.tail_mass) < 0.01 else 5e-14)
+    drift = fluid_report(graph, rates, policy, node, 1.0, truncation=truncation).drift
+    monkeypatch.setattr(matchq.marginal, "stationary_numeric", dense_row_stationary)
+    dense_drift = fluid_report(graph, rates, policy, node, 1.0, truncation=truncation).drift
+    assert np.sign(drift) == np.sign(dense_drift)
+    assert abs(drift - dense_drift) <= 1e-12
 
 
 def _rate_graphs():

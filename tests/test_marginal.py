@@ -521,12 +521,58 @@ def test_numeric_records_power_iteration_fallback(monkeypatch):
 
     chain = build_marginal(PENDANT, LAM_P, pendant_priority_policy(), 4)
     direct = stationary_numeric(chain, truncation=30)
-    monkeypatch.setattr(marginal, "spsolve", lambda a, b: np.full(len(b), np.nan))
+    monkeypatch.setattr(marginal, "spsolve", lambda a, b, **kw: np.full(len(b), np.nan))
     fallback = stationary_numeric(chain, truncation=30)
     assert direct.solver == "lu"
     assert fallback.solver == "power-iteration"
     assert fallback.residual <= 1e-12
     assert np.max(np.abs(fallback.probs - direct.probs)) < 1e-9
+
+
+def test_numeric_solve_pins_the_empty_state(monkeypatch):
+    import matchq.marginal as marginal
+
+    calls = []
+    solve = marginal.spsolve
+
+    def spy(a, b, **kw):
+        x = solve(a, b, **kw)
+        calls.append((a.shape, b, kw, x))
+        return x
+
+    monkeypatch.setattr(marginal, "spsolve", spy)
+    chain = build_marginal(cycle_graph(7), (1 / 7,) * 7, C7_DESCENDING, 1)
+    dist = stationary_numeric(chain, truncation=4)
+    n = len(dist.probs)
+    [(shape, b, kw, x)] = calls
+    assert shape == (n - 1, n - 1)
+    assert kw == {"permc_spec": "MMD_AT_PLUS_A"}
+    # the unknown left out is row 0, the all-zero state: the right-hand
+    # side is the flow out of it, into the states one step up, and the
+    # solution is every other state's mass relative to it
+    assert not dist.state_array[0].any()
+    assert (dist.state_array[np.flatnonzero(b) + 1].sum(axis=1) == 1).all()
+    assert np.allclose(dist.probs[1:] / dist.probs[0], x, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("policy, down", [
+    (priority_policy({1: (2,), 2: (3, 1), 3: (2,)}), 0.3),
+    (uniform_policy(), 0.15),
+])
+def test_numeric_two_state_chain_matches_closed_form(policy, down):
+    # the path 1-2-3 at node 1: the one coordinate, node 3, climbs at
+    # l3 and falls at l2 when node 2 serves it first, at l2 / 2 when node
+    # 2 splits its arrivals between it and node 1
+    from matchq.graphs import Graph
+
+    path = Graph.from_edges(3, [(1, 2), (2, 3)])
+    rates = (0.5, 0.3, 0.2)
+    dist = stationary_numeric(build_marginal(path, rates, policy, 1), truncation=1)
+    up = rates[2]
+    assert dist.state_array.tolist() == [[0], [1]]
+    assert dist.solver == "lu" and dist.residual <= 1e-16
+    assert dist.probs == pytest.approx([down / (up + down), up / (up + down)], rel=1e-15)
+    assert dist.tail_mass == pytest.approx(up / (up + down), rel=1e-15)
 
 
 def test_numeric_wide_state_codes_match_glued_rays():
