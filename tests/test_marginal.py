@@ -570,7 +570,7 @@ def test_numeric_two_state_chain_matches_closed_form(policy, down):
     dist = stationary_numeric(build_marginal(path, rates, policy, 1), truncation=1)
     up = rates[2]
     assert dist.state_array.tolist() == [[0], [1]]
-    assert dist.solver == "lu" and dist.residual <= 1e-16
+    assert dist.solver == "lu" and dist.residual <= 1e-15
     assert dist.probs == pytest.approx([down / (up + down), up / (up + down)], rel=1e-15)
     assert dist.tail_mass == pytest.approx(up / (up + down), rel=1e-15)
 
