@@ -2,10 +2,11 @@
 
 Nodes are labeled 1..p. Edges are unordered pairs. The module provides
 connectivity and bipartiteness tests on one breadth-first traversal
-(`bfs_levels`), exhaustive independent-set enumeration, the necessary
-stability condition on arrival rates (every independent set must receive
-strictly less arrival mass than its neighborhood), separability, and
-exact induced-subgraph searches for the pendant graph and for odd cycles.
+(`bfs_levels`), exhaustive independent-set enumeration on bitmasks, the
+necessary stability condition on arrival rates (every independent set
+must receive strictly less arrival mass than its neighborhood),
+separability, and exact induced-subgraph searches for the pendant graph
+and, by growing induced paths, for odd cycles.
 `classify` combines these into the four-way split used by the stability
 tooling.
 """
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateEdgeError,
@@ -133,6 +136,8 @@ def check_rates(graph: Graph, rates: Sequence[float]) -> tuple[float, ...]:
         )
     if not all(math.isfinite(r) and r > 0 for r in rates):
         raise ValidationError("arrival rates must be finite and strictly positive")
+    if not math.isfinite(sum(rates)):
+        raise ValidationError("arrival rates must have a finite sum")
     return rates
 
 
@@ -186,28 +191,46 @@ def is_bipartite(graph: Graph) -> bool:
 # -- independent sets and the necessary rate condition ----------------------
 
 
+def _independent_masks(graph: Graph) -> np.ndarray:
+    """Every non-empty independent set I as one int64 word: bit v - 1 is
+    set for v in I, and bit p + v - 1 for v in N(I). Refuses graphs beyond
+    ENUMERATION_CAP nodes.
+
+    The sets are built one node at a time: node v joins every set so far
+    that holds none of its neighbors, and brings its neighborhood along.
+    The words are Python ints until the end, since at the 4-7 nodes of a
+    construct_nonmaximal graph one numpy call per step costs more than the
+    whole step on a short list."""
+    p = graph.node_count
+    if p > ENUMERATION_CAP:
+        raise TooLargeError(
+            f"independent-set enumeration capped at {ENUMERATION_CAP} nodes, "
+            f"graph has {p}"
+        )
+    words = [0]  # the empty set
+    for v in graph.nodes:
+        nbrs = _mask(graph.neighbors(v))
+        join = 1 << (v - 1) | nbrs << p
+        words += [w | join for w in words if not w & nbrs]
+    return np.array(words[1:], dtype=np.int64)
+
+
+def _mask(nodes: Iterable[int]) -> int:
+    return sum(1 << (v - 1) for v in nodes)
+
+
+def _members(mask: int, node_count: int) -> list[int]:
+    return [v for v in range(1, node_count + 1) if mask >> (v - 1) & 1]
+
+
 def independent_sets(graph: Graph) -> list[frozenset[int]]:
     """All non-empty independent sets, ordered by size then lexicographically.
 
     Refuses graphs beyond ENUMERATION_CAP nodes.
     """
-    if graph.node_count > ENUMERATION_CAP:
-        raise TooLargeError(
-            f"independent-set enumeration capped at {ENUMERATION_CAP} nodes, "
-            f"graph has {graph.node_count}"
-        )
-    adj = {i: set(graph.neighbors(i)) for i in graph.nodes}
-    out: list[frozenset[int]] = []
-
-    def extend(current: list[int], candidates: list[int]) -> None:
-        for idx, v in enumerate(candidates):
-            current.append(v)
-            out.append(frozenset(current))
-            extend(current, [w for w in candidates[idx + 1 :] if w not in adj[v]])
-            current.pop()
-
-    extend([], list(graph.nodes))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    p = graph.node_count
+    sets = [frozenset(_members(w, p)) for w in _independent_masks(graph).tolist()]
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 def neighbors_of_set(graph: Graph, nodes: Iterable[int]) -> frozenset[int]:
@@ -253,15 +276,48 @@ class NcondResult:
     witness: Optional[frozenset[int]]
 
 
+# The screen in ncond_check adds rates in another order than
+# independent_set_rates, so its margins can differ from the reference ones
+# in the last bits. A margin is built from at most p <= 20 rates, each
+# taken once (a set and its neighborhood are disjoint), added in any order:
+# so the screened and the reference margin both lie within
+# (2p + 1) * 2**-53 * L of the exact one, where L = sum(rates). The
+# reference argmin therefore screens within 4 * (2p + 1) * 2**-53 * L
+# < 2e-14 * L of the screened minimum, and re-scoring every set within
+# _SCREEN_SLACK * L of it covers that about 50 times over. check_rates
+# keeps L finite.
+_SCREEN_SLACK = 1e-12
+# The screen reads margins from lookup tables over chunks of this many bits.
+_CHUNK = 8
+_CHUNK_BITS = ((np.arange(1 << _CHUNK)[:, None] >> np.arange(_CHUNK)) & 1).astype(float)
+
+
 def ncond_check(graph: Graph, rates: Sequence[float]) -> NcondResult:
-    """Check that every independent set is strictly out-rated by its neighborhood."""
+    """Check that every independent set is strictly out-rated by its neighborhood.
+
+    Every set's margin is screened with table sums; the sets whose margin
+    lies within _SCREEN_SLACK * sum(rates) of the smallest are re-scored
+    with the sums of independent_set_rates, so the result is the same to
+    the last bit."""
     rates = check_rates(graph, rates)
     if not is_connected(graph):
         raise NotConnectedError("rate condition is defined for connected graphs")
-    # the smallest (margin, sorted set); members are sorted only on a tie
+    words = _independent_masks(graph)
+    # a word's margin is its bits' weights summed: -rate for a member,
+    # +rate for a neighbor
+    weights = np.array(tuple(-r for r in rates) + rates)
+    screened = 0.0
+    for shift in range(0, weights.size, _CHUNK):
+        width = min(_CHUNK, weights.size - shift)
+        table = _CHUNK_BITS[: 1 << width, :width] @ weights[shift : shift + width]
+        screened = screened + table[words >> shift & (1 << width) - 1]
+    close = words[screened <= screened.min() + _SCREEN_SLACK * sum(rates)]
+    # the smallest (margin, sorted set) among the re-scored sets
+    p, adjacency = graph.node_count, graph.adjacency
     margin = worst = None
-    for ind, own, neighborhood in independent_set_rates(graph, rates):
-        m = neighborhood - own
+    for word in close.tolist():
+        ind = frozenset(_members(word, p))
+        m = rate_of_set(rates, _neighborhood(adjacency, ind)) - rate_of_set(rates, ind)
         if worst is None or m < margin or (m == margin and sorted(ind) < sorted(worst)):
             margin, worst = m, ind
     satisfied = margin > 0.0
@@ -350,15 +406,48 @@ def find_induced_odd_cycle(graph: Graph) -> Optional[tuple[int, ...]]:
     """Smallest induced odd cycle of length >= 5, as an ordered node tuple.
 
     Within a length, the lexicographically first qualifying subset wins.
+    Its smallest node s is the first start from which an induced path of
+    that length over larger nodes closes back to s.
     """
-    length = 5
-    while length <= graph.node_count:
-        for subset in combinations(graph.nodes, length):
-            order = _induced_cycle_order(graph, subset)
-            if order is not None:
-                return tuple(order)
-        length += 2
+    nbrs = {v: _mask(graph.neighbors(v)) for v in graph.nodes}
+    for length in range(5, graph.node_count + 1, 2):
+        for s in graph.nodes:
+            cycles = _induced_cycles_from(nbrs, s, length)
+            if cycles:
+                subset = min(_members(c, graph.node_count) for c in cycles)
+                return tuple(_induced_cycle_order(graph, tuple(subset)))
     return None
+
+
+def _induced_cycles_from(nbrs: dict[int, int], s: int, length: int) -> list[int]:
+    """Node masks of the induced cycles of `length` whose smallest node is s.
+
+    An induced path s, a, ... grows over nodes above s; a new node may touch
+    no earlier path node but its predecessor, and only the last one may
+    (and must) touch s. Each cycle is found once per direction."""
+    ring = nbrs[s]
+    found = []
+
+    def grow(path: int, last: int, forbidden: int, left: int) -> None:
+        step = nbrs[last] & ~forbidden
+        if left == 1:
+            found.extend(path | low for low in _bits(step & ring))
+            return
+        for low in _bits(step & ~ring):
+            grow(path | low, low.bit_length(), forbidden | low | nbrs[last], left - 1)
+
+    below = (1 << s) - 1  # s and every smaller node
+    for low in _bits(ring & ~below):
+        grow(1 << (s - 1) | low, low.bit_length(), below | low, length - 2)
+    return found
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 # -- classification -----------------------------------------------------------

@@ -1,17 +1,37 @@
 """Helpers the tests share.
 
-pendant_alpha_quotient, apply_transition and dense_row_stationary restate
-what the package computes another way, so a test that agrees with them
-checks the package by a second route; law reads a stationary law as a
-dict keyed by state, and law_gap compares two laws state by state.
+pendant_alpha_quotient, apply_transition, dense_row_stationary,
+independent_sets, ncond_check and find_induced_odd_cycle restate what the
+package computes another way, so a test that agrees with them checks the
+package by a second route; law reads a stationary law as a dict keyed by
+state, and law_gap compares two laws state by state.
 """
+
+from itertools import combinations
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
-from matchq.errors import InvalidStateError, NotConvergedError, ReducibleError
+from matchq.errors import (
+    InvalidStateError,
+    NotConnectedError,
+    NotConvergedError,
+    ReducibleError,
+    TooLargeError,
+)
+from matchq.graphs import (
+    ENUMERATION_CAP,
+    Graph,
+    NcondResult,
+    _induced_cycle_order,
+    _neighborhood,
+    check_rates,
+    is_connected,
+    rate_of_set,
+)
 from matchq.marginal import (
     DEFAULT_TOL,
     DEFAULT_TRUNCATION,
@@ -166,3 +186,76 @@ def dense_row_stationary(
         solver=solver,
         residual=residual,
     )
+
+
+# -- the graph layer's exponential searches, written the direct way ------------
+
+
+def independent_sets(graph: Graph) -> list[frozenset[int]]:
+    """All non-empty independent sets, ordered by size then lexicographically.
+
+    Refuses graphs beyond ENUMERATION_CAP nodes.
+    """
+    if graph.node_count > ENUMERATION_CAP:
+        raise TooLargeError(
+            f"independent-set enumeration capped at {ENUMERATION_CAP} nodes, "
+            f"graph has {graph.node_count}"
+        )
+    adj = {i: set(graph.neighbors(i)) for i in graph.nodes}
+    out: list[frozenset[int]] = []
+
+    def extend(current: list[int], candidates: list[int]) -> None:
+        for idx, v in enumerate(candidates):
+            current.append(v)
+            out.append(frozenset(current))
+            extend(current, [w for w in candidates[idx + 1 :] if w not in adj[v]])
+            current.pop()
+
+    extend([], list(graph.nodes))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def independent_set_rates(
+    graph: Graph, rates: Sequence[float]
+) -> Iterator[tuple[frozenset[int], float, float]]:
+    """(set, rate into the set, rate into its neighborhood) for every
+    independent set, in the order of `independent_sets`. Checks nothing:
+    every caller validates its own inputs."""
+    adjacency = graph.adjacency
+    for ind in independent_sets(graph):
+        yield ind, rate_of_set(rates, ind), rate_of_set(rates, _neighborhood(adjacency, ind))
+
+
+def ncond_check(graph: Graph, rates: Sequence[float]) -> NcondResult:
+    """Check that every independent set is strictly out-rated by its neighborhood."""
+    rates = check_rates(graph, rates)
+    if not is_connected(graph):
+        raise NotConnectedError("rate condition is defined for connected graphs")
+    # the smallest (margin, sorted set); members are sorted only on a tie
+    margin = worst = None
+    for ind, own, neighborhood in independent_set_rates(graph, rates):
+        m = neighborhood - own
+        if worst is None or m < margin or (m == margin and sorted(ind) < sorted(worst)):
+            margin, worst = m, ind
+    satisfied = margin > 0.0
+    return NcondResult(
+        satisfied=satisfied,
+        min_margin=margin,
+        argmin=worst,
+        witness=None if satisfied else worst,
+    )
+
+
+def find_induced_odd_cycle(graph: Graph) -> Optional[tuple[int, ...]]:
+    """Smallest induced odd cycle of length >= 5, as an ordered node tuple.
+
+    Within a length, the lexicographically first qualifying subset wins.
+    """
+    length = 5
+    while length <= graph.node_count:
+        for subset in combinations(graph.nodes, length):
+            order = _induced_cycle_order(graph, subset)
+            if order is not None:
+                return tuple(order)
+        length += 2
+    return None

@@ -1,6 +1,9 @@
 """Graph structure: validation, enumeration, rate condition, classification."""
 
+import functools
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +30,14 @@ from matchq.graphs import (
     ncond_check,
     neighbors_of_set,
     pendant_graph,
+    rate_of_set,
     separability,
     two_coloring,
     validate_edges,
 )
+
+import oracles
+from iso_enum import KNOWN_CONNECTED_COUNTS, connected_graphs_up_to
 
 TRIANGLE = complete_graph(3)
 PENDANT = pendant_graph()
@@ -385,3 +392,102 @@ def test_classify_always_produces_a_witness_or_structure(graph):
         assert find_induced_odd_cycle(graph) is None
     elif cls.kind.startswith("non_separable"):
         assert cls.witness is not None
+
+
+# -- the bitmask searches against the direct ones in tests/oracles.py -------------
+
+
+@functools.lru_cache(maxsize=None)
+def _graphs_up_to_7_nodes():
+    return tuple(graph for _, graph in connected_graphs_up_to(7))
+
+
+def _rate_vector(graph, scheme, seed):
+    if scheme == "equal":
+        return (1.0 / graph.node_count,) * graph.node_count
+    if scheme == "random":
+        rng = random.Random(seed)
+        return tuple(rng.uniform(0.05, 1.0) for _ in graph.nodes)
+    # on one node the degree is 0, which is not a rate
+    return tuple(float(max(1, len(graph.neighbors(v)))) for v in graph.nodes)
+
+
+def _assert_rate_condition_matches_oracle(graph, rates):
+    got, want = ncond_check(graph, rates), oracles.ncond_check(graph, rates)
+    assert got.min_margin.hex() == want.min_margin.hex()
+    assert got.argmin == want.argmin
+    assert got.witness == want.witness
+    assert got.satisfied is want.satisfied
+
+
+@pytest.mark.parametrize("scheme", ["equal", "random", "degree"])
+def test_rate_condition_matches_the_oracle_on_every_graph_up_to_7_nodes(scheme):
+    graphs = _graphs_up_to_7_nodes()
+    assert len(graphs) == sum(KNOWN_CONNECTED_COUNTS[p] for p in range(1, 8)) == 996
+    for k, graph in enumerate(graphs):
+        _assert_rate_condition_matches_oracle(graph, _rate_vector(graph, scheme, k))
+
+
+def test_enumeration_and_odd_cycles_match_the_oracles_on_every_graph_up_to_7_nodes():
+    for graph in _graphs_up_to_7_nodes():
+        assert independent_sets(graph) == oracles.independent_sets(graph)
+        assert find_induced_odd_cycle(graph) == oracles.find_induced_odd_cycle(graph)
+
+
+def test_bitmask_searches_match_the_oracles_on_random_graphs_of_8_to_16_nodes():
+    rng = random.Random(13)
+    tried = 0
+    while tried < 45:
+        p = rng.randint(8, 16)
+        pairs = list(itertools.combinations(range(1, p + 1), 2))
+        graph = Graph.from_edges(p, rng.sample(pairs, rng.randint(p - 1, 3 * p)))
+        if not is_connected(graph):
+            continue
+        tried += 1
+        for scheme in ("equal", "random", "degree"):
+            _assert_rate_condition_matches_oracle(graph, _rate_vector(graph, scheme, tried))
+        assert find_induced_odd_cycle(graph) == oracles.find_induced_odd_cycle(graph)
+        if p <= 12:
+            assert independent_sets(graph) == oracles.independent_sets(graph)
+
+
+def test_rate_condition_rescores_the_screened_minimum():
+    # the `ncond-random-4` golden case with seeded random rates: the
+    # margin of the argmin {3, 6, 9, 10} is -0x1.53b8e69adf808p-2 when
+    # its sums run over the frozensets, and a few ulps away in any other
+    # order, so only an exact re-score gives it
+    graph = Graph.from_edges(11, [
+        (1, 3), (1, 6), (1, 8), (1, 9), (2, 3), (2, 4), (2, 6), (3, 8), (4, 6), (4, 7),
+        (4, 10), (5, 10), (7, 9), (7, 10), (8, 11), (9, 11),
+    ])
+    rates = (0.8237542381754199, 0.14122179623843956, 0.9281745987502135,
+             0.7439010171445403, 0.2944730185436358, 0.45610960651408067,
+             0.08243901224986205, 0.18992660932938704, 0.6688751606693584,
+             0.78357952520344, 0.22926317137706065)
+    res = ncond_check(graph, rates)
+    assert res.argmin == res.witness == frozenset({3, 6, 9, 10})
+    assert res.min_margin.hex() == "-0x1.53b8e69adf808p-2"
+    _assert_rate_condition_matches_oracle(graph, rates)
+    ascending = (rate_of_set(rates, sorted(neighbors_of_set(graph, res.argmin)))
+                 - rate_of_set(rates, sorted(res.argmin)))
+    assert ascending.hex() == "-0x1.53b8e69adf7f8p-2"
+
+
+def test_rate_condition_on_the_20_node_star_stays_small():
+    star = Graph.from_edges(20, [(1, v) for v in range(2, 21)])
+    leaves = frozenset(range(2, 21))
+    tracemalloc.start()
+    try:
+        res = ncond_check(star, (1.0,) * 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.argmin == res.witness == leaves
+    assert res.min_margin == rate_of_set((1.0,) * 20, {1}) - rate_of_set((1.0,) * 20, leaves)
+    assert peak < 150 * 2**20
+
+
+def test_odd_cycle_search_reaches_c31():
+    # C31 has no shorter induced odd cycle; by subsets that is every
+    # odd-sized subset of 31 nodes, by induced paths a few thousand steps
+    assert find_induced_odd_cycle(cycle_graph(31)) == tuple(range(1, 32))

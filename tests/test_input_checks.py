@@ -14,7 +14,7 @@ import matchq
 import matchq.serialize as ser
 from matchq.cli import main
 from matchq.errors import MatchQError, ValidationError
-from matchq.graphs import check_rates, pendant_graph
+from matchq.graphs import check_rates, ncond_check, pendant_graph
 from matchq.marginal import fluid_report
 from matchq.policies import ml_policy, pendant_priority_policy, uniform_policy
 from matchq.randgraph import grow_and_match, type_distribution
@@ -60,6 +60,27 @@ def test_non_finite_rates_rejected(bad):
         pendant_region(rates)
     with pytest.raises(ValidationError):
         type_distribution(rates)
+
+
+# Each rate is finite but their sum is not. The exact margin of {1, 4} is
+# -5e306, while both of its float sums overflow to inf and inf - inf is NaN,
+# which a smallest-margin scan skips: the condition read as satisfied.
+OVERFLOWING = (1e308, 0.9e308, 1e308, 0.95e308)
+
+
+def test_rates_with_an_infinite_sum_rejected():
+    with pytest.raises(ValidationError, match="finite sum"):
+        check_rates(PENDANT, OVERFLOWING)
+    with pytest.raises(ValidationError, match="finite sum"):
+        ncond_check(PENDANT, OVERFLOWING)
+
+
+def test_cli_ncond_rates_with_an_infinite_sum_exit_2(files, capsys):
+    ser.dump_json({"rates": list(OVERFLOWING)}, files / "huge.json")
+    argv = ["ncond", "--graph", str(files / "pendant.json"), "--rates", str(files / "huge.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "finite sum" in captured.err and captured.out == ""
 
 
 def test_nan_type_distribution_rejected_by_growth():
