@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -291,10 +292,7 @@ def _cmd_randgraph(args):
         ser.write_growth_csv(result, out / "trajectory.csv")
         outputs.append("trajectory.csv")
         if args.matching_out:
-            ser.dump_json(
-                {"pairs": [list(e) for e in result.matching_edges()]},
-                out / "matching.json",
-            )
+            ser.write_matching_json(result, out / "matching.json")
             outputs.append("matching.json")
     _emit(args, outputs, [args.graph, args.rates, args.policy])
 
@@ -314,7 +312,9 @@ def _command(sub, name, func, help, files=(), seed=False, optional=()):
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="matchq",
         description="Matching-queue simulation and stability analysis",

@@ -68,14 +68,15 @@ class GrowthResult:
             raise ValidationError("empty growth has no matched fraction")
         return self.matched_count / self.n_nodes
 
+    def matching_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matched pairs as two id arrays u < v, 0-based, sorted by u."""
+        u = np.flatnonzero(self.partner > np.arange(self.n_nodes))
+        return u, self.partner[u]
+
     def matching_edges(self) -> list[tuple[int, int]]:
         """Matched pairs as (smaller id, larger id), 0-based ids."""
-        out = []
-        for u in range(self.n_nodes):
-            v = int(self.partner[u])
-            if v > u:
-                out.append((u, v))
-        return out
+        u, v = self.matching_arrays()
+        return list(zip(u.tolist(), v.tolist()))
 
 
 def grow_and_match(

@@ -6,6 +6,7 @@ File formats:
   policy  {"kind": "priority", "order": {"1": [2, 3], ...}}
           {"kind": "ml"} | {"kind": "uniform"}
   trace   CSV with columns t, class, matched (0 = none), q_1..q_p
+  matching {"pairs": [[u, v], ...]}  0-based node ids, u < v, sorted by u
 
 Infinite values are encoded as the string "inf" so the emitted JSON stays
 strictly standard.
@@ -240,6 +241,27 @@ def write_growth_csv(result, path: Path) -> None:
         )
         for n, matched, queue in result.checkpoints:
             writer.writerow([n, matched] + list(queue))
+
+
+# One pair as json.dumps(indent=2) lays it out inside {"pairs": [...]}.
+_PAIR = "    [\n      {},\n      {}\n    ]"
+
+
+def write_matching_json(result, path: Path) -> None:
+    """{"pairs": [[u, v], ...]} with the bytes dump_json writes, formatted
+    from the partner array _TRACE_BLOCK pairs at a time."""
+    u, v = result.matching_arrays()
+    with open(path, "w") as fh:
+        if not len(u):
+            fh.write('{\n  "pairs": []\n}\n')
+            return
+        fh.write('{\n  "pairs": [\n')
+        for lo in range(0, len(u), _TRACE_BLOCK):
+            rows = slice(lo, lo + _TRACE_BLOCK)
+            if lo:
+                fh.write(",\n")
+            fh.write(",\n".join(map(_PAIR.format, u[rows].tolist(), v[rows].tolist())))
+        fh.write("\n  ]\n}\n")
 
 
 # -- files and manifests ----------------------------------------------------------

@@ -1,10 +1,11 @@
 """Helpers the tests share.
 
 pendant_alpha_quotient, apply_transition, dense_row_stationary,
-independent_sets, ncond_check and find_induced_odd_cycle restate what the
-package computes another way, so a test that agrees with them checks the
-package by a second route; law reads a stationary law as a dict keyed by
-state, and law_gap compares two laws state by state.
+independent_sets, ncond_check, find_induced_odd_cycle and matching_edges
+restate what the package computes another way, so a test that agrees
+with them checks the package by a second route; law reads a stationary
+law as a dict keyed by state, and law_gap compares two laws state by
+state.
 """
 
 from itertools import combinations
@@ -259,3 +260,16 @@ def find_induced_odd_cycle(graph: Graph) -> Optional[tuple[int, ...]]:
                 return tuple(order)
         length += 2
     return None
+
+
+# -- the growth matching, read one node at a time -------------------------------
+
+
+def matching_edges(result) -> list[tuple[int, int]]:
+    """Matched pairs of a GrowthResult as (smaller id, larger id), 0-based ids."""
+    out = []
+    for u in range(result.n_nodes):
+        v = int(result.partner[u])
+        if v > u:
+            out.append((u, v))
+    return out

@@ -5,13 +5,16 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import matchq
 import matchq.serialize as ser
-from matchq.cli import main
+from matchq.cli import build_parser, main
 from matchq.graphs import Graph, five_cycle_graph, pendant_graph
 from matchq.policies import (
     five_cycle_priority_policy,
@@ -367,3 +370,64 @@ def test_cli_parse_error_exit_2(tmp_path):
 def test_cli_invalid_graph_exit_2(tmp_path):
     ser.dump_json({"nodes": 2, "edges": [[1, 1]]}, tmp_path / "loop.json")
     assert main(["analyze", "--graph", str(tmp_path / "loop.json")]) == 2
+
+
+_INPUTS = {
+    "pendant.json": ser.graph_to_obj(pendant_graph()),
+    "rates.json": {"rates": [0.1, 0.1, 0.45, 0.35]},
+    "policy.json": ser.policy_to_obj(pendant_priority_policy()),
+}
+_INSTANCE_ARGS = ["--graph", "pendant.json", "--rates", "rates.json", "--policy", "policy.json"]
+# A usage error inside a subcommand, then two runs that write files.
+_SEQUENCE = [
+    ["simulate", "--graph", "pendant.json", "--seed", "3"],
+    ["simulate"] + _INSTANCE_ARGS + ["--seed", "7", "--horizon", "1", "--scale", "200",
+                                     "--init-node", "4", "--node", "4", "--out", "sim"],
+    ["randgraph"] + _INSTANCE_ARGS + ["--seed", "4", "--n", "3000", "--out", "rg",
+                                      "--matching-out"],
+]
+
+
+def _written(root):
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file() and f.name not in _INPUTS}
+
+
+def _workdir(path):
+    path.mkdir()
+    for name, obj in _INPUTS.items():
+        (path / name).write_text(json.dumps(obj))
+    return path
+
+
+def _alone(argv, cwd):
+    """(exit code, stdout, stderr, files) of `matchq argv` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(matchq.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from matchq.cli import main; sys.exit(main())"]
+        + argv, cwd=cwd, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr, _written(cwd)
+
+
+def test_cli_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cli_calls_in_one_process_match_calls_made_alone(tmp_path, monkeypatch):
+    together = _workdir(tmp_path / "together")
+    monkeypatch.chdir(together)
+    codes, files_alone = [], {}
+    for k, argv in enumerate(_SEQUENCE):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        alone = _alone(argv, _workdir(tmp_path / f"alone{k}"))
+        assert (code, out.getvalue(), err.getvalue()) == alone[:3]
+        codes.append(code)
+        files_alone.update(alone[3])
+    assert codes == [2, 0, 0]
+    assert _written(together) == files_alone
+    assert "rg/matching.json" in files_alone

@@ -16,8 +16,15 @@ from matchq.randgraph import (
 )
 from matchq.simulate import SimConfig, simulate
 
+from oracles import matching_edges
+
 TRIANGLE = complete_graph(3)
 EDGE = Graph.from_edges(2, [(1, 2)])
+# The two AC-10 templates: the triangle and the destabilised pendant.
+AC10 = {
+    "triangle": (TRIANGLE, (1, 1, 1)),
+    "pendant": (pendant_graph(), (0.2, 0.2, 0.4, 0.35)),
+}
 
 
 def test_type_distribution():
@@ -95,6 +102,19 @@ def test_empty_growth():
     assert growth.matched_count == 0
     with pytest.raises(ValidationError):
         growth.matched_fraction()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 300, 100_000])
+@pytest.mark.parametrize("template", sorted(AC10))
+def test_matching_edges_match_the_node_by_node_scan(template, n):
+    graph, lam = AC10[template]
+    growth = grow_and_match(graph, type_distribution(lam), uniform_policy(), n, seed=1010)
+    edges = growth.matching_edges()
+    assert edges == matching_edges(growth)
+    assert all(type(u) is int and type(v) is int for u, v in edges)
+    assert 2 * len(edges) == growth.matched_count
+    u, v = growth.matching_arrays()
+    assert (u.tolist(), v.tolist()) == ([e[0] for e in edges], [e[1] for e in edges])
 
 
 def test_bipartite_edge_template_limited_by_scarcer_side():

@@ -1,4 +1,4 @@
-"""Trace CSV: the column-wise writer against a per-row csv.writer oracle."""
+"""Trace CSV and matching JSON: the block writers against per-row oracles."""
 
 import csv
 import json
@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import matchq.serialize as ser
-from matchq.graphs import Graph, pendant_graph
-from matchq.policies import ml_policy, pendant_priority_policy
+from matchq.graphs import Graph, complete_graph, pendant_graph
+from matchq.policies import ml_policy, pendant_priority_policy, uniform_policy
+from matchq.randgraph import GrowthResult, grow_and_match, type_distribution
 from matchq.simulate import SimConfig, SimTrace, simulate
+
+from oracles import matching_edges
 
 PENDANT = pendant_graph()
 LAM = (0.1, 0.1, 0.45, 0.35)
@@ -106,3 +109,40 @@ def test_dump_json_writes_the_json_dumps_text(tmp_path, pairs):
     assert (tmp_path / "out.json").read_text() == (
         json.dumps(obj, indent=2, sort_keys=True) + "\n"
     )
+
+
+def _assert_matching_json_is_dump_json(result, tmp_path):
+    ser.write_matching_json(result, tmp_path / "matching.json")
+    ser.dump_json({"pairs": [list(e) for e in matching_edges(result)]},
+                  tmp_path / "reference.json")
+    assert (tmp_path / "matching.json").read_bytes() == (
+        tmp_path / "reference.json").read_bytes()
+
+
+def _paired_growth(pairs, seed):
+    """A growth result on 2 * pairs + 3 nodes whose partner array pairs
+    random ids, leaving three unmatched."""
+    n = 2 * pairs + 3
+    ids = np.random.default_rng(seed).permutation(n)
+    partner = np.full(n, -1, dtype=np.int64)
+    partner[ids[0:2 * pairs:2]] = ids[1:2 * pairs:2]
+    partner[ids[1:2 * pairs:2]] = ids[0:2 * pairs:2]
+    return GrowthResult(
+        template=complete_graph(3), mu=(1 / 3,) * 3, seed=seed,
+        node_types=np.ones(n, dtype=np.int16), partner=partner,
+        matched_count=2 * pairs, queue=(3, 0, 0), checkpoints=[], total_time=0.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "pairs", [0, 1, ser._TRACE_BLOCK - 1, ser._TRACE_BLOCK, ser._TRACE_BLOCK + 1])
+def test_matching_json_matches_dump_json(tmp_path, pairs):
+    result = _paired_growth(pairs, seed=pairs)
+    assert len(matching_edges(result)) == pairs
+    _assert_matching_json_is_dump_json(result, tmp_path)
+
+
+def test_matching_json_of_the_ac10_triangle(tmp_path):
+    result = grow_and_match(complete_graph(3), type_distribution((1, 1, 1)),
+                            uniform_policy(), 100_000, seed=1010)
+    _assert_matching_json_is_dump_json(result, tmp_path)
