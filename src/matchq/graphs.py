@@ -5,8 +5,10 @@ connectivity and bipartiteness tests on one breadth-first traversal
 (`bfs_levels`), exhaustive independent-set enumeration on bitmasks, the
 necessary stability condition on arrival rates (every independent set
 must receive strictly less arrival mass than its neighborhood),
-separability, and exact induced-subgraph searches for the pendant graph
-and, by growing induced paths, for odd cycles.
+separability, and exact induced-subgraph searches on the neighbor
+bitmasks `Graph.neighbor_masks`: for the pendant graph by extending
+triples within two hops of their smallest node, and for odd cycles by
+growing induced paths.
 `classify` combines these into the four-way split used by the stability
 tooling.
 """
@@ -85,6 +87,11 @@ class Graph:
         return {i: tuple(sorted(v)) for i, v in adj.items()}
 
     @cached_property
+    def neighbor_masks(self) -> dict[int, int]:
+        """Each node v's neighborhood as an int: bit w - 1 is set for w in N(v)."""
+        return {v: _mask(nbrs) for v, nbrs in self.adjacency.items()}
+
+    @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
@@ -93,10 +100,6 @@ class Graph:
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]
-
-    def induced_edges(self, nodes: Iterable[int]) -> frozenset[tuple[int, int]]:
-        s = set(nodes)
-        return frozenset(e for e in self.edges if e[0] in s and e[1] in s)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(p={self.node_count}, edges={list(self.edges)})"
@@ -208,8 +211,7 @@ def _independent_masks(graph: Graph) -> np.ndarray:
             f"graph has {p}"
         )
     words = [0]  # the empty set
-    for v in graph.nodes:
-        nbrs = _mask(graph.neighbors(v))
+    for v, nbrs in graph.neighbor_masks.items():
         join = 1 << (v - 1) | nbrs << p
         words += [w | join for w in words if not w & nbrs]
     return np.array(words[1:], dtype=np.int64)
@@ -361,24 +363,55 @@ def find_induced_pendant(graph: Graph) -> Optional[tuple[int, int, int, int]]:
 
     The result is ordered by role: (t1, t2, hub, tail) where t1,t2,hub form
     the triangle and tail is attached to hub only. t1 < t2.
+
+    A pendant has diameter 2, so with s its smallest node the other three
+    lie above s and within two hops of it. The triples s < x < y are tried
+    in order, and the edges among them fix what the fourth node z > y must
+    touch: exactly one node of a triangle, the middle and exactly one end
+    of a path, all three when there is one edge. The lowest such z is read
+    from the neighbor masks; a triple with no edge can take none.
     """
-    for subset in combinations(graph.nodes, 4):
-        induced = graph.induced_edges(subset)
-        if len(induced) != 4:
-            continue
-        deg = {v: 0 for v in subset}
-        for i, j in induced:
-            deg[i] += 1
-            deg[j] += 1
-        degs = sorted(deg.values())
-        if degs != [1, 2, 2, 3]:
-            continue
-        # the degree-3 node is adjacent to the other three, the tail included
-        hub = next(v for v in subset if deg[v] == 3)
-        tail = next(v for v in subset if deg[v] == 1)
-        t1, t2 = sorted(v for v in subset if deg[v] == 2)
-        return (t1, t2, hub, tail)
+    nbrs = graph.neighbor_masks
+    for s, ns in nbrs.items():
+        reach = ns
+        for low in _bits(ns):
+            reach |= nbrs[low.bit_length()]
+        rest = reach & -1 << s  # the candidates above s
+        while rest:
+            bx = rest & -rest
+            rest ^= bx
+            x = bx.bit_length()
+            nx = nbrs[x]
+            sx = ns & bx
+            # with s and x apart, y must touch one of them
+            for by in _bits(rest if sx else rest & (ns | nx)):
+                y = by.bit_length()
+                ny = nbrs[y]
+                sy, xy = ns & by, nx & by
+                if sx and sy and xy:  # a triangle
+                    fit = (ns ^ nx ^ ny) & ~(ns & nx & ny)
+                elif sx and sy:  # the path x - s - y
+                    fit = ns & (nx ^ ny)
+                elif sx and xy:  # the path s - x - y
+                    fit = nx & (ns ^ ny)
+                elif sy and xy:  # the path s - y - x
+                    fit = ny & (ns ^ nx)
+                else:  # one edge
+                    fit = ns & nx & ny
+                fit &= -1 << y
+                if fit:
+                    return _pendant_roles(nbrs, (s, x, y, (fit & -fit).bit_length()))
     return None
+
+
+def _pendant_roles(nbrs: dict[int, int], quad: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(t1, t2, hub, tail) of four ascending nodes that induce a pendant."""
+    inside = _mask(quad)
+    deg = {v: (nbrs[v] & inside).bit_count() for v in quad}
+    hub = next(v for v in quad if deg[v] == 3)
+    tail = next(v for v in quad if deg[v] == 1)
+    t1, t2 = (v for v in quad if deg[v] == 2)
+    return (t1, t2, hub, tail)
 
 
 def _induced_cycle_order(graph: Graph, subset: tuple[int, ...]) -> Optional[list[int]]:
@@ -409,7 +442,7 @@ def find_induced_odd_cycle(graph: Graph) -> Optional[tuple[int, ...]]:
     Its smallest node s is the first start from which an induced path of
     that length over larger nodes closes back to s.
     """
-    nbrs = {v: _mask(graph.neighbors(v)) for v in graph.nodes}
+    nbrs = graph.neighbor_masks
     for length in range(5, graph.node_count + 1, 2):
         for s in graph.nodes:
             cycles = _induced_cycles_from(nbrs, s, length)

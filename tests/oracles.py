@@ -1,11 +1,11 @@
 """Helpers the tests share.
 
 pendant_alpha_quotient, apply_transition, dense_row_stationary,
-independent_sets, ncond_check, find_induced_odd_cycle and matching_edges
-restate what the package computes another way, so a test that agrees
-with them checks the package by a second route; law reads a stationary
-law as a dict keyed by state, and law_gap compares two laws state by
-state.
+independent_sets, ncond_check, find_induced_pendant, find_induced_odd_cycle
+and matching_edges restate what the package computes another way, so a
+test that agrees with them checks the package by a second route; law
+reads a stationary law as a dict keyed by state, and law_gap compares two
+laws state by state.
 """
 
 from itertools import combinations
@@ -245,6 +245,28 @@ def ncond_check(graph: Graph, rates: Sequence[float]) -> NcondResult:
         argmin=worst,
         witness=None if satisfied else worst,
     )
+
+
+def find_induced_pendant(graph: Graph) -> Optional[tuple[int, int, int, int]]:
+    """First 4-subset (lexicographic) inducing a triangle plus one hanging node,
+    ordered by role: (t1, t2, hub, tail) with t1 < t2."""
+    for subset in combinations(graph.nodes, 4):
+        induced = [e for e in graph.edges if e[0] in subset and e[1] in subset]
+        if len(induced) != 4:
+            continue
+        deg = {v: 0 for v in subset}
+        for i, j in induced:
+            deg[i] += 1
+            deg[j] += 1
+        degs = sorted(deg.values())
+        if degs != [1, 2, 2, 3]:
+            continue
+        # the degree-3 node is adjacent to the other three, the tail included
+        hub = next(v for v in subset if deg[v] == 3)
+        tail = next(v for v in subset if deg[v] == 1)
+        t1, t2 = sorted(v for v in subset if deg[v] == 2)
+        return (t1, t2, hub, tail)
+    return None
 
 
 def find_induced_odd_cycle(graph: Graph) -> Optional[tuple[int, ...]]:

@@ -431,6 +431,7 @@ def test_rate_condition_matches_the_oracle_on_every_graph_up_to_7_nodes(scheme):
 def test_enumeration_and_odd_cycles_match_the_oracles_on_every_graph_up_to_7_nodes():
     for graph in _graphs_up_to_7_nodes():
         assert independent_sets(graph) == oracles.independent_sets(graph)
+        assert find_induced_pendant(graph) == oracles.find_induced_pendant(graph)
         assert find_induced_odd_cycle(graph) == oracles.find_induced_odd_cycle(graph)
 
 
@@ -446,9 +447,30 @@ def test_bitmask_searches_match_the_oracles_on_random_graphs_of_8_to_16_nodes():
         tried += 1
         for scheme in ("equal", "random", "degree"):
             _assert_rate_condition_matches_oracle(graph, _rate_vector(graph, scheme, tried))
+        assert find_induced_pendant(graph) == oracles.find_induced_pendant(graph)
         assert find_induced_odd_cycle(graph) == oracles.find_induced_odd_cycle(graph)
         if p <= 12:
             assert independent_sets(graph) == oracles.independent_sets(graph)
+
+
+def test_pendant_search_matches_the_oracle_on_sparse_and_dense_graphs_of_17_to_20_nodes():
+    # at density 0.2 the 4-subset scan meets few triangles and may run to
+    # the end; at 0.85 nearly every triple is a triangle or a path
+    rng = random.Random(29)
+    outcomes = set()
+    for density in (0.2, 0.85):
+        tried = 0
+        while tried < 40:
+            p = rng.randint(17, 20)
+            pairs = itertools.combinations(range(1, p + 1), 2)
+            graph = Graph.from_edges(p, [e for e in pairs if rng.random() < density])
+            if not is_connected(graph):
+                continue
+            tried += 1
+            want = oracles.find_induced_pendant(graph)
+            assert find_induced_pendant(graph) == want
+            outcomes.add((density, want is None))
+    assert outcomes == {(0.2, True), (0.2, False), (0.85, False)}
 
 
 def test_rate_condition_rescores_the_screened_minimum():
