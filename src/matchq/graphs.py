@@ -89,7 +89,11 @@ class Graph:
     @cached_property
     def neighbor_masks(self) -> dict[int, int]:
         """Each node v's neighborhood as an int: bit w - 1 is set for w in N(v)."""
-        return {v: _mask(nbrs) for v, nbrs in self.adjacency.items()}
+        masks = dict.fromkeys(self.nodes, 0)
+        for i, j in self.edges:
+            masks[i] |= 1 << (j - 1)
+            masks[j] |= 1 << (i - 1)
+        return masks
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -407,10 +411,8 @@ def find_induced_pendant(graph: Graph) -> Optional[tuple[int, int, int, int]]:
 def _pendant_roles(nbrs: dict[int, int], quad: tuple[int, ...]) -> tuple[int, int, int, int]:
     """(t1, t2, hub, tail) of four ascending nodes that induce a pendant."""
     inside = _mask(quad)
-    deg = {v: (nbrs[v] & inside).bit_count() for v in quad}
-    hub = next(v for v in quad if deg[v] == 3)
-    tail = next(v for v in quad if deg[v] == 1)
-    t1, t2 = (v for v in quad if deg[v] == 2)
+    # induced degrees 1, 2, 2, 3; the stable sort keeps t1 < t2
+    tail, t1, t2, hub = sorted(quad, key=lambda v: (nbrs[v] & inside).bit_count())
     return (t1, t2, hub, tail)
 
 
