@@ -23,7 +23,8 @@ the stability regions and the counterexample families all read it.
 Everything else goes through a truncated sparse solve of the balance
 equations, assembled over an (n, m) int array of states with rates
 computed for all states at once; it is the independent check of the
-closed forms.
+closed forms. Only that solve needs SciPy, so SciPy is imported when a
+chain is first solved, not when this module loads.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
 
 from .errors import (
     NotConvergedError,
@@ -54,14 +52,13 @@ from .graphs import (
     five_cycle_graph,
     pendant_graph,
 )
-from .policies import PRIORITY, UNIFORM, Policy, priority_set, validate_policy
+from .policies import PRIORITY, UNIFORM, Policy, validate_policy
 
 CLOSED_FORM_PENDANT = "closed-form-pendant"
 CLOSED_FORM_FIVE_CYCLE = "closed-form-five-cycle"
 NUMERIC_TRUNCATED = "numeric-truncated"
 
 SOLVER_LU = "lu"
-SOLVER_POWER = "power-iteration"
 SOLVER_CLOSED = "closed-form"
 
 DEFAULT_TRUNCATION = 200
@@ -91,7 +88,7 @@ class StationaryDist:
 
     The states are the rows of `state_array`, an (n, m) int array; `states`
     lists them as tuples. `solver` says how the law was found: "lu" (sparse
-    direct solve), "power-iteration" (its fallback) or "closed-form".
+    direct solve) or "closed-form".
     `residual` is max |pi Q| over the balance equations of a numeric solve,
     and None for a geometric closed form.
     """
@@ -323,7 +320,8 @@ class MarginalChain:
             entries = []
             for j in self.graph.neighbors(target):
                 if priority:
-                    nodes = priority_set(self.policy, self.graph, j, target)
+                    order = self.policy.order[j]
+                    nodes = order[: order.index(target)]
                     if self.i0 in nodes:
                         continue
                     busy, step = 1.0, math.inf
@@ -417,6 +415,20 @@ def build_marginal(
     )
 
 
+def spsolve(a, b, **kwargs):
+    """scipy.sparse.linalg.spsolve, imported when first called."""
+    from scipy.sparse import linalg
+
+    return linalg.spsolve(a, b, **kwargs)
+
+
+def connected_components(csgraph, **kwargs):
+    """scipy.sparse.csgraph.connected_components, imported when first called."""
+    from scipy.sparse import csgraph as cs
+
+    return cs.connected_components(csgraph, **kwargs)
+
+
 def stationary_numeric(
     chain: MarginalChain, truncation: int = DEFAULT_TRUNCATION
 ) -> StationaryDist:
@@ -429,11 +441,12 @@ def stationary_numeric(
     minimum degree on A^T + A (MMD_AT_PLUS_A), which keeps the factors
     sparse: on C7 at truncation 200, nnz(L+U) is 6.5M against 14.3M under
     COLAMD. A dense normalization row in place of the pin would couple
-    every unknown and fill the factors in. Falls back to power iteration
-    on the uniformized kernel if the direct solve misbehaves. The reported
-    tail mass is the probability of the boundary layer (some coordinate
-    equal to the truncation level).
+    every unknown and fill the factors in. A non-finite solution raises
+    NotConvergedError. The reported tail mass is the probability of the
+    boundary layer (some coordinate equal to the truncation level).
     """
+    import scipy.sparse as sp
+
     _check_truncation(truncation)
     states = chain.enumerate_states(truncation)
     n, m = states.shape
@@ -500,13 +513,11 @@ def stationary_numeric(
     first = rows == 0
     b = np.zeros(n - 1)
     b[cols[first] - 1] = -vals[first]
-    solver = SOLVER_LU
     with np.errstate(all="ignore"):
         pi = np.concatenate([[1.0], spsolve(a, b, permc_spec="MMD_AT_PLUS_A")])
         pi /= pi.sum()
     if not np.all(np.isfinite(pi)):
-        pi = _power_iteration(q)
-        solver = SOLVER_POWER
+        raise NotConvergedError("sparse LU solve returned a non-finite law")
     pi = np.where(np.abs(pi) < 1e-300, 0.0, pi)
     if pi.min() < -1e-9:
         raise NotConvergedError(f"negative mass {pi.min():.3e} in stationary solve")
@@ -522,24 +533,9 @@ def stationary_numeric(
         probs=pi,
         tail_mass=tail,
         method=NUMERIC_TRUNCATED,
-        solver=solver,
+        solver=SOLVER_LU,
         residual=residual,
     )
-
-
-def _power_iteration(q: sp.csr_matrix, max_iter: int = 2_000_000):
-    n = q.shape[0]
-    lam = 1.05 * float(np.abs(q.diagonal()).max()) + 1e-12
-    p = sp.eye(n) + q / lam
-    pt = p.T.tocsr()
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = pt @ pi
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < DEFAULT_TOL / lam:
-            return nxt
-        pi = nxt
-    raise NotConvergedError("power iteration did not converge")
 
 
 # -- fluid reports ---------------------------------------------------------------

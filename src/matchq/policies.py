@@ -154,6 +154,10 @@ def _decision_step(policy: Policy, graph: Graph):
     [0, 1), and priority ignores u. choices(q, c) lists the candidates:
     the available neighbours (uniform), the longest ones (ml) or the one
     priority picks.
+
+    Adjacent queues are never both positive, so when q[c] is positive
+    every neighbour of c is empty and each kind queues the arrival: a
+    driver writes `0 if q[c] else decide(q, c, u)` and skips the call.
     """
     nbrs = [()] + [graph.neighbors(i) for i in graph.nodes]
     if policy.kind == PRIORITY:

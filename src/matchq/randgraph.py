@@ -135,7 +135,7 @@ def grow_and_match(
         if len(times):
             t = float(times[-1])
         for c, u in zip(cls.tolist(), us):
-            j = decide(q, c, u)
+            j = 0 if q[c] else decide(q, c, u)
             if j:
                 v = unmatched[j].popleft()
                 q[j] -= 1

@@ -183,7 +183,7 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
     for times, cls, us in chunks:
         start = events
         for t, c, u in zip(times.tolist(), cls.tolist(), us):
-            j = decide(q, c, u)
+            j = 0 if q[c] else decide(q, c, u)
             if j:
                 v = q[j] - 1
                 q[j] = v
@@ -323,8 +323,8 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
         rates, config.seed, 2, randomized, config.horizon * config.scale, config.max_events
     ):
         for c, ua, ub in zip(cls.tolist(), uas, ubs):
-            ja = decide_a(qa, c, ua)
-            jb = decide_b(qb, c, ub)
+            ja = 0 if qa[c] else decide_a(qa, c, ua)
+            jb = 0 if qb[c] else decide_b(qb, c, ub)
             if (
                 randomized and ja and jb and ja != jb
                 and ja in choices_b(qb, c) and jb in choices_a(qa, c)

@@ -39,12 +39,12 @@ from matchq.marginal import (
     NUMERIC_TRUNCATED,
     SOLVER_CLOSED,
     SOLVER_LU,
-    SOLVER_POWER,
     MarginalChain,
     StationaryDist,
     _check_truncation,
-    _power_iteration,
 )
+
+SOLVER_POWER = "power-iteration"
 
 
 def pendant_alpha_quotient(rates):
@@ -187,6 +187,23 @@ def dense_row_stationary(
         solver=solver,
         residual=residual,
     )
+
+
+def _power_iteration(q: sp.csr_matrix, max_iter: int = 2_000_000):
+    """The stationary law of the uniformized kernel I + Q / lam, iterated
+    until successive laws agree to DEFAULT_TOL / lam."""
+    n = q.shape[0]
+    lam = 1.05 * float(np.abs(q.diagonal()).max()) + 1e-12
+    p = sp.eye(n) + q / lam
+    pt = p.T.tocsr()
+    pi = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        nxt = pt @ pi
+        nxt /= nxt.sum()
+        if np.max(np.abs(nxt - pi)) < DEFAULT_TOL / lam:
+            return nxt
+        pi = nxt
+    raise NotConvergedError("power iteration did not converge")
 
 
 # -- the graph layer's exponential searches, written the direct way ------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import matchq
 from matchq.errors import (
+    NotConvergedError,
     RatesOutsideRegionError,
     TooLargeError,
     UnsupportedPolicyError,
@@ -516,17 +517,53 @@ def test_numeric_records_lu_solver_and_residual():
     assert closed.solver == "closed-form" and closed.residual is None
 
 
-def test_numeric_records_power_iteration_fallback(monkeypatch):
+def test_numeric_refuses_a_non_finite_lu_result(monkeypatch):
     import matchq.marginal as marginal
 
     chain = build_marginal(PENDANT, LAM_P, pendant_priority_policy(), 4)
-    direct = stationary_numeric(chain, truncation=30)
+    assert stationary_numeric(chain, truncation=30).solver == "lu"
     monkeypatch.setattr(marginal, "spsolve", lambda a, b, **kw: np.full(len(b), np.nan))
-    fallback = stationary_numeric(chain, truncation=30)
-    assert direct.solver == "lu"
-    assert fallback.solver == "power-iteration"
-    assert fallback.residual <= 1e-12
-    assert np.max(np.abs(fallback.probs - direct.probs)) < 1e-9
+    with pytest.raises(NotConvergedError, match="non-finite"):
+        stationary_numeric(chain, truncation=30)
+
+
+# Runs in a new interpreter: SciPy must stay out of sys.modules through
+# the import and every CLI command that solves no marginal chain, and come
+# in with the first numeric solve.
+_SCIPY_ON_DEMAND = """
+import contextlib, io, json, sys
+import matchq, matchq.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+json.dump({"nodes": 4, "edges": [[1, 2], [1, 3], [2, 3], [3, 4]]}, open("g.json", "w"))
+json.dump({"rates": [0.1, 0.1, 0.45, 0.35]}, open("r.json", "w"))
+json.dump({"kind": "uniform"}, open("p.json", "w"))
+instance = ["--graph", "g.json", "--rates", "r.json", "--policy", "p.json"]
+for argv in (
+    ["simulate", *instance, "--seed", "1", "--horizon", "2", "--scale", "50"],
+    ["randgraph", *instance, "--seed", "1", "--n", "500"],
+    ["ncond", "--graph", "g.json", "--rates", "r.json"],
+    ["analyze", "--graph", "g.json"],
+    ["counterexample", "pendant-priority", "0.01"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert matchq.cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+report = matchq.fluid_report(matchq.cycle_graph(7), (1 / 7,) * 7, matchq.uniform_policy(),
+                             1, 1.0, truncation=10)
+assert report.solver == "lu", report.solver
+assert "scipy.sparse.linalg" in scipy_modules()
+"""
+
+
+def test_scipy_loads_only_for_a_numeric_solve(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(matchq.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_ON_DEMAND], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_numeric_solve_pins_the_empty_state(monkeypatch):
