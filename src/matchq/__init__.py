@@ -17,7 +17,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
     ncond_check,
-    neighbors_of_set,
     pendant_graph,
     separability,
     two_coloring,
@@ -29,7 +28,6 @@ from .policies import (
     ml_policy,
     pendant_priority_policy,
     priority_policy,
-    priority_set,
     uniform_policy,
 )
 from .simulate import (
@@ -50,8 +48,6 @@ from .marginal import (
     fivecycle_node_reports,
     fluid_report,
     pendant_alpha,
-    stationary_closed_5cycle,
-    stationary_closed_pendant,
     stationary_numeric,
 )
 from .stability import (
@@ -67,7 +63,6 @@ from .stability import (
 from .randgraph import (
     GrowthResult,
     grow_and_match,
-    matching_is_valid,
     tutte_condition_estimate,
     type_distribution,
 )

@@ -51,10 +51,6 @@ class PolicyGraphMismatchError(ValidationError):
     """Priority order lists are not permutations of the neighbor sets."""
 
 
-class NotPriorityPolicyError(ValidationError):
-    """Operation only defined for priority policies."""
-
-
 class InputFormatError(ValidationError):
     """Unparseable JSON instance file."""
 

@@ -239,15 +239,6 @@ def independent_sets(graph: Graph) -> list[frozenset[int]]:
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
-def neighbors_of_set(graph: Graph, nodes: Iterable[int]) -> frozenset[int]:
-    """Union of the neighborhoods of the given nodes."""
-    nodes = tuple(nodes)
-    for i in nodes:
-        if not 1 <= i <= graph.node_count:
-            raise IndexOutOfRangeError(i, graph.node_count)
-    return _neighborhood(graph.adjacency, nodes)
-
-
 def _neighborhood(adjacency, nodes) -> frozenset[int]:
     result: set[int] = set()
     for i in nodes:

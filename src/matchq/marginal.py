@@ -18,8 +18,8 @@ pair of geometric arms. That law is written once (`_GluedRays`, built
 from each arm's up and down rates), and one table (`_CLOSED_FORMS`) says
 per graph which arms the chain has and which arms each neighbour of i0
 waits on; under the uniform rule those neighbours' rates are halved.
-fluid_report's closed route, the public alpha and stationary functions,
-the stability regions and the counterexample families all read it.
+fluid_report's closed route, pendant_alpha, the stability regions and the
+counterexample families all read it.
 Everything else goes through a truncated sparse solve of the balance
 equations, assembled over an (n, m) int array of states with rates
 computed for all states at once; it is the independent check of the
@@ -72,11 +72,6 @@ _MAX_STATES = 500_000
 def pendant_alpha(rates: Sequence[float]) -> float:
     """Empty-state probability of the pendant marginal chain (sum form)."""
     return _PENDANT.law(rates).alpha
-
-
-def fivecycle_alpha(rates: Sequence[float]) -> float:
-    """Empty-state probability of the 5-cycle marginal chain at the apex."""
-    return _FIVE_CYCLE.law(rates).alpha
 
 
 # -- stationary distributions --------------------------------------------------
@@ -151,31 +146,6 @@ class _GluedRays:
         r1, r2 = self.ratios
         return self.alpha * (
             r1 ** (truncation + 1) / (1.0 - r1) + r2 ** (truncation + 1) / (1.0 - r2)
-        )
-
-    def stationary(self, truncation: int, method: str) -> tuple[float, StationaryDist]:
-        """alpha, and the law on the empty state and levels 1..truncation of
-        each arm."""
-        _check_truncation(truncation)
-        if 2 * truncation + 1 > _MAX_STATES:
-            raise TooLargeError(f"truncated marginal space exceeds {_MAX_STATES} states")
-        alpha, (r1, r2) = self.alpha, self.ratios
-        probs = [alpha]
-        for i in range(1, truncation + 1):
-            probs.append(alpha * r1**i)
-        for j in range(1, truncation + 1):
-            probs.append(alpha * r2**j)
-        # (0, 0), then (i, 0) and (0, j) for i, j = 1..truncation
-        arm = np.arange(1, truncation + 1)
-        flat = np.zeros_like(arm)
-        states = np.vstack([[0, 0], np.column_stack([arm, flat]), np.column_stack([flat, arm])])
-        return alpha, StationaryDist(
-            state_array=states,
-            probs=np.asarray(probs, dtype=float),
-            tail_mass=self.tail_mass(truncation),
-            method=method,
-            solver=SOLVER_CLOSED,
-            residual=None,
         )
 
 
@@ -256,28 +226,6 @@ _FIVE_CYCLE_NODE3 = _GluedFamily(
     "5-cycle node-3", five_cycle_graph(), i0=3,
     arms=((2, (1, 4)), (4, (2, 5))), waits={1: (0,), 5: (1,)},
 )
-
-
-def stationary_closed_pendant(
-    rates: Sequence[float], truncation: int = DEFAULT_TRUNCATION
-) -> tuple[float, StationaryDist]:
-    """Geometric stationary law for the pendant marginal chain at the tail.
-
-    Coordinates are the two triangle base queues. The arms have ratios
-    l1/(l3+l2) and l2/(l3+l1); both must be below one.
-    """
-    return _PENDANT.law(rates).stationary(truncation, CLOSED_FORM_PENDANT)
-
-
-def stationary_closed_5cycle(
-    rates: Sequence[float], truncation: int = DEFAULT_TRUNCATION
-) -> tuple[float, StationaryDist]:
-    """Geometric stationary law for the 5-cycle marginal chain at the apex.
-
-    Coordinates are the two base queues; arm ratios l1/(l3+l2) and
-    l2/(l1+l4).
-    """
-    return _FIVE_CYCLE.law(rates).stationary(truncation, CLOSED_FORM_FIVE_CYCLE)
 
 
 # -- the general marginal chain -------------------------------------------------
@@ -482,11 +430,10 @@ def stationary_numeric(
             cols.append(np.searchsorted(codes, codes[src] + delta * place[k]))
             vals.append(rate[src])
             diag[src] -= rate[src]
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     every = np.arange(n)
     q = sp.coo_matrix(
-        (np.concatenate([vals, diag]), (np.concatenate([rows, every]),
-                                        np.concatenate([cols, every]))),
+        (np.concatenate(vals + [diag]), (np.concatenate(rows + [every]),
+                                         np.concatenate(cols + [every]))),
         shape=(n, n),
     ).tocsr()
 
@@ -498,21 +445,9 @@ def stationary_numeric(
 
     # Balance equations pi Q = 0 as Q^T pi = 0. The empty state (row 0) is
     # pinned at pi = 1 and its equation dropped, which leaves
-    # Q^T[1:, 1:] x = -Q[0, 1:] on the other states.
-    inner = (rows > 0) & (cols > 0)
-    a = sp.coo_matrix(
-        (
-            np.concatenate([vals[inner], diag[1:]]),
-            (
-                np.concatenate([cols[inner], every[1:]]) - 1,
-                np.concatenate([rows[inner], every[1:]]) - 1,
-            ),
-        ),
-        shape=(n - 1, n - 1),
-    ).tocsc()
-    first = rows == 0
-    b = np.zeros(n - 1)
-    b[cols[first] - 1] = -vals[first]
+    # Q^T[1:, 1:] x = -Q[0, 1:] on the other states, both sliced from Q.
+    a = q[1:, 1:].T.tocsc()
+    b = -q[0, 1:].toarray().ravel()
     with np.errstate(all="ignore"):
         pi = np.concatenate([[1.0], spsolve(a, b, permc_spec="MMD_AT_PLUS_A")])
         pi /= pi.sum()

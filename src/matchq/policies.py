@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     InvalidStateError,
-    NotPriorityPolicyError,
     PolicyGraphMismatchError,
     ValidationError,
 )
@@ -266,13 +265,3 @@ def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None
         left -= n
         t = float(times[-1])
 
-
-def priority_set(policy: Policy, graph: Graph, j: int, i: int) -> frozenset[int]:
-    """Neighbors of j that j serves strictly before i."""
-    if policy.kind != PRIORITY:
-        raise NotPriorityPolicyError("priority sets exist only for priority policies")
-    validate_policy(policy, graph)
-    if i not in graph.neighbors(j):
-        raise ValidationError(f"{i} is not a neighbor of {j}")
-    order = policy.order[j]
-    return frozenset(order[: order.index(i)])

@@ -163,32 +163,6 @@ def grow_and_match(
     )
 
 
-def matching_is_valid(result: GrowthResult) -> bool:
-    """Check the pairing is an involution on matched nodes along template edges."""
-    partner = result.partner
-    types = result.node_types
-    n = result.n_nodes
-    matched_ids = np.nonzero(partner >= 0)[0]
-    if len(matched_ids) != result.matched_count:
-        return False
-    if np.any(partner[matched_ids] == matched_ids):
-        return False
-    if not np.all(partner[partner[matched_ids]] == matched_ids):
-        return False
-    p = result.template.node_count
-    adj = np.zeros((p + 1, p + 1), dtype=bool)
-    for i, j in result.template.edges:
-        adj[i, j] = adj[j, i] = True
-    if len(matched_ids) and not np.all(
-        adj[types[matched_ids], types[partner[matched_ids]]]
-    ):
-        return False
-    counts = np.bincount(types[partner < 0], minlength=p + 1)[1:]
-    if tuple(int(c) for c in counts) != result.queue:
-        return False
-    return result.matched_count == n - int(sum(result.queue))
-
-
 def tutte_condition_estimate(
     template: Graph, mu: Sequence[float]
 ) -> dict[frozenset, float]:

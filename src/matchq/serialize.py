@@ -37,6 +37,27 @@ def _require(obj: dict, key: str, context: str) -> Any:
     return obj[key]
 
 
+def _int(x) -> int:
+    """x as an int; a bool or a number with a fractional part is refused."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
+def _float(x) -> float:
+    if isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def _list(x, length=None) -> list:
+    """x, which must be a JSON array (of the given length, if any)."""
+    if not isinstance(x, list) or length is not None and len(x) != length:
+        size = "" if length is None else f" of {length}"
+        raise ValueError(f"expected an array{size}, got {x!r}")
+    return x
+
+
 # -- graphs -------------------------------------------------------------------
 
 
@@ -46,10 +67,10 @@ def graph_to_obj(graph: Graph) -> dict:
 
 def graph_from_obj(obj: dict) -> Graph:
     try:
-        nodes = int(_require(obj, "nodes", "graph"))
-        edges = _require(obj, "edges", "graph")
-        return Graph.from_edges(nodes, [(int(e[0]), int(e[1])) for e in edges])
-    except (TypeError, ValueError, IndexError) as exc:
+        nodes = _int(_require(obj, "nodes", "graph"))
+        edges = _list(_require(obj, "edges", "graph"))
+        return Graph.from_edges(nodes, [tuple(map(_int, _list(e, 2))) for e in edges])
+    except (TypeError, ValueError) as exc:
         raise InputFormatError(f"graph: {exc}") from exc
 
 
@@ -62,7 +83,7 @@ def rates_to_obj(rates) -> dict:
 
 def rates_from_obj(obj: dict) -> tuple[float, ...]:
     try:
-        return tuple(float(r) for r in _require(obj, "rates", "rates"))
+        return tuple(map(_float, _list(_require(obj, "rates", "rates"))))
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"rates: {exc}") from exc
 
@@ -85,7 +106,7 @@ def policy_from_obj(obj: dict) -> Policy:
         if kind == PRIORITY:
             order = _require(obj, "order", "policy")
             return priority_policy(
-                {int(k): tuple(int(x) for x in v) for k, v in order.items()}
+                {int(k): tuple(map(_int, _list(v))) for k, v in order.items()}
             )
         return Policy(kind)
     except (TypeError, ValueError, AttributeError) as exc:
@@ -110,19 +131,6 @@ def instance_to_obj(instance: UnstableInstance) -> dict:
         "eps": instance.eps,
         "notes": _jsonable(instance.notes),
     }
-
-
-def instance_from_obj(obj: dict) -> UnstableInstance:
-    return UnstableInstance(
-        graph=graph_from_obj(_require(obj, "graph", "instance")),
-        rates=rates_from_obj(_require(obj, "rates", "instance")),
-        policy=policy_from_obj(_require(obj, "policy", "instance")),
-        node=int(_require(obj, "node", "instance")),
-        drift=float(_require(obj, "drift", "instance")),
-        family=obj.get("family"),
-        eps=obj.get("eps"),
-        notes=obj.get("notes", {}),
-    )
 
 
 def fluid_report_to_obj(report) -> dict:

@@ -309,8 +309,8 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
     replica a's pick, which keeps each replica's own decision law. The gap
     is the 1-norm distance over the kept coordinates, and the excess is the
     gap less the arrivals at nodes outside them. Returns (events, removed
-    arrivals, largest excess or -inf without events, events whose excess
-    is above the initial gap).
+    arrivals, the initial gap, largest excess or -inf without events,
+    events whose excess is above the initial gap).
     """
     (decide_a, choices_a), (decide_b, choices_b) = steps
     in_kept = [False] + [i in kept for i in range(1, len(qa))]
@@ -350,7 +350,7 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
             if excess > bound:
                 violations += 1
         events += len(cls)
-    return events, removed, worst, violations
+    return events, removed, bound, worst, violations
 
 
 def coupled_nonexpansive(
@@ -374,8 +374,7 @@ def coupled_nonexpansive(
     qx = [0] + list(check_state(graph, x))
     qy = [0] + list(check_state(graph, y))
     step = _decision_step(policy, graph)
-    bound = sum(abs(a - b) for a, b in zip(qx, qy))
-    events, _, worst, violations = _coupled_pair(
+    events, _, bound, worst, violations = _coupled_pair(
         rates, config, policy.kind != PRIORITY, (step, step), qx, qy, set(graph.nodes)
     )
     return NonexpansiveReport(
@@ -440,7 +439,7 @@ def coupled_nonchaotic(
     policy_b = restricted_policy(policy, graph, kept)
     validate_policy(policy_b, tilde)
 
-    events, removed, worst, violations = _coupled_pair(
+    events, removed, _, worst, violations = _coupled_pair(
         rates,
         config,
         policy.kind != PRIORITY,

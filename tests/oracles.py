@@ -1,11 +1,14 @@
 """Helpers the tests share.
 
 pendant_alpha_quotient, apply_transition, dense_row_stationary,
-independent_sets, ncond_check, find_induced_pendant, find_induced_odd_cycle
-and matching_edges restate what the package computes another way, so a
-test that agrees with them checks the package by a second route; law
-reads a stationary law as a dict keyed by state, and law_gap compares two
-laws state by state.
+independent_sets, ncond_check, find_induced_pendant, find_induced_odd_cycle,
+matching_edges and matching_is_valid restate what the package computes
+another way, so a test that agrees with them checks the package by a
+second route. stationary_closed_pendant, stationary_closed_5cycle and
+fivecycle_alpha write out the geometric laws of the two canonical marginal
+chains, the references the numeric solve is checked against; law reads a
+stationary law as a dict keyed by state, and law_gap compares two laws
+state by state.
 """
 
 from itertools import combinations
@@ -34,6 +37,8 @@ from matchq.graphs import (
     rate_of_set,
 )
 from matchq.marginal import (
+    CLOSED_FORM_FIVE_CYCLE,
+    CLOSED_FORM_PENDANT,
     DEFAULT_TOL,
     DEFAULT_TRUNCATION,
     NUMERIC_TRUNCATED,
@@ -41,6 +46,9 @@ from matchq.marginal import (
     SOLVER_LU,
     MarginalChain,
     StationaryDist,
+    _FIVE_CYCLE,
+    _MAX_STATES,
+    _PENDANT,
     _check_truncation,
 )
 
@@ -52,6 +60,56 @@ def pendant_alpha_quotient(rates):
     quotient; the package writes it as a sum over the two arms."""
     l1, l2, l3, _ = rates
     return (l3 * l3 - (l1 - l2) ** 2) / (l3 * (l3 + l1 + l2))
+
+
+def fivecycle_alpha(rates):
+    """Empty-state probability of the 5-cycle marginal chain at the apex."""
+    return _FIVE_CYCLE.law(rates).alpha
+
+
+def glued_rays_stationary(law, truncation: int, method: str):
+    """alpha, and a glued-rays law (marginal._GluedRays) on the empty state
+    and levels 1..truncation of each arm: level n of arm k has probability
+    alpha * r_k**n."""
+    _check_truncation(truncation)
+    if 2 * truncation + 1 > _MAX_STATES:
+        raise TooLargeError(f"truncated marginal space exceeds {_MAX_STATES} states")
+    alpha, (r1, r2) = law.alpha, law.ratios
+    probs = [alpha]
+    for i in range(1, truncation + 1):
+        probs.append(alpha * r1**i)
+    for j in range(1, truncation + 1):
+        probs.append(alpha * r2**j)
+    # (0, 0), then (i, 0) and (0, j) for i, j = 1..truncation
+    arm = np.arange(1, truncation + 1)
+    flat = np.zeros_like(arm)
+    states = np.vstack([[0, 0], np.column_stack([arm, flat]), np.column_stack([flat, arm])])
+    return alpha, StationaryDist(
+        state_array=states,
+        probs=np.asarray(probs, dtype=float),
+        tail_mass=law.tail_mass(truncation),
+        method=method,
+        solver=SOLVER_CLOSED,
+        residual=None,
+    )
+
+
+def stationary_closed_pendant(rates, truncation: int = DEFAULT_TRUNCATION):
+    """Geometric stationary law for the pendant marginal chain at the tail.
+
+    Coordinates are the two triangle base queues. The arms have ratios
+    l1/(l3+l2) and l2/(l3+l1); both must be below one.
+    """
+    return glued_rays_stationary(_PENDANT.law(rates), truncation, CLOSED_FORM_PENDANT)
+
+
+def stationary_closed_5cycle(rates, truncation: int = DEFAULT_TRUNCATION):
+    """Geometric stationary law for the 5-cycle marginal chain at the apex.
+
+    Coordinates are the two base queues; arm ratios l1/(l3+l2) and
+    l2/(l1+l4).
+    """
+    return glued_rays_stationary(_FIVE_CYCLE.law(rates), truncation, CLOSED_FORM_FIVE_CYCLE)
 
 
 def apply_transition(state, arriving, decision):
@@ -312,3 +370,29 @@ def matching_edges(result) -> list[tuple[int, int]]:
         if v > u:
             out.append((u, v))
     return out
+
+
+def matching_is_valid(result) -> bool:
+    """Check the pairing is an involution on matched nodes along template edges."""
+    partner = result.partner
+    types = result.node_types
+    n = result.n_nodes
+    matched_ids = np.nonzero(partner >= 0)[0]
+    if len(matched_ids) != result.matched_count:
+        return False
+    if np.any(partner[matched_ids] == matched_ids):
+        return False
+    if not np.all(partner[partner[matched_ids]] == matched_ids):
+        return False
+    p = result.template.node_count
+    adj = np.zeros((p + 1, p + 1), dtype=bool)
+    for i, j in result.template.edges:
+        adj[i, j] = adj[j, i] = True
+    if len(matched_ids) and not np.all(
+        adj[types[matched_ids], types[partner[matched_ids]]]
+    ):
+        return False
+    counts = np.bincount(types[partner < 0], minlength=p + 1)[1:]
+    if tuple(int(c) for c in counts) != result.queue:
+        return False
+    return result.matched_count == n - int(sum(result.queue))

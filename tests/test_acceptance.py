@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 
 from matchq.graphs import Graph, complete_graph, ncond_check, pendant_graph, five_cycle_graph
-from matchq.marginal import (
-    build_marginal,
-    fivecycle_alpha,
-    pendant_alpha,
-    stationary_closed_5cycle,
-    stationary_closed_pendant,
-    stationary_numeric,
-)
+from matchq.marginal import build_marginal, pendant_alpha, stationary_numeric
 from matchq.policies import (
     five_cycle_priority_policy,
     ml_policy,
@@ -29,7 +22,7 @@ from matchq.policies import (
     priority_policy,
     uniform_policy,
 )
-from matchq.randgraph import grow_and_match, matching_is_valid, type_distribution
+from matchq.randgraph import grow_and_match, type_distribution
 from matchq.simulate import (
     SimConfig,
     coupled_nonchaotic,
@@ -50,7 +43,14 @@ from iso_enum import (
     brute_force_separable,
     connected_graphs_up_to,
 )
-from oracles import law_gap, pendant_alpha_quotient
+from oracles import (
+    fivecycle_alpha,
+    law_gap,
+    matching_is_valid,
+    pendant_alpha_quotient,
+    stationary_closed_5cycle,
+    stationary_closed_pendant,
+)
 
 PENDANT = pendant_graph()
 FIVE_CYCLE = five_cycle_graph()

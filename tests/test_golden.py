@@ -53,8 +53,6 @@ from matchq.marginal import (
     build_marginal,
     fivecycle_node_reports,
     fluid_report,
-    stationary_closed_5cycle,
-    stationary_closed_pendant,
     stationary_numeric,
 )
 from matchq.policies import (
@@ -88,7 +86,7 @@ from matchq.simulate import (
     coupled_nonexpansive,
     simulate,
 )
-from oracles import dense_row_stationary
+from oracles import dense_row_stationary, stationary_closed_5cycle, stationary_closed_pendant
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 

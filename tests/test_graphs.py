@@ -28,12 +28,12 @@ from matchq.graphs import (
     is_bipartite,
     is_connected,
     ncond_check,
-    neighbors_of_set,
     pendant_graph,
     rate_of_set,
     separability,
     two_coloring,
     validate_edges,
+    _neighborhood,
 )
 
 import oracles
@@ -209,14 +209,6 @@ def test_independent_sets_cap():
 @given(small_connected_graphs())
 def test_independent_sets_agree_with_brute_force(graph):
     assert independent_sets(graph) == brute_independent_sets(graph)
-
-
-def test_neighbors_of_set():
-    assert neighbors_of_set(PENDANT, {4}) == frozenset({3})
-    assert neighbors_of_set(PENDANT, {1, 4}) == frozenset({2, 3})
-    assert neighbors_of_set(PENDANT, set()) == frozenset()
-    with pytest.raises(IndexOutOfRangeError):
-        neighbors_of_set(PENDANT, {4, 5})
 
 
 # -- rate condition ---------------------------------------------------------------
@@ -490,7 +482,7 @@ def test_rate_condition_rescores_the_screened_minimum():
     assert res.argmin == res.witness == frozenset({3, 6, 9, 10})
     assert res.min_margin.hex() == "-0x1.53b8e69adf808p-2"
     _assert_rate_condition_matches_oracle(graph, rates)
-    ascending = (rate_of_set(rates, sorted(neighbors_of_set(graph, res.argmin)))
+    ascending = (rate_of_set(rates, sorted(_neighborhood(graph.adjacency, res.argmin)))
                  - rate_of_set(rates, sorted(res.argmin)))
     assert ascending.hex() == "-0x1.53b8e69adf7f8p-2"
 

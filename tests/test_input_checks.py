@@ -117,6 +117,55 @@ def test_horizon_overflowing_with_the_scale_is_refused(files):
     assert simulate(PENDANT, LAM, ml_policy(), config).n_events == 10
 
 
+# Instance files that used to load as something else without an error: a
+# fractional or boolean number read as an integer, an edge of three
+# entries cut to two, a boolean rate read as 1.0, a string read as the
+# list of its characters. Each one now exits 2, as does a file that is not
+# JSON or lacks a required key.
+PENDANT_ORDER = {"1": [2, 3], "2": [1, 3], "3": [1, 2, 4], "4": [3]}
+BAD_FILES = {
+    "graph-fractional-edge": ("graph", {"nodes": 3, "edges": [[1.9, 2.2], [2, 3]]}),
+    "graph-three-entry-edge": ("graph", {"nodes": 3, "edges": [[1, 2, 3], [2, 3]]}),
+    "graph-fractional-nodes": ("graph", {"nodes": 2.7, "edges": [[1, 2]]}),
+    "graph-boolean-nodes": ("graph", {"nodes": True, "edges": []}),
+    "graph-no-edges-key": ("graph", {"nodes": 4}),
+    "graph-not-json": ("graph", '{"nodes": 4, "edges": [[1, 2]'),
+    "rates-boolean": ("rates", {"rates": [True, 0.1, 0.45, 0.35]}),
+    "rates-string": ("rates", {"rates": "1234"}),
+    "policy-fractional-entry": (
+        "policy", {"kind": "priority", "order": {**PENDANT_ORDER, "3": [1, 2.5, 4]}}),
+}
+
+
+def _cli_argv(d, kind, path):
+    """A command that reads the file at path as the given kind, with good
+    files for its other inputs."""
+    if kind == "graph":
+        return ["analyze", "--graph", str(path)]
+    if kind == "rates":
+        return ["ncond", "--graph", str(d / "pendant.json"), "--rates", str(path)]
+    return ["simulate", "--graph", str(d / "pendant.json"), "--rates", str(d / "rates.json"),
+            "--policy", str(path), "--seed", "1", "--horizon", "1"]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_cli_misread_instance_file_exit_2(files, capsys, case):
+    kind, content = BAD_FILES[case]
+    path = files / f"{case}.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main(_cli_argv(files, kind, path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_well_formed_numbers_still_parse():
+    assert ser.graph_from_obj({"nodes": 4.0, "edges": [list(e) for e in PENDANT.edges]}) == PENDANT
+    assert ser.rates_from_obj({"rates": [1, 0.5, 3, 2]}) == (1.0, 0.5, 3.0, 2.0)
+    policy = ser.policy_from_obj({"kind": "priority", "order": PENDANT_ORDER})
+    assert policy == pendant_priority_policy()
+
+
 @pytest.fixture
 def files(tmp_path):
     ser.dump_json(ser.graph_to_obj(PENDANT), tmp_path / "pendant.json")

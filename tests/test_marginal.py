@@ -22,12 +22,9 @@ from matchq.errors import (
 from matchq.graphs import complete_graph, cycle_graph, five_cycle_graph, pendant_graph
 from matchq.marginal import (
     build_marginal,
-    fivecycle_alpha,
     fivecycle_node_reports,
     fluid_report,
     pendant_alpha,
-    stationary_closed_5cycle,
-    stationary_closed_pendant,
     stationary_numeric,
 )
 from matchq.policies import (
@@ -39,7 +36,14 @@ from matchq.policies import (
 )
 from matchq.simulate import SimConfig, drift_estimate, simulate
 from matchq.stability import PENDANT_PRIORITY, PENDANT_UNIFORM, counterexample
-from oracles import law, law_gap, pendant_alpha_quotient
+from oracles import (
+    fivecycle_alpha,
+    law,
+    law_gap,
+    pendant_alpha_quotient,
+    stationary_closed_5cycle,
+    stationary_closed_pendant,
+)
 
 PENDANT = pendant_graph()
 FIVE_CYCLE = five_cycle_graph()

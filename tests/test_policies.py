@@ -7,7 +7,6 @@ from scipy import stats
 
 from matchq.errors import (
     InvalidStateError,
-    NotPriorityPolicyError,
     PolicyGraphMismatchError,
     ValidationError,
 )
@@ -19,7 +18,6 @@ from matchq.policies import (
     ml_policy,
     pendant_priority_policy,
     priority_policy,
-    priority_set,
     uniform_policy,
     validate_policy,
 )
@@ -59,14 +57,6 @@ def test_apply_transition_examples():
 def test_apply_transition_rejects_empty_match():
     with pytest.raises(InvalidStateError):
         apply_transition((0, 0, 0, 0), 3, 1)
-
-
-def test_priority_sets():
-    assert priority_set(FIG_POLICY, PENDANT, 3, 4) == frozenset({1, 2})
-    assert priority_set(FIG_POLICY, PENDANT, 3, 2) == frozenset({1})
-    assert priority_set(FIG_POLICY, PENDANT, 3, 1) == frozenset()
-    with pytest.raises(NotPriorityPolicyError):
-        priority_set(ml_policy(), PENDANT, 3, 4)
 
 
 def test_state_space_membership():

@@ -10,13 +10,12 @@ from matchq.graphs import Graph, complete_graph, pendant_graph
 from matchq.policies import ml_policy, pendant_priority_policy, uniform_policy
 from matchq.randgraph import (
     grow_and_match,
-    matching_is_valid,
     tutte_condition_estimate,
     type_distribution,
 )
 from matchq.simulate import SimConfig, simulate
 
-from oracles import matching_edges
+from oracles import matching_edges, matching_is_valid
 
 TRIANGLE = complete_graph(3)
 EDGE = Graph.from_edges(2, [(1, 2)])

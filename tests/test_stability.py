@@ -26,7 +26,6 @@ from matchq.policies import (
     five_cycle_priority_policy,
     ml_policy,
     pendant_priority_policy,
-    priority_set,
 )
 from matchq.simulate import SimConfig, drift_estimate, simulate
 from matchq.stability import (
@@ -255,7 +254,8 @@ def test_construct_pendant_plus_one():
     assert inst.rates[:4] == pytest.approx((0.1, 0.1, 0.45, 0.35))
     assert inst.rates[4] < inst.notes["gamma"]
     # the restriction of the policy to the embedded nodes is the family rule
-    assert priority_set(inst.policy, inst.graph, 3, 4) == frozenset({1, 2})
+    order = inst.policy.order[3]
+    assert set(order[: order.index(4)]) == {1, 2}
 
 
 def test_construct_handles_multi_level_remainders():
