@@ -7,12 +7,14 @@ come out; every randomized command requires an explicit --seed, and every
 reproduced bit for bit.
 
 Every subcommand is declared through `_command`, which adds the instance
-files, --seed, --out and --format. Every report goes through `_emit`, the
-one place that chooses stdout or --out, JSON or CSV, and the one writer of
-manifest.json; simulate and randgraph write only their own trace,
-trajectory and matching files. Exit codes live on the error classes
-(`MatchQError.exit_code`): 0 ok, 2 parse/validation error, 3
-not-applicable or region error, 4 budget exceeded.
+files, --seed, --out and --format. Before dispatch, `main` reads every
+instance file given, in the order graph, rates, policy, and hands the
+command the parsed values in place of the paths. Every report goes
+through `_emit`, the one place that chooses stdout or --out, JSON or CSV,
+and the one writer of manifest.json; simulate and randgraph write only
+their own trace, trajectory and matching files. Exit codes live on the
+error classes (`MatchQError.exit_code`): 0 ok, 2 parse/validation error,
+3 not-applicable or region error, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -26,20 +28,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    IndexOutOfRangeError,
-    MatchQError,
-    NotApplicableError,
-    ValidationError,
-)
-from .graphs import (
-    FIVE_CYCLE_EDGES,
-    PENDANT_EDGES,
-    classify,
-    ncond_check,
-)
+from .errors import IndexOutOfRangeError, MatchQError, ValidationError
+from .graphs import classify, ncond_check
 from .marginal import fluid_report
-from .policies import five_cycle_priority_policy, pendant_priority_policy
 from .randgraph import grow_and_match, type_distribution
 from .simulate import (
     SimConfig,
@@ -53,22 +44,27 @@ from .stability import (
     construct_nonmaximal,
     counterexample,
     empirical_classify,
-    fivecycle_region,
-    pendant_region,
+    exact_region,
 )
 from . import serialize as ser
 
+# The reader of each kind of instance file, in the order main reads them.
+_READERS = {
+    "graph": ser.graph_from_obj,
+    "rates": ser.rates_from_obj,
+    "policy": ser.policy_from_obj,
+}
 
-def _load_graph(path):
-    return ser.graph_from_obj(ser.load_json(path))
 
-
-def _load_rates(path):
-    return ser.rates_from_obj(ser.load_json(path))
-
-
-def _load_policy(path):
-    return ser.policy_from_obj(ser.load_json(path))
+def _read_inputs(args):
+    """Replace each instance-file path on args by the value it holds, and
+    keep the paths, in reading order, in args.inputs for the manifest."""
+    args.inputs = []
+    for kind, read in _READERS.items():
+        path = getattr(args, kind, None)
+        if path is not None:
+            setattr(args, kind, read(ser.load_json(path)))
+            args.inputs.append(path)
 
 
 def _cell(value) -> str:
@@ -105,11 +101,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _emit(args, outputs, inputs=()):
+def _emit(args, outputs):
     """Print each report to stdout, or write it into --out with a manifest.
 
     outputs lists the reports as (name, obj) pairs, in manifest order,
-    among the names of the files the command wrote into --out itself.
+    among the names of the files the command wrote into --out itself; the
+    manifest's inputs are the files in args.inputs.
     """
     out = _out_dir(args) if args.out else None
     written = []
@@ -131,43 +128,36 @@ def _emit(args, outputs, inputs=()):
             ser.dump_json(obj, out / written[-1])
     if out is not None:
         ser.dump_json(
-            ser.manifest(args.command, args.argv, inputs,
+            ser.manifest(args.command, args.argv, args.inputs,
                          seed=getattr(args, "seed", None), outputs=written),
             out / "manifest.json",
         )
 
 
 def _cmd_analyze(args):
-    graph = _load_graph(args.graph)
-    cls = classify(graph)
-    _emit(args, [("analysis", ser.classification_to_obj(cls))], [args.graph])
+    _emit(args, [("analysis", ser.classification_to_obj(classify(args.graph)))])
 
 
 def _cmd_ncond(args):
-    graph = _load_graph(args.graph)
-    rates = _load_rates(args.rates)
-    res = ncond_check(graph, rates)
+    res = ncond_check(args.graph, args.rates)
     obj = {
         "satisfied": res.satisfied,
         "min_margin": res.min_margin,
         "argmin_set": sorted(res.argmin),
         "witness": sorted(res.witness) if res.witness is not None else None,
     }
-    _emit(args, [("ncond", obj)], [args.graph, args.rates])
+    _emit(args, [("ncond", obj)])
 
 
 def _cmd_fluid(args):
-    graph = _load_graph(args.graph)
-    rates = _load_rates(args.rates)
-    policy = _load_policy(args.policy)
     report = fluid_report(
-        graph, rates, policy, args.node, args.q0, truncation=args.truncation
+        args.graph, args.rates, args.policy, args.node, args.q0, truncation=args.truncation
     )
-    _emit(args, [("fluid", ser.fluid_report_to_obj(report))],
-          [args.graph, args.rates, args.policy])
+    _emit(args, [("fluid", ser.fluid_report_to_obj(report))])
 
 
-def _parse_initial(args, graph):
+def _parse_initial(args):
+    graph = args.graph
     if args.init_node is not None:
         if not 1 <= args.init_node <= graph.node_count:
             raise IndexOutOfRangeError(args.init_node, graph.node_count)
@@ -185,12 +175,9 @@ def _parse_initial(args, graph):
 
 
 def _cmd_simulate(args):
-    graph = _load_graph(args.graph)
-    rates = _load_rates(args.rates)
-    policy = _load_policy(args.policy)
-    if args.node is not None and not 1 <= args.node <= graph.node_count:
-        raise IndexOutOfRangeError(args.node, graph.node_count)
-    initial = _parse_initial(args, graph)
+    if args.node is not None and not 1 <= args.node <= args.graph.node_count:
+        raise IndexOutOfRangeError(args.node, args.graph.node_count)
+    initial = _parse_initial(args)
     seeds = (
         [args.seed]
         if args.replications == 1
@@ -205,7 +192,7 @@ def _cmd_simulate(args):
             scale=args.scale,
             trace_stride=args.stride,
         )
-        trace = simulate(graph, rates, policy, config)
+        trace = simulate(args.graph, args.rates, args.policy, config)
         drift = None
         if args.node is not None:
             try:
@@ -218,47 +205,25 @@ def _cmd_simulate(args):
             outputs.append(f"trace{suffix}.csv")
         summary = ser.trace_summary_to_obj(trace, node=args.node, drift=drift)
         outputs.append((f"summary{suffix}", summary))
-    _emit(args, outputs, [args.graph, args.rates, args.policy])
-
-
-# The exact regions and the one priority rule each holds for, by graph.
-_EXACT_REGIONS = {
-    PENDANT_EDGES: (pendant_region, pendant_priority_policy),
-    FIVE_CYCLE_EDGES: (fivecycle_region, five_cycle_priority_policy),
-}
+    _emit(args, outputs)
 
 
 def _cmd_stability(args):
-    graph = _load_graph(args.graph)
-    rates = _load_rates(args.rates)
     if args.empirical:
         if args.seed is None:
             raise ValidationError("--empirical requires --seed")
         if args.policy is None:
             raise ValidationError("--empirical requires --policy")
-        policy = _load_policy(args.policy)
         budget = ClassifyBudget(
             seeds=args.replications,
             scales=tuple(args.scales),
             horizon=args.horizon,
             master_seed=args.seed,
         )
-        verdict = empirical_classify(graph, rates, policy, budget)
-    elif graph.edges in _EXACT_REGIONS:
-        region, canonical = _EXACT_REGIONS[graph.edges]
-        if args.policy is not None and _load_policy(args.policy) != canonical():
-            raise NotApplicableError(
-                "the exact region holds for the graph's canonical priority rule "
-                "only; use --empirical for other policies"
-            )
-        verdict = region(rates)
+        verdict = empirical_classify(args.graph, args.rates, args.policy, budget)
     else:
-        raise NotApplicableError(
-            "exact regions exist for the canonical pendant graph and 5-cycle; "
-            "use --empirical for other instances"
-        )
-    _emit(args, [("stability", ser.verdict_to_obj(verdict))],
-          [args.graph, args.rates] + ([args.policy] if args.policy else []))
+        verdict = exact_region(args.graph, args.rates, args.policy)
+    _emit(args, [("stability", ser.verdict_to_obj(verdict))])
 
 
 def _cmd_counterexample(args):
@@ -267,17 +232,13 @@ def _cmd_counterexample(args):
 
 
 def _cmd_construct(args):
-    graph = _load_graph(args.graph)
-    instance = construct_nonmaximal(graph, eps=args.eps)
-    _emit(args, [("instance", ser.instance_to_obj(instance))], [args.graph])
+    instance = construct_nonmaximal(args.graph, eps=args.eps)
+    _emit(args, [("instance", ser.instance_to_obj(instance))])
 
 
 def _cmd_randgraph(args):
-    template = _load_graph(args.graph)
-    rates = _load_rates(args.rates)
-    policy = _load_policy(args.policy)
-    mu = type_distribution(rates)
-    result = grow_and_match(template, mu, policy, args.n, args.seed)
+    mu = type_distribution(args.rates)
+    result = grow_and_match(args.graph, mu, args.policy, args.n, args.seed)
     summary = {
         "seed": args.seed,
         "n": result.n_nodes,
@@ -294,7 +255,7 @@ def _cmd_randgraph(args):
         if args.matching_out:
             ser.write_matching_json(result, out / "matching.json")
             outputs.append("matching.json")
-    _emit(args, outputs, [args.graph, args.rates, args.policy])
+    _emit(args, outputs)
 
 
 def _command(sub, name, func, help, files=(), seed=False, optional=()):
@@ -374,6 +335,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = argv  # recorded in manifest.json
     try:
+        _read_inputs(args)
         args.func(args)
     except MatchQError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,13 +18,14 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, NotConnectedError
 from .graphs import Graph
 from .policies import PRIORITY, Policy, priority_policy
 from .simulate import SimTrace, hitting_time
@@ -37,17 +38,29 @@ def _require(obj: dict, key: str, context: str) -> Any:
     return obj[key]
 
 
+def _is_number(x) -> bool:
+    """x is a JSON number: a bool or a string is not one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _int(x) -> int:
-    """x as an int; a bool or a number with a fractional part is refused."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+    """x as an int; anything but a number with no fractional part is refused."""
+    if not _is_number(x) or isinstance(x, float) and not x.is_integer():
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
 
 
 def _float(x) -> float:
-    if isinstance(x, bool):
+    if not _is_number(x):
         raise ValueError(f"expected a number, got {x!r}")
     return float(x)
+
+
+def _node_key(key: str) -> int:
+    """An order key as a node index, written only as str(index) writes it."""
+    if key != str(int(key)):
+        raise ValueError(f"expected a node index as an order key, got {key!r}")
+    return int(key)
 
 
 def _list(x, length=None) -> list:
@@ -69,6 +82,10 @@ def graph_from_obj(obj: dict) -> Graph:
     try:
         nodes = _int(_require(obj, "nodes", "graph"))
         edges = _list(_require(obj, "edges", "graph"))
+        # refused before Graph builds a table with one entry per node
+        if nodes > len(edges) + 1:
+            raise NotConnectedError(f"graph: {nodes} nodes need at least {nodes - 1} "
+                                    f"edges to be connected, got {len(edges)}")
         return Graph.from_edges(nodes, [tuple(map(_int, _list(e, 2))) for e in edges])
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"graph: {exc}") from exc
@@ -106,8 +123,10 @@ def policy_from_obj(obj: dict) -> Policy:
         if kind == PRIORITY:
             order = _require(obj, "order", "policy")
             return priority_policy(
-                {int(k): tuple(map(_int, _list(v))) for k, v in order.items()}
+                {_node_key(k): tuple(map(_int, _list(v))) for k, v in order.items()}
             )
+        if "order" in obj:
+            raise ValueError(f"a {kind} policy takes no order")
         return Policy(kind)
     except (TypeError, ValueError, AttributeError) as exc:
         raise InputFormatError(f"policy: {exc}") from exc
@@ -134,17 +153,7 @@ def instance_to_obj(instance: UnstableInstance) -> dict:
 
 
 def fluid_report_to_obj(report) -> dict:
-    return {
-        "i0": report.i0,
-        "guard_probs": {str(k): v for k, v in sorted(report.guard_probs.items())},
-        "drift": report.drift,
-        "rho": _num(report.rho),
-        "method": report.method,
-        "tail_mass": report.tail_mass,
-        "q0": report.q0,
-        "solver": report.solver,
-        "residual": report.residual,
-    }
+    return _jsonable(asdict(report))
 
 
 def verdict_to_obj(verdict: StabilityVerdict) -> dict:

@@ -4,7 +4,8 @@ The pendant graph and the 5-cycle admit exact stability regions under
 their canonical destabilizing priority rules: the independent-set rate
 condition plus one (pendant) or three (5-cycle) closed-form drift
 inequalities, whose constants come from the glued-rays law in
-`marginal`. Four parametric families produce instances that satisfy the
+`marginal`; `exact_region` is the one place that picks a graph's region
+and refuses every other policy. Four parametric families produce instances that satisfy the
 rate condition yet have a positive fluid drift at one node, read from
 fluid_report's closed route, and `construct_nonmaximal` transplants such
 a family onto any connected non-bipartite non-separable graph that
@@ -92,22 +93,39 @@ def _ncond_inequalities(graph: Graph, rates) -> list[Inequality]:
     ]
 
 
+def _region(graph: Graph, rates, own) -> StabilityVerdict:
+    """The rate-condition inequalities, then, where all of them hold, the
+    graph's own inequalities `own(rates)`; stable iff every one holds."""
+    rates = check_rates(graph, rates)
+    ineqs = _ncond_inequalities(graph, rates)
+    if all(iq.satisfied for iq in ineqs):
+        ineqs += own(rates)
+    verdict = STABLE_EXACT if all(iq.satisfied for iq in ineqs) else UNSTABLE_EXACT
+    return StabilityVerdict(verdict=verdict, inequalities=tuple(ineqs))
+
+
+def _pendant_inequalities(rates) -> list[Inequality]:
+    return [Inequality("pendant:tail<alpha*hub", rates[3], pendant_alpha(rates) * rates[2])]
+
+
 def pendant_region(rates: Sequence[float]) -> StabilityVerdict:
     """Exact verdict for the pendant graph under its canonical priority rule.
 
     Stable iff the rate condition holds and the tail rate stays below the
     hub rate times the marginal empty probability.
     """
-    graph = pendant_graph()
-    rates = check_rates(graph, rates)
-    ineqs = _ncond_inequalities(graph, rates)
-    if all(iq.satisfied for iq in ineqs):
-        alpha = pendant_alpha(rates)
-        ineqs.append(
-            Inequality("pendant:tail<alpha*hub", rates[3], alpha * rates[2])
-        )
-    verdict = STABLE_EXACT if all(iq.satisfied for iq in ineqs) else UNSTABLE_EXACT
-    return StabilityVerdict(verdict=verdict, inequalities=tuple(ineqs))
+    return _region(pendant_graph(), rates, _pendant_inequalities)
+
+
+def _fivecycle_inequalities(rates) -> list[Inequality]:
+    a, alpha = _FIVE_CYCLE.service(rates)
+    reports = fivecycle_node_reports(rates)
+    return [
+        Inequality("five_cycle:apex<a*alpha", rates[4], a * alpha),
+        Inequality("five_cycle:node3<c*alpha24", rates[2], reports.c * reports.alpha24),
+        Inequality("five_cycle:node4<l2*alpha13+l5", rates[3],
+                   rates[1] * reports.alpha13 + rates[4]),
+    ]
 
 
 def fivecycle_region(rates: Sequence[float]) -> StabilityVerdict:
@@ -120,27 +138,32 @@ def fivecycle_region(rates: Sequence[float]) -> StabilityVerdict:
     flag instances whose exact node-4 drift is still negative (compare
     with fluid_report on node 4 when the margin is small).
     """
-    graph = five_cycle_graph()
-    rates = check_rates(graph, rates)
-    ineqs = _ncond_inequalities(graph, rates)
-    if all(iq.satisfied for iq in ineqs):
-        a, alpha = _FIVE_CYCLE.service(rates)
-        reports = fivecycle_node_reports(rates)
-        ineqs.append(Inequality("five_cycle:apex<a*alpha", rates[4], a * alpha))
-        ineqs.append(
-            Inequality(
-                "five_cycle:node3<c*alpha24", rates[2], reports.c * reports.alpha24
-            )
+    return _region(five_cycle_graph(), rates, _fivecycle_inequalities)
+
+
+# The exact regions by graph, each with the one priority rule it holds for;
+# keyed by the whole graph, so an extra isolated node finds no region.
+_EXACT_REGIONS = {
+    pendant_graph(): (pendant_region, pendant_priority_policy),
+    five_cycle_graph(): (fivecycle_region, five_cycle_priority_policy),
+}
+
+
+def exact_region(graph: Graph, rates, policy: Optional[Policy] = None) -> StabilityVerdict:
+    """The exact verdict of the canonical pendant graph or 5-cycle under its
+    canonical priority rule, which `policy` None stands for."""
+    if graph not in _EXACT_REGIONS:
+        raise NotApplicableError(
+            "exact regions exist for the canonical pendant graph and 5-cycle; "
+            "use --empirical for other instances"
         )
-        ineqs.append(
-            Inequality(
-                "five_cycle:node4<l2*alpha13+l5",
-                rates[3],
-                rates[1] * reports.alpha13 + rates[4],
-            )
+    region, canonical = _EXACT_REGIONS[graph]
+    if policy is not None and policy != canonical():
+        raise NotApplicableError(
+            "the exact region holds for the graph's canonical priority rule "
+            "only; use --empirical for other policies"
         )
-    verdict = STABLE_EXACT if all(iq.satisfied for iq in ineqs) else UNSTABLE_EXACT
-    return StabilityVerdict(verdict=verdict, inequalities=tuple(ineqs))
+    return region(rates)
 
 
 # -- counterexample families ---------------------------------------------------
@@ -318,7 +341,7 @@ def construct_nonmaximal(
             "internal error: transplanted instance violates the rate condition "
             f"at {sorted(result.witness)}"
         )
-    i0 = node_of_label[4 if family == PENDANT_PRIORITY else 5]
+    i0 = node_of_label[base.node]
     return UnstableInstance(
         graph=graph,
         rates=tuple(rates),

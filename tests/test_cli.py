@@ -256,6 +256,45 @@ def test_cli_stability_exact_route_takes_only_the_canonical_rule(files, tmp_path
         assert str(policy) in manifest["inputs"]
 
 
+# Every subcommand that reads instance files, with the files it is given
+# (by fixture key) and its other options.
+_FILE_RUNS = {
+    "analyze": (("pendant",), []),
+    "ncond": (("pendant", "rates"), []),
+    "fluid": (("pendant", "rates", "policy"), ["--node", "4"]),
+    "simulate": (("pendant", "rates", "policy"), ["--seed", "1", "--horizon", "1"]),
+    "stability": (("pendant", "rates"), []),
+    "stability-policy": (("pendant", "rates", "policy"), []),
+    "construct-nonmaximal": (("g5",), []),
+    "randgraph": (("pendant", "rates", "policy"), ["--seed", "1", "--n", "50"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_FILE_RUNS))
+def test_cli_manifest_lists_exactly_the_files_given(files, monkeypatch, run):
+    files["g5"] = files["dir"] / "g5.json"
+    g5 = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    ser.dump_json(ser.graph_to_obj(g5), files["g5"])
+    keys, extra = _FILE_RUNS[run]
+    given = [str(files[key]) for key in keys]
+    # the options come policy first; the files are read, and listed, in
+    # the order graph, rates, policy
+    options = [[f"--{kind}", path] for kind, path in zip(("graph", "rates", "policy"), given)]
+    argv = [run.removesuffix("-policy")] + [a for o in reversed(options) for a in o] + extra
+    listed, manifest = [], ser.manifest
+
+    def listing_manifest(command, argv, inputs, **kwargs):
+        listed.append(list(inputs))
+        return manifest(command, argv, inputs, **kwargs)
+
+    monkeypatch.setattr(ser, "manifest", listing_manifest)
+    out = files["dir"] / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert listed == [given]
+    written = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert written == {path: ser.sha256_file(path) for path in given}
+
+
 def test_cli_construct_not_applicable_exit_3(files, tmp_path):
     ser.dump_json(
         ser.graph_to_obj(Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])),

@@ -13,7 +13,7 @@ import pytest
 import matchq
 import matchq.serialize as ser
 from matchq.cli import main
-from matchq.errors import MatchQError, ValidationError
+from matchq.errors import MatchQError, NotConnectedError, ValidationError
 from matchq.graphs import check_rates, ncond_check, pendant_graph
 from matchq.marginal import fluid_report
 from matchq.policies import ml_policy, pendant_priority_policy, uniform_policy
@@ -120,20 +120,33 @@ def test_horizon_overflowing_with_the_scale_is_refused(files):
 # Instance files that used to load as something else without an error: a
 # fractional or boolean number read as an integer, an edge of three
 # entries cut to two, a boolean rate read as 1.0, a string read as the
-# list of its characters. Each one now exits 2, as does a file that is not
-# JSON or lacks a required key.
+# list of its characters or as the number it spells ("1_0" as 10), an
+# order key that int() reads ("01" as node 1, "0_4" as node 4), an order
+# that an ml or uniform policy dropped. Each one now exits 2, as does a
+# file that is not JSON or lacks a required key.
 PENDANT_ORDER = {"1": [2, 3], "2": [1, 3], "3": [1, 2, 4], "4": [3]}
+PENDANT_EDGES = [[1, 2], [1, 3], [2, 3], [3, 4]]
 BAD_FILES = {
     "graph-fractional-edge": ("graph", {"nodes": 3, "edges": [[1.9, 2.2], [2, 3]]}),
     "graph-three-entry-edge": ("graph", {"nodes": 3, "edges": [[1, 2, 3], [2, 3]]}),
     "graph-fractional-nodes": ("graph", {"nodes": 2.7, "edges": [[1, 2]]}),
     "graph-boolean-nodes": ("graph", {"nodes": True, "edges": []}),
+    "graph-string-nodes": ("graph", {"nodes": "4", "edges": PENDANT_EDGES}),
+    "graph-string-endpoints": (
+        "graph", {"nodes": 4, "edges": [["1", "2"]] + PENDANT_EDGES[1:]}),
     "graph-no-edges-key": ("graph", {"nodes": 4}),
     "graph-not-json": ("graph", '{"nodes": 4, "edges": [[1, 2]'),
     "rates-boolean": ("rates", {"rates": [True, 0.1, 0.45, 0.35]}),
     "rates-string": ("rates", {"rates": "1234"}),
+    "rates-string-entry": ("rates", {"rates": ["1_0", 0.1, 0.45, 0.35]}),
     "policy-fractional-entry": (
         "policy", {"kind": "priority", "order": {**PENDANT_ORDER, "3": [1, 2.5, 4]}}),
+    "policy-padded-key": (
+        "policy", {"kind": "priority", "order": {**PENDANT_ORDER, "01": [3, 2]}}),
+    "policy-underscored-key": ("policy", {"kind": "priority", "order": {
+        "1": [2, 3], "2": [1, 3], "3": [1, 2, 4], "0_4": [3]}}),
+    "policy-ml-with-order": ("policy", {"kind": "ml", "order": PENDANT_ORDER}),
+    "policy-uniform-with-order": ("policy", {"kind": "uniform", "order": PENDANT_ORDER}),
 }
 
 
@@ -157,6 +170,17 @@ def test_cli_misread_instance_file_exit_2(files, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_graph_with_too_few_edges_to_be_connected_is_refused_before_it_is_built():
+    # a node count above the edge count plus one cannot be connected, and
+    # a table with one entry per node of 10**9 would exhaust memory
+    with pytest.raises(NotConnectedError):
+        ser.graph_from_obj({"nodes": 10**9, "edges": [[1, 2]]})
+    with pytest.raises(NotConnectedError):
+        ser.graph_from_obj({"nodes": 4, "edges": [[1, 2], [2, 3]]})
+    path = ser.graph_from_obj({"nodes": 3, "edges": [[1, 2], [2, 3]]})
+    assert path.node_count == 3
 
 
 def test_well_formed_numbers_still_parse():

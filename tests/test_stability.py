@@ -38,6 +38,7 @@ from matchq.stability import (
     construct_nonmaximal,
     counterexample,
     empirical_classify,
+    exact_region,
     fivecycle_region,
     pendant_region,
 )
@@ -103,6 +104,25 @@ def test_fivecycle_region_node4_inequality_can_fail_alone():
     v = fivecycle_region(lam)
     assert v.verdict == "unstable-exact"
     assert _failing_names(v) == {"five_cycle:node4<l2*alpha13+l5"}
+
+
+def test_exact_region_takes_only_the_canonical_graphs_and_rules():
+    # exact_region is the one place that picks a region for a graph: each
+    # holds for its graph's canonical priority rule, which None stands for
+    pendant_rates = (0.1, 0.1, 0.45, 0.35)
+    c5_rates = (0.1, 0.1, 0.225, 0.225, 0.35)
+    for graph, rates, rule, region in (
+        (pendant_graph(), pendant_rates, pendant_priority_policy(), pendant_region),
+        (five_cycle_graph(), c5_rates, five_cycle_priority_policy(), fivecycle_region),
+    ):
+        assert exact_region(graph, rates) == region(rates)
+        assert exact_region(graph, rates, rule) == region(rates)
+    with pytest.raises(NotApplicableError, match="canonical priority rule only"):
+        exact_region(pendant_graph(), pendant_rates, ml_policy())
+    # the square, and the pendant with an isolated fifth node
+    for graph in (cycle_graph(4), Graph(5, pendant_graph().edges)):
+        with pytest.raises(NotApplicableError, match="canonical pendant graph and 5-cycle"):
+            exact_region(graph, pendant_rates)
 
 
 def test_fivecycle_node4_inequality_is_conservative_near_its_face():
