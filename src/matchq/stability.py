@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -253,6 +254,35 @@ def _certified(family: str, eps: float):
     ), result
 
 
+@dataclass(frozen=True)
+class _FamilyBase:
+    """What construct_nonmaximal reads off a certified family instance:
+    its rates, priority orders and unstable node by canonical label, its
+    drift and its rate-condition margin tau."""
+
+    rates: tuple[float, ...]
+    orders: tuple[tuple[int, ...], ...]
+    node: int
+    drift: float
+    tau: float
+
+
+@lru_cache(maxsize=64, typed=True)
+def _family_base(family: str, eps: float) -> _FamilyBase:
+    """The certified base of a family at eps, computed once per (family,
+    eps); it holds no instance, whose notes dict callers may change. An
+    eps that _certified refuses raises on every call, since lru_cache keeps
+    no exceptions."""
+    base, condition = _certified(family, eps)
+    return _FamilyBase(
+        rates=base.rates,
+        orders=tuple(base.policy.order[v] for v in base.graph.nodes),
+        node=base.node,
+        drift=base.drift,
+        tau=condition.min_margin,
+    )
+
+
 # -- transplanting a family onto a general graph --------------------------------
 
 
@@ -305,7 +335,7 @@ def construct_nonmaximal(
         label_positions = (1, 2, 4, 5, 3)
     if eps is None:
         eps = FAMILY_EPS_BOUND[family] / 2.0
-    base, base_condition = _certified(family, eps)
+    base = _family_base(family, eps)
 
     node_of_label = dict(zip(label_positions, cls.witness))
     kept = set(cls.witness)
@@ -314,7 +344,7 @@ def construct_nonmaximal(
     for label, node in node_of_label.items():
         rates[node - 1] = base.rates[label - 1]
 
-    tau = base_condition.min_margin
+    tau = base.tau
     beta = base.drift
     gamma = 0.5 * min(tau, beta, min(base.rates))
     hat_total = 0.0
@@ -327,7 +357,7 @@ def construct_nonmaximal(
     orders = {}
     for v in graph.nodes:
         if v in kept:
-            fam_order = base.policy.order[label_of_node[v]]
+            fam_order = base.orders[label_of_node[v] - 1]
             mapped = [node_of_label[w] for w in fam_order]
             rest = sorted(w for w in graph.neighbors(v) if w not in kept)
             orders[v] = tuple(mapped + rest)

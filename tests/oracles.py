@@ -169,36 +169,8 @@ def dense_row_stationary(
             solver=SOLVER_CLOSED,
             residual=0.0,
         )
-    # Mixed-radix codes: the states are sorted lexicographically, so their
-    # codes are sorted and a neighbor is found by binary search. Python
-    # integers take over when the codes would overflow int64.
-    radix = truncation + 1
-    wide = radix**m > np.iinfo(np.int64).max
-    place = np.array([radix ** (m - 1 - k) for k in range(m)],
-                     dtype=object if wide else np.int64)
-    codes = states.astype(place.dtype) @ place
-    up, down = chain.rates_at(states)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    # Per state, the diagonal subtracts the rates in coordinate order, up
-    # before down; rows without a move subtract nothing, so each entry is
-    # the same float as a state-by-state sum.
-    for k in range(m):
-        for delta, rate in ((+1, up[:, k]), (-1, down[:, k])):
-            src = np.flatnonzero(rate > 0.0)
-            if delta > 0:
-                src = src[states[src, k] < truncation]  # suppressed: leaves the box
-            rows.append(src)
-            cols.append(np.searchsorted(codes, codes[src] + delta * place[k]))
-            vals.append(rate[src])
-            diag[src] -= rate[src]
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    q, rows, cols, vals, diag = triplet_generator(chain, states, truncation)
     every = np.arange(n)
-    q = sp.coo_matrix(
-        (np.concatenate([vals, diag]), (np.concatenate([rows, every]),
-                                        np.concatenate([cols, every]))),
-        shape=(n, n),
-    ).tocsr()
 
     ncomp, _ = connected_components(q, directed=True, connection="strong")
     if ncomp != 1:
@@ -245,6 +217,50 @@ def dense_row_stationary(
         solver=solver,
         residual=residual,
     )
+
+
+def triplet_generator(chain: MarginalChain, states: np.ndarray, truncation: int):
+    """The generator Q of the truncated chain on `states`, assembled from
+    COO triplets and converted to CSR, with the triplets: (q, rows, cols,
+    vals, diag), the off-diagonal entries and the diagonal. stationary_numeric
+    writes Q's CSR arrays directly in column order."""
+    n, m = states.shape
+    # Mixed-radix codes: the states are sorted lexicographically, so their
+    # codes are sorted and a neighbor is found by binary search. Python
+    # integers take over when the codes would overflow int64.
+    radix = truncation + 1
+    wide = radix**m > np.iinfo(np.int64).max
+    place = np.array([radix ** (m - 1 - k) for k in range(m)],
+                     dtype=object if wide else np.int64)
+    codes = states.astype(place.dtype) @ place
+    up, down = chain.rates_at(states)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    # Per state, the diagonal subtracts the rates in coordinate order, up
+    # before down; rows without a move subtract nothing.
+    for k in range(m):
+        for delta, rate in ((+1, up[:, k]), (-1, down[:, k])):
+            src = np.flatnonzero(rate > 0.0)
+            if delta > 0:
+                src = src[states[src, k] < truncation]  # suppressed: leaves the box
+            rows.append(src)
+            cols.append(np.searchsorted(codes, codes[src] + delta * place[k]))
+            vals.append(rate[src])
+            diag[src] -= rate[src]
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    every = np.arange(n)
+    q = sp.coo_matrix(
+        (np.concatenate([vals, diag]), (np.concatenate([rows, every]),
+                                        np.concatenate([cols, every]))),
+        shape=(n, n),
+    ).tocsr()
+    return q, rows, cols, vals, diag
+
+
+def sliced_pinned_system(q):
+    """The system stationary_numeric solves, sliced from Q: Q^T[1:, 1:] as
+    CSC and the right-hand side -Q[0, 1:]."""
+    return q[1:, 1:].T.tocsc(), -q[0, 1:].toarray().ravel()
 
 
 def _power_iteration(q: sp.csr_matrix, max_iter: int = 2_000_000):

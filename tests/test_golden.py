@@ -86,7 +86,13 @@ from matchq.simulate import (
     coupled_nonexpansive,
     simulate,
 )
-from oracles import dense_row_stationary, stationary_closed_5cycle, stationary_closed_pendant
+from oracles import (
+    dense_row_stationary,
+    sliced_pinned_system,
+    stationary_closed_5cycle,
+    stationary_closed_pendant,
+    triplet_generator,
+)
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -379,6 +385,62 @@ def test_pinned_solve_agrees_with_dense_row_solve(graph, rates, policy, node, tr
     dense_drift = fluid_report(graph, rates, policy, node, 1.0, truncation=truncation).drift
     assert np.sign(drift) == np.sign(dense_drift)
     assert abs(drift - dense_drift) <= 1e-12
+
+
+
+def _c7_small_chains():
+    """C7 at truncation 4 under the three orders MARGINAL_CHAINS pins at 20
+    and 60."""
+    for name, graph, rates, policy, node, truncation in MARGINAL_CHAINS:
+        if name.startswith("marginal-c7-") and truncation == 20:
+            yield name.replace("-T20", "-T4"), graph, rates, policy, node, 4
+
+
+def _same_arrays(new, old):
+    """Whether two scipy sparse matrices hold the same class, shape and CSR or
+    CSC arrays, dtype and bits."""
+    return type(new) is type(old) and new.shape == old.shape and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((new.data, old.data), (new.indices, old.indices),
+                     (new.indptr, old.indptr))
+    )
+
+
+@pytest.mark.parametrize("graph, rates, policy, node, truncation", [
+    pytest.param(*chain, id=f"{name}-{chain[2].kind}")
+    for name, *chain in list(_c7_small_chains()) + MARGINAL_CHAINS
+])
+def test_direct_assembly_matches_the_sliced_route(graph, rates, policy, node, truncation,
+                                                   monkeypatch):
+    # stationary_numeric writes Q's CSR arrays and the pinned system straight
+    # from the rate tables; the oracle assembles Q from COO triplets and
+    # slices Q^T[1:, 1:] and -Q[0, 1:] from it. Q, a, b and the residual
+    # must agree bit for bit.
+    seen = {}
+    components, solve = matchq.marginal.connected_components, matchq.marginal.spsolve
+
+    def spy_components(q, **kw):
+        seen["q"] = q
+        return components(q, **kw)
+
+    def spy_solve(a, b, **kw):
+        seen["a"], seen["b"] = a, b
+        return solve(a, b, **kw)
+
+    monkeypatch.setattr(matchq.marginal, "connected_components", spy_components)
+    monkeypatch.setattr(matchq.marginal, "spsolve", spy_solve)
+    chain = build_marginal(graph, rates, policy, node)
+    q, *_ = triplet_generator(chain, chain.enumerate_states(truncation), truncation)
+    try:
+        dist = stationary_numeric(chain, truncation)
+    except ReducibleError:
+        assert _same_arrays(seen["q"], q) and "a" not in seen
+        return
+    a, b = sliced_pinned_system(q)
+    assert _same_arrays(seen["q"], q)
+    assert _same_arrays(seen["a"], a)
+    assert seen["b"].dtype == b.dtype and seen["b"].tobytes() == b.tobytes()
+    assert dist.residual == float(np.max(np.abs(dist.probs @ q)))
 
 
 def _rate_graphs():

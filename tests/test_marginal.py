@@ -428,6 +428,33 @@ def test_stationary_numeric_rejects_truncation_below_one(truncation):
         stationary_numeric(chain, truncation)
 
 
+_ROUTES = [
+    pytest.param(cycle_graph(7), (1 / 7,) * 7, C7_DESCENDING, 1, "numeric-truncated",
+                 id="numeric"),
+    pytest.param(PENDANT, LAM_P, pendant_priority_policy(), 4, "closed-form-pendant",
+                 id="closed"),
+]
+
+
+@pytest.mark.parametrize("graph, rates, policy, node, method", _ROUTES)
+@pytest.mark.parametrize("truncation", [2.5, 3.0, np.float64(3.0), math.inf, math.nan,
+                                        True, False, "3", None])
+def test_fluid_report_refuses_a_truncation_that_is_not_an_integer(graph, rates, policy, node,
+                                                                   method, truncation):
+    # a float truncation reached numpy as an array shape on the numeric
+    # route and the closed route took it as an exponent; True passed as 1
+    assert fluid_report(graph, rates, policy, node, 1.0, truncation=3).method == method
+    with pytest.raises(ValidationError, match="integer"):
+        fluid_report(graph, rates, policy, node, 1.0, truncation=truncation)
+
+
+@pytest.mark.parametrize("graph, rates, policy, node, method", _ROUTES)
+def test_fluid_report_takes_a_numpy_integer_truncation_as_an_int(graph, rates, policy, node,
+                                                                  method):
+    as_int = fluid_report(graph, rates, policy, node, 1.0, truncation=20)
+    assert fluid_report(graph, rates, policy, node, 1.0, truncation=np.int64(20)) == as_int
+
+
 @pytest.mark.parametrize("closed, rates", [(stationary_closed_pendant, LAM_P),
                                            (stationary_closed_5cycle, LAM_5)])
 @pytest.mark.parametrize("truncation", [0, -1, -3])

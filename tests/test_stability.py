@@ -278,6 +278,44 @@ def test_construct_pendant_plus_one():
     assert set(order[: order.index(4)]) == {1, 2}
 
 
+def test_construct_reads_a_family_base_no_caller_can_change():
+    # construct_nonmaximal certifies each (family, eps) base once; what
+    # counterexample and construct_nonmaximal hand out must not reach it
+    before = construct_nonmaximal(PENDANT_PLUS)
+    base = counterexample(PENDANT_PRIORITY, FAMILY_EPS_BOUND[PENDANT_PRIORITY] / 2)
+    base.notes["tau"] = -1.0
+    base.policy.order[3] = (4, 1, 2)
+    again = construct_nonmaximal(PENDANT_PLUS)
+    again.notes.clear()
+    again.policy.order[3] = (4, 1, 2, 5)
+    assert construct_nonmaximal(PENDANT_PLUS) == before
+    assert counterexample(PENDANT_PRIORITY, FAMILY_EPS_BOUND[PENDANT_PRIORITY] / 2).notes == {}
+
+
+def test_construct_with_an_explicit_eps_uses_its_own_base():
+    default = construct_nonmaximal(PENDANT_PLUS)
+    own = construct_nonmaximal(PENDANT_PLUS, 0.1)
+    base = counterexample(PENDANT_PRIORITY, 0.1)
+    assert own.eps == 0.1 and own.rates[:4] == base.rates and own.drift == base.drift
+    assert own.rates != default.rates
+    assert construct_nonmaximal(PENDANT_PLUS) == default
+
+
+@pytest.mark.parametrize("eps, error", [
+    (0.5, EpsilonOutOfRangeError),
+    (0.0, EpsilonOutOfRangeError),
+    (math.nan, EpsilonOutOfRangeError),
+    (FAMILY_EPS_BOUND[PENDANT_PRIORITY], BoundaryDegenerateError),
+])
+def test_construct_refuses_a_bad_eps_on_every_call(eps, error):
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(error) as exc:
+            construct_nonmaximal(PENDANT_PLUS, eps)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
 def test_construct_handles_multi_level_remainders():
     # a path hanging off the tail; an even split over the remainder would
     # tie the two leftover nodes and break the strict rate condition
