@@ -1,7 +1,7 @@
 """Helpers the tests share.
 
 pendant_alpha_quotient, apply_transition, dense_row_stationary,
-independent_sets, ncond_check, find_induced_pendant, find_induced_odd_cycle,
+triplet_generator, sliced_pinned_system, independent_sets, ncond_check, find_induced_pendant, find_induced_odd_cycle,
 matching_edges and matching_is_valid restate what the package computes
 another way, so a test that agrees with them checks the package by a
 second route. stationary_closed_pendant, stationary_closed_5cycle and
@@ -159,7 +159,7 @@ def dense_row_stationary(
     """
     _check_truncation(truncation)
     states = chain.enumerate_states(truncation)
-    n, m = states.shape
+    n = len(states)
     if n == 1:
         return StationaryDist(
             state_array=states,

@@ -448,11 +448,24 @@ def test_fluid_report_refuses_a_truncation_that_is_not_an_integer(graph, rates, 
         fluid_report(graph, rates, policy, node, 1.0, truncation=truncation)
 
 
-@pytest.mark.parametrize("graph, rates, policy, node, method", _ROUTES)
+def _clique_chain():
+    # K11 with node 12 hanging off node 1: at node 12 the ten coordinates
+    # 2..11 form a clique, so 201**10 overflows int64 while the chain has
+    # only 2001 states
+    edges = [(a, b) for a in range(1, 12) for b in range(a + 1, 12)] + [(1, 12)]
+    graph = matchq.Graph.from_edges(12, edges)
+    return pytest.param(graph, (0.05,) * 11 + (0.3,), uniform_policy(), 12,
+                        "numeric-truncated", id="wide-codes")
+
+
+@pytest.mark.parametrize("graph, rates, policy, node, method", _ROUTES + [_clique_chain()])
 def test_fluid_report_takes_a_numpy_integer_truncation_as_an_int(graph, rates, policy, node,
                                                                   method):
-    as_int = fluid_report(graph, rates, policy, node, 1.0, truncation=20)
-    assert fluid_report(graph, rates, policy, node, 1.0, truncation=np.int64(20)) == as_int
+    # a numpy integer truncation made the mixed-radix place values numpy
+    # scalars, whose power wrapped round instead of switching to Python ints
+    as_int = fluid_report(graph, rates, policy, node, 1.0, truncation=200)
+    assert as_int.method == method
+    assert fluid_report(graph, rates, policy, node, 1.0, truncation=np.int64(200)) == as_int
 
 
 @pytest.mark.parametrize("closed, rates", [(stationary_closed_pendant, LAM_P),
