@@ -95,12 +95,8 @@ class Graph:
             masks[j] |= 1 << (i - 1)
         return masks
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edge_set
+        return bool(self.neighbor_masks[i] >> (j - 1) & 1)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]

@@ -30,7 +30,6 @@ chain is first solved, not when this module loads.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -38,6 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    NotConnectedError,
     NotConvergedError,
     RatesOutsideRegionError,
     ReducibleError,
@@ -46,14 +46,13 @@ from .errors import (
     ValidationError,
 )
 from .graphs import (
-    FIVE_CYCLE_EDGES,
-    PENDANT_EDGES,
     Graph,
     check_rates,
     five_cycle_graph,
+    is_connected,
     pendant_graph,
 )
-from .policies import PRIORITY, UNIFORM, Policy, validate_policy
+from .policies import PRIORITY, UNIFORM, Policy, check_int, validate_policy
 
 CLOSED_FORM_PENDANT = "closed-form-pendant"
 CLOSED_FORM_FIVE_CYCLE = "closed-form-five-cycle"
@@ -109,11 +108,10 @@ class StationaryDist:
 def _check_truncation(truncation) -> int:
     """The truncation as an int; anything but an integer of at least 1
     (a bool included) raises ValidationError."""
-    if isinstance(truncation, bool) or not isinstance(truncation, numbers.Integral):
-        raise ValidationError(f"truncation must be an integer, got {truncation!r}")
+    truncation = check_int(truncation, "truncation")
     if truncation < 1:
         raise ValidationError(f"truncation must be at least 1, got {truncation}")
-    return int(truncation)
+    return truncation
 
 
 class _GluedRays:
@@ -218,7 +216,8 @@ class _GluedFamily:
 
 
 # The canonical pendant graph at its tail and 5-cycle at its apex, the
-# chains fluid_report solves in closed form, keyed by the graph's edges.
+# chains fluid_report solves in closed form, keyed by the whole graph, so
+# an extra node finds no closed form.
 _PENDANT = _GluedFamily(
     "pendant", pendant_graph(), i0=4,
     arms=((1, (2, 3)), (2, (1, 3))), waits={3: (0, 1)},
@@ -228,8 +227,8 @@ _FIVE_CYCLE = _GluedFamily(
     arms=((1, (2, 3)), (2, (1, 4))), waits={3: (0,), 4: (1,)},
 )
 _CLOSED_FORMS = {
-    PENDANT_EDGES: (_PENDANT, CLOSED_FORM_PENDANT),
-    FIVE_CYCLE_EDGES: (_FIVE_CYCLE, CLOSED_FORM_FIVE_CYCLE),
+    _PENDANT.graph: (_PENDANT, CLOSED_FORM_PENDANT),
+    _FIVE_CYCLE.graph: (_FIVE_CYCLE, CLOSED_FORM_FIVE_CYCLE),
 }
 # Node 3 of the 5-cycle is glued rays too, but fluid_report solves it
 # numerically, which checks fivecycle_node_reports.
@@ -359,14 +358,20 @@ def build_marginal(
 ) -> MarginalChain:
     """Construct the marginal chain of node i0; only priority and uniform
     policies have one."""
+    return _chain(graph, _check_instance(graph, rates, policy), policy, i0)
+
+
+def _check_instance(graph: Graph, rates, policy: Policy) -> tuple[float, ...]:
+    """The checked rates of a connected graph under a policy that fits it."""
     rates = check_rates(graph, rates)
     validate_policy(policy, graph)
-    return _chain(graph, rates, policy, i0)
+    if not is_connected(graph):
+        raise NotConnectedError("a marginal chain needs a connected graph")
+    return rates
 
 
 def _chain(graph: Graph, rates: tuple[float, ...], policy: Policy, i0: int) -> MarginalChain:
-    """build_marginal on rates and a policy that have passed check_rates and
-    validate_policy."""
+    """build_marginal on rates and a policy that have passed _check_instance."""
     if policy.kind not in (PRIORITY, UNIFORM):
         raise UnsupportedPolicyError(
             f"no marginal chain for policy kind {policy.kind!r}"
@@ -555,12 +560,11 @@ def fluid_report(
     (i0 = 4) and 5-cycle (i0 = 5) under policies that keep those chains
     intact; anything else is a truncated numeric solve.
     """
-    rates = check_rates(graph, rates)
-    validate_policy(policy, graph)
+    rates = _check_instance(graph, rates, policy)
     if not (math.isfinite(q0) and q0 > 0):
         raise ValidationError(f"q0 must be positive and finite, got {q0}")
 
-    family, method = _CLOSED_FORMS.get(graph.edges, (None, None))
+    family, method = _CLOSED_FORMS.get(graph, (None, None))
     uniform = policy.kind == UNIFORM
     if family is not None and family.i0 == i0 and (uniform or family.serves_first(policy)):
         truncation = _check_truncation(truncation)

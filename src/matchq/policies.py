@@ -20,6 +20,7 @@ drivers read their events from the one chunked stream in _arrivals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Mapping, Optional, Sequence
@@ -217,25 +218,32 @@ def _decision_step(policy: Policy, graph: Graph):
 _CHUNK = 8192
 
 
+def check_int(value, name: str) -> int:
+    """value as an int; a bool or a non-integer raises ValidationError, and
+    numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_seed(seed) -> None:
     """Seeds feed numpy's SeedSequence, which takes nonnegative integers."""
-    if seed < 0:
+    if check_int(seed, "seed") < 0:
         raise ValidationError(f"seed {seed} must be nonnegative")
 
 
-def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None,
-              unit_clock=False):
+def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None):
     """The event stream every driver consumes, yielded in chunks.
 
     One Philox stream per seed child: child 0 draws, per 8192 events, a
     chunk of exponential gaps and then a chunk of class uniforms; children
     1..replicas each draw a chunk of decision uniforms when `randomized`.
-    Gaps are divided by the total rate unless `unit_clock`. Each chunk is
-    (times, classes, *uniforms): event times (ndarray, summed one after
-    another from the previous chunk's last time), arriving classes
-    (ndarray, 1-based), and one list of uniforms per replica (zeros when
-    not randomized). A chunk cut by the horizon t_end or by max_events
-    in total is the last one.
+    Gaps are divided by the total rate: every driver runs on this one
+    clock. Each chunk is (times, classes, *uniforms): event times (ndarray,
+    summed one after another from the previous chunk's last time),
+    arriving classes (ndarray, 1-based), and one list of uniforms per
+    replica (zeros when not randomized). A chunk cut by the horizon t_end
+    or by max_events in total is the last one.
     """
     seeds = np.random.SeedSequence(int(seed)).spawn(1 + replicas)
     arrival, *deciders = (np.random.Generator(np.random.Philox(s)) for s in seeds)
@@ -249,9 +257,7 @@ def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None
     left = math.inf if max_events is None else max_events
     t = 0.0
     while True:
-        gaps = arrival.standard_exponential(_CHUNK)
-        if not unit_clock:
-            gaps *= inv_rate
+        gaps = arrival.standard_exponential(_CHUNK) * inv_rate
         classes = np.searchsorted(cum, arrival.random(_CHUNK), side="right") + 1
         times = np.cumsum(np.concatenate(([t], gaps)))
         n = min(int(np.searchsorted(times, t_end, side="right")) - 1, left)

@@ -6,9 +6,10 @@ earlier node whose type is a template neighbor of its own. On arrival the
 matching policy picks at most one unmatched neighbor to pair with, chosen
 exactly as the matching queue picks a class: the per-type counts of
 unmatched nodes ARE the queue vector of the corresponding matching queue
-driven by the same randomness, which this module exploits by consuming
-its random streams in the same order as the simulator. Within the chosen
-type the oldest unmatched node is paired (first in, first out).
+driven by the same randomness, which this module exploits by reading
+the simulator's event stream, clock included. Within the chosen type the
+oldest unmatched node is paired (first in, first out), so the run keeps
+only each node's decision and reads the pairs off them at the end.
 
 Edges of the growing graph are implicit (full type adjacency); only the
 matching itself is materialized.
@@ -17,7 +18,6 @@ matching itself is materialized.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,6 +30,7 @@ from .policies import (
     Policy,
     _arrivals,
     _decision_step,
+    check_int,
     check_seed,
     validate_policy,
 )
@@ -57,7 +58,6 @@ class GrowthResult:
     queue: tuple[int, ...]        # unmatched counts per type at the end
     checkpoints: list[tuple[int, int, tuple[int, ...]]]
     # checkpoints entries: (n, matched_count, unmatched per type)
-    total_time: float             # arrival clock at the last node
 
     @property
     def n_nodes(self) -> int:
@@ -102,53 +102,47 @@ def grow_and_match(
     validate_policy(policy, template)
     if template.node_count < 2 or not is_connected(template):
         raise NotConnectedError("template must be connected with >= 2 nodes")
-    if n_nodes < 0:
+    if check_int(n_nodes, "n_nodes") < 0:
         raise ValidationError("n_nodes must be nonnegative")
     check_seed(seed)
 
-    p = template.node_count
     if checkpoints is None:
         step = max(1, n_nodes // 100)
         checkpoints = list(range(step, n_nodes + 1, step))
         if n_nodes and (not checkpoints or checkpoints[-1] != n_nodes):
             checkpoints.append(n_nodes)
-    cps = sorted(set(int(c) for c in checkpoints if 0 < int(c) <= n_nodes))
-    cp_iter = iter(cps + [-1])
-    next_cp = next(cp_iter)
+    cps = np.array(sorted(set(int(c) for c in checkpoints if 0 < int(c) <= n_nodes)),
+                   dtype=np.int64)
 
     decide, _ = _decision_step(policy, template)
     types = np.zeros(n_nodes, dtype=np.int16)
-    partner = np.full(n_nodes, -1, dtype=np.int64)
-    unmatched: list[deque] = [deque() for _ in range(p + 1)]
-    q = [0] * (p + 1)
-    matched = 0
-    records: list[tuple[int, int, tuple[int, ...]]] = []
-
-    # the growth clock counts unit-rate gaps: mu sums to one only to
-    # within rounding, and dividing by its sum would change the bits
-    t = 0.0
+    took = np.zeros(n_nodes, dtype=np.int16)   # class each node matched, 0 = queued
+    q = [0] * (template.node_count + 1)
     n = 0
-    for times, cls, us in _arrivals(
-        mu, seed, 1, policy.kind != PRIORITY, max_events=n_nodes, unit_clock=True
-    ):
-        types[n : n + len(cls)] = cls
-        if len(times):
-            t = float(times[-1])
+    for _, cls, us in _arrivals(mu, seed, 1, policy.kind != PRIORITY, max_events=n_nodes):
+        kept = []
         for c, u in zip(cls.tolist(), us):
             j = 0 if q[c] else decide(q, c, u)
             if j:
-                v = unmatched[j].popleft()
                 q[j] -= 1
-                partner[v] = n
-                partner[n] = v
-                matched += 2
             else:
-                unmatched[c].append(n)
                 q[c] += 1
-            n += 1
-            if n == next_cp:
-                records.append((n, matched, tuple(q[1:])))
-                next_cp = next(cp_iter)
+            kept.append(j)
+        types[n : n + len(cls)] = cls
+        took[n : n + len(cls)] = kept
+        n += len(cls)
+
+    # Within a type the oldest unmatched node goes first, so the k-th node
+    # that takes type j pairs with the k-th type-j node that queued.
+    partner = np.full(n_nodes, -1, dtype=np.int64)
+    queued = took == 0
+    unmatched = np.zeros((len(cps), template.node_count), dtype=np.int64)
+    for j in template.nodes:
+        waiting = np.flatnonzero(queued & (types == j))
+        takers = np.flatnonzero(took == j)
+        partner[takers] = waiting[: len(takers)]
+        partner[waiting[: len(takers)]] = takers
+        unmatched[:, j - 1] = np.searchsorted(waiting, cps) - np.searchsorted(takers, cps)
 
     return GrowthResult(
         template=template,
@@ -156,10 +150,10 @@ def grow_and_match(
         seed=seed,
         node_types=types,
         partner=partner,
-        matched_count=matched,
+        matched_count=n_nodes - sum(q),
         queue=tuple(q[1:]),
-        checkpoints=records,
-        total_time=t,
+        checkpoints=[(c, c - sum(row), tuple(row))
+                     for c, row in zip(cps.tolist(), unmatched.tolist())],
     )
 
 

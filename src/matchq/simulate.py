@@ -33,6 +33,7 @@ from .policies import (
     Policy,
     _arrivals,
     _decision_step,
+    check_int,
     check_seed,
     check_state,
     validate_policy,
@@ -41,7 +42,7 @@ from .policies import (
 def replication_seeds(master_seed: int, count: int) -> list[int]:
     """Independent per-replication seeds derived from one master seed."""
     check_seed(master_seed)
-    if count < 1:
+    if check_int(count, "count") < 1:
         raise ValidationError(f"need at least 1 replication, got {count}")
     children = np.random.SeedSequence(int(master_seed)).spawn(count)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
@@ -88,9 +89,6 @@ class SimTrace:
     first_zero: np.ndarray     # raw first time each queue is 0, nan if never
     empty_time: float          # raw first time all queues are 0, nan if never
 
-    def scaled_times(self) -> np.ndarray:
-        return self.times / self.scale
-
 
 @dataclass(frozen=True)
 class DriftEstimate:
@@ -123,6 +121,9 @@ def _prepare(graph: Graph, rates, policy: Policy, config: SimConfig):
     rates = check_rates(graph, rates)
     validate_policy(policy, graph)
     check_seed(config.seed)
+    for name in ("scale", "trace_stride", "stop_node", "max_events"):
+        if getattr(config, name) is not None:
+            check_int(getattr(config, name), name)
     if graph.node_count < 2 or not is_connected(graph):
         raise NotConnectedError("simulation needs a connected graph with >= 2 nodes")
     if config.initial_state is None:

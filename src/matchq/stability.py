@@ -45,6 +45,7 @@ from .graphs import (
 from .marginal import _FIVE_CYCLE, fivecycle_node_reports, fluid_report, pendant_alpha
 from .policies import (
     Policy,
+    check_int,
     check_seed,
     five_cycle_priority_policy,
     pendant_priority_policy,
@@ -405,6 +406,10 @@ class ClassifyBudget:
     master_seed: int = 20240
 
     def __post_init__(self):
+        for name in ("seeds", "max_events"):
+            check_int(getattr(self, name), name)
+        for scale in self.scales:
+            check_int(scale, "scale")
         if self.seeds < 2:
             raise ValidationError("need at least 2 seeds for stderr estimates")
         if len(self.scales) < 2:

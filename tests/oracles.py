@@ -1,7 +1,8 @@
 """Helpers the tests share.
 
 pendant_alpha_quotient, apply_transition, dense_row_stationary,
-triplet_generator, sliced_pinned_system, independent_sets, ncond_check, find_induced_pendant, find_induced_odd_cycle,
+triplet_generator, sliced_pinned_system, independent_sets, ncond_check,
+find_induced_pendant, find_induced_odd_cycle, grow_with_deques,
 matching_edges and matching_is_valid restate what the package computes
 another way, so a test that agrees with them checks the package by a
 second route. stationary_closed_pendant, stationary_closed_5cycle and
@@ -11,6 +12,7 @@ stationary law as a dict keyed by state, and law_gap compares two laws
 state by state.
 """
 
+from collections import deque
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
@@ -51,6 +53,8 @@ from matchq.marginal import (
     _PENDANT,
     _check_truncation,
 )
+from matchq.policies import PRIORITY, _arrivals, _decision_step
+from matchq.randgraph import GrowthResult
 
 SOLVER_POWER = "power-iteration"
 
@@ -412,3 +416,45 @@ def matching_is_valid(result) -> bool:
     if tuple(int(c) for c in counts) != result.queue:
         return False
     return result.matched_count == n - int(sum(result.queue))
+
+
+def grow_with_deques(template, mu, policy, n_nodes, seed, checkpoints=None):
+    """grow_and_match pairing node by node inside its loop: per-type FIFO
+    deques of unmatched ids, and the checkpoints taken as the run passes
+    them. Takes only valid inputs."""
+    p = template.node_count
+    mu = tuple(float(m) for m in mu)
+    if checkpoints is None:
+        step = max(1, n_nodes // 100)
+        checkpoints = list(range(step, n_nodes + 1, step))
+        if n_nodes and (not checkpoints or checkpoints[-1] != n_nodes):
+            checkpoints.append(n_nodes)
+    cps = set(int(c) for c in checkpoints if 0 < int(c) <= n_nodes)
+    decide, _ = _decision_step(policy, template)
+    types = np.zeros(n_nodes, dtype=np.int16)
+    partner = np.full(n_nodes, -1, dtype=np.int64)
+    unmatched = [deque() for _ in range(p + 1)]
+    q = [0] * (p + 1)
+    matched = 0
+    records = []
+    n = 0
+    for _, cls, us in _arrivals(mu, seed, 1, policy.kind != PRIORITY, max_events=n_nodes):
+        types[n : n + len(cls)] = cls
+        for c, u in zip(cls.tolist(), us):
+            j = 0 if q[c] else decide(q, c, u)
+            if j:
+                v = unmatched[j].popleft()
+                q[j] -= 1
+                partner[v] = n
+                partner[n] = v
+                matched += 2
+            else:
+                unmatched[c].append(n)
+                q[c] += 1
+            n += 1
+            if n in cps:
+                records.append((n, matched, tuple(q[1:])))
+    return GrowthResult(
+        template=template, mu=mu, seed=seed, node_types=types, partner=partner,
+        matched_count=matched, queue=tuple(q[1:]), checkpoints=records,
+    )

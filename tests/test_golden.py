@@ -223,8 +223,8 @@ def _coupled_cases():
 def _growth_digest(template, rates, policy, n, seed, checkpoints=None) -> str:
     g = grow_and_match(template, type_distribution(rates), policy, n, seed,
                        checkpoints=checkpoints)
-    return _digest(g.partner, g.node_types, g.checkpoints, g.total_time,
-                   g.matched_count, g.queue, g.mu)
+    return _digest(g.partner, g.node_types, g.checkpoints, g.matched_count,
+                   g.queue, g.mu)
 
 
 def _growth_cases():

@@ -8,15 +8,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matchq
 import matchq.serialize as ser
 from matchq.cli import main
 from matchq.errors import MatchQError, NotConnectedError, ValidationError
-from matchq.graphs import check_rates, ncond_check, pendant_graph
-from matchq.marginal import fluid_report
-from matchq.policies import ml_policy, pendant_priority_policy, uniform_policy
+from matchq.graphs import Graph, check_rates, ncond_check, pendant_graph
+from matchq.marginal import _CLOSED_FORMS, build_marginal, fluid_report
+from matchq.policies import (
+    ml_policy,
+    pendant_priority_policy,
+    priority_policy,
+    uniform_policy,
+)
 from matchq.randgraph import grow_and_match, type_distribution
 from matchq.simulate import SimConfig, coupled_nonexpansive, replication_seeds, simulate
 from matchq.stability import ClassifyBudget, pendant_region
@@ -305,6 +311,104 @@ def test_cli_out_not_a_directory_exit_2(files, capsys, under):
 def test_fluid_report_rejects_non_finite_q0(q0):
     with pytest.raises(ValidationError):
         fluid_report(PENDANT, LAM, pendant_priority_policy(), 4, q0)
+
+
+# The pendant with an isolated node 5, and with a separate edge 5-6: the
+# first once met the closed-form table under its edges and asked for 4
+# rates, the second returned a drift although {5, 6} cannot be stable.
+DISCONNECTED = {
+    "isolated-node": (Graph(5, PENDANT.edges), (0.1, 0.1, 0.45, 0.35, 0.2)),
+    "separate-edge": (Graph(6, PENDANT.edges + ((5, 6),)),
+                      (0.1, 0.1, 0.45, 0.35, 0.2, 0.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISCONNECTED))
+@pytest.mark.parametrize("kind", ["priority", "uniform"])
+def test_marginal_layer_refuses_a_disconnected_graph(case, kind):
+    graph, rates = DISCONNECTED[case]
+    if kind == "uniform":
+        policy = uniform_policy()
+    else:
+        order = dict(pendant_priority_policy().order)
+        order.update({v: graph.neighbors(v) for v in graph.nodes if v > 4})
+        policy = priority_policy(order)
+    with pytest.raises(NotConnectedError):
+        fluid_report(graph, rates, policy, 4, 1.0)
+    with pytest.raises(NotConnectedError):
+        build_marginal(graph, rates, policy, 4)
+
+
+def test_closed_forms_are_keyed_by_the_whole_graph():
+    assert PENDANT in _CLOSED_FORMS
+    assert Graph(5, PENDANT.edges) not in _CLOSED_FORMS
+
+
+def test_cli_fluid_on_a_disconnected_graph_exit_2(files, capsys):
+    graph, rates = DISCONNECTED["separate-edge"]
+    ser.dump_json(ser.graph_to_obj(graph), files / "split.json")
+    ser.dump_json({"rates": list(rates)}, files / "split_rates.json")
+    ser.dump_json(ser.policy_to_obj(uniform_policy()), files / "uniform.json")
+    argv = ["fluid", "--graph", str(files / "split.json"), "--rates",
+            str(files / "split_rates.json"), "--policy", str(files / "uniform.json"),
+            "--node", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _sim(**config):
+    return simulate(PENDANT, LAM, ml_policy(), SimConfig(horizon=1.0, **config))
+
+
+def _grow(n_nodes=10, seed=0):
+    return grow_and_match(PENDANT, type_distribution(LAM), uniform_policy(), n_nodes, seed)
+
+
+# Integer run parameters given as a bool or a non-integer: each used to be
+# truncated, or to raise a bare TypeError deep in the run.
+NON_INTEGER_PARAMS = {
+    "simconfig-seed": lambda: _sim(seed=1.5),
+    "simconfig-seed-bool": lambda: _sim(seed=True),
+    "simconfig-scale": lambda: _sim(seed=0, scale=2.5),
+    "simconfig-trace-stride": lambda: _sim(seed=0, trace_stride=2.5),
+    "simconfig-max-events": lambda: _sim(seed=0, max_events=10.5),
+    "simconfig-max-events-bool": lambda: _sim(seed=0, max_events=True),
+    "simconfig-stop-node": lambda: _sim(seed=0, stop_node=4.0),
+    "coupled-seed": lambda: coupled_nonexpansive(
+        PENDANT, LAM, ml_policy(), (0, 0, 0, 1), (0, 0, 0, 0),
+        SimConfig(horizon=1.0, seed=1.5)),
+    "growth-seed": lambda: _grow(seed=1.5),
+    "growth-n-nodes": lambda: _grow(n_nodes=10.5),
+    "growth-n-nodes-bool": lambda: _grow(n_nodes=True),
+    "replication-seeds-count": lambda: replication_seeds(1, 2.5),
+    "replication-seeds-seed": lambda: replication_seeds(1.5, 2),
+    "budget-seeds": lambda: ClassifyBudget(seeds=2.5),
+    "budget-scales": lambda: ClassifyBudget(scales=(10.5, 20)),
+    "budget-max-events": lambda: ClassifyBudget(max_events=1e6),
+    "budget-master-seed": lambda: ClassifyBudget(master_seed=1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_PARAMS))
+def test_non_integer_run_parameter_rejected(case):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        NON_INTEGER_PARAMS[case]()
+
+
+def test_numpy_integer_run_parameters_accepted():
+    i = np.int64
+    got = _sim(seed=i(3), scale=np.int32(2), trace_stride=i(1), max_events=i(10),
+               stop_node=i(4), initial_state=(0, 0, 0, 2))
+    want = _sim(seed=3, scale=2, trace_stride=1, max_events=10, stop_node=4,
+                initial_state=(0, 0, 0, 2))
+    assert np.array_equal(got.times, want.times) and np.array_equal(got.states, want.states)
+    assert (got.final_state, got.n_events, got.end_time) == (
+        want.final_state, want.n_events, want.end_time)
+    assert _grow(np.int64(10), np.uint32(5)).matching_edges() == _grow(10, 5).matching_edges()
+    assert replication_seeds(i(1), i(2)) == replication_seeds(1, 2)
+    ClassifyBudget(seeds=i(3), scales=(i(10), i(20)), max_events=i(10**6), master_seed=i(7))
 
 
 @pytest.mark.parametrize("bad", [dict(seed=-1), dict(count=0), dict(count=-2)])

@@ -1,13 +1,20 @@
 """Online growth and matching: coupling with the queue, exact counting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from matchq.errors import TooLargeError, ValidationError
-from matchq.graphs import Graph, complete_graph, pendant_graph
-from matchq.policies import ml_policy, pendant_priority_policy, uniform_policy
+from matchq.graphs import Graph, complete_graph, five_cycle_graph, pendant_graph
+from matchq.policies import (
+    five_cycle_priority_policy,
+    ml_policy,
+    pendant_priority_policy,
+    priority_policy,
+    uniform_policy,
+)
 from matchq.randgraph import (
     grow_and_match,
     tutte_condition_estimate,
@@ -15,7 +22,7 @@ from matchq.randgraph import (
 )
 from matchq.simulate import SimConfig, simulate
 
-from oracles import matching_edges, matching_is_valid
+from oracles import grow_with_deques, matching_edges, matching_is_valid
 
 TRIANGLE = complete_graph(3)
 EDGE = Graph.from_edges(2, [(1, 2)])
@@ -24,6 +31,66 @@ AC10 = {
     "triangle": (TRIANGLE, (1, 1, 1)),
     "pendant": (pendant_graph(), (0.2, 0.2, 0.4, 0.35)),
 }
+
+
+# Templates with their rates and one policy of each kind, for the sweep
+# against the node-by-node pairing.
+SWEEP = {
+    "triangle": (TRIANGLE, (1, 2, 3), {
+        "priority": priority_policy({1: (2, 3), 2: (3, 1), 3: (1, 2)}),
+        "ml": ml_policy(), "uniform": uniform_policy()}),
+    "pendant": (pendant_graph(), (0.2, 0.2, 0.4, 0.35), {
+        "priority": pendant_priority_policy(),
+        "ml": ml_policy(), "uniform": uniform_policy()}),
+    "c5": (five_cycle_graph(), (1, 2, 1, 2, 1), {
+        "priority": five_cycle_priority_policy(),
+        "ml": ml_policy(), "uniform": uniform_policy()}),
+}
+
+
+def _sweep_cases():
+    """89 growth runs: the five golden inputs, each template under each
+    kind at chunk-edge and larger sizes, explicit checkpoint lists, and
+    default checkpoints at sizes around the step of 100."""
+    pendant, c5 = SWEEP["pendant"][0], SWEEP["c5"][0]
+    for kind, pol in SWEEP["pendant"][2].items():
+        yield f"golden-{kind}", (pendant, (0.2, 0.2, 0.4, 0.35), pol, 20_000, 31, None)
+    yield "golden-c5-uniform-every", (c5, (1, 1, 1, 1, 1), uniform_policy(), 9000, 32,
+                                      range(1, 9001))
+    yield "golden-c5-ml-8193", (c5, (1, 2, 1, 2, 1), ml_policy(), 8193, 33, None)
+    for name, (graph, lam, pols) in SWEEP.items():
+        for kind, pol in pols.items():
+            for n in (0, 1, 8191, 8192, 8193, 20_000):
+                yield f"{name}-{kind}-{n}", (graph, lam, pol, n, 40 + n, None)
+            yield f"{name}-{kind}-listed", (graph, lam, pol, 8193, 7,
+                                            [0, 5, 5, 8192, 3, 8193, 8194, 10**9])
+            yield f"{name}-{kind}-every", (graph, lam, pol, 8193, 8, range(1, 8194))
+        for n in (99, 100, 101, 12_345):
+            yield f"{name}-uniform-default-{n}", (graph, lam, uniform_policy(), n, 9, None)
+
+
+SWEEP_CASES = dict(_sweep_cases())
+
+
+def test_sweep_has_89_cases():
+    assert len(SWEEP_CASES) == 89
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_growth_equals_the_node_by_node_pairing(case):
+    graph, lam, pol, n, seed, cps = SWEEP_CASES[case]
+    mu = type_distribution(lam)
+    got = grow_and_match(graph, mu, pol, n, seed, checkpoints=cps)
+    want = grow_with_deques(graph, mu, pol, n, seed, checkpoints=cps)
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+            assert repr(a) == repr(b), f.name
+    assert all(type(x) is int for c in got.checkpoints for x in (c[0], c[1], *c[2]))
+    assert type(got.matched_count) is int
 
 
 def test_type_distribution():

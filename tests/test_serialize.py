@@ -130,7 +130,7 @@ def _paired_growth(pairs, seed):
     return GrowthResult(
         template=complete_graph(3), mu=(1 / 3,) * 3, seed=seed,
         node_types=np.ones(n, dtype=np.int16), partner=partner,
-        matched_count=2 * pairs, queue=(3, 0, 0), checkpoints=[], total_time=0.0,
+        matched_count=2 * pairs, queue=(3, 0, 0), checkpoints=[],
     )
 
 
