@@ -87,10 +87,8 @@ def test_growth_equals_the_node_by_node_pairing(case):
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name
         else:
-            assert a == b, f.name
-            assert repr(a) == repr(b), f.name
-    assert all(type(x) is int for c in got.checkpoints for x in (c[0], c[1], *c[2]))
-    assert type(got.matched_count) is int
+            # repr tells a numpy scalar from the oracle's Python int
+            assert a == b and repr(a) == repr(b), f.name
 
 
 def test_type_distribution():
