@@ -113,7 +113,7 @@ def in_state_space(graph: Graph, state: Sequence[int]) -> bool:
 
 
 def check_state(graph: Graph, state: Sequence[int]) -> tuple[int, ...]:
-    state = tuple(int(q) for q in state)
+    state = tuple(check_int(q, f"queue of node {i}") for i, q in enumerate(state, start=1))
     if not in_state_space(graph, state):
         raise InvalidStateError(f"queue vector {state} leaves the state space")
     return state
@@ -243,7 +243,10 @@ def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None
     summed one after another from the previous chunk's last time),
     arriving classes (ndarray, 1-based), and one list of uniforms per
     replica (zeros when not randomized). A chunk cut by the horizon t_end
-    or by max_events in total is the last one.
+    or by max_events in total is the last one. The stream lets go of a
+    chunk's uniforms before it draws the next; a driver that deletes its
+    own names for them once its event loop is done keeps one chunk of them
+    alive at a time, not two.
     """
     seeds = np.random.SeedSequence(int(seed)).spawn(1 + replicas)
     arrival, *deciders = (np.random.Generator(np.random.Philox(s)) for s in seeds)
@@ -266,6 +269,7 @@ def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None
         else:
             us = [repeat(0.0)] * replicas
         yield (times[1 : n + 1], classes[:n], *us)
+        del us
         if n < _CHUNK:
             return
         left -= n

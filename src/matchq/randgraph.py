@@ -111,8 +111,8 @@ def grow_and_match(
         checkpoints = list(range(step, n_nodes + 1, step))
         if n_nodes and (not checkpoints or checkpoints[-1] != n_nodes):
             checkpoints.append(n_nodes)
-    cps = np.array(sorted(set(int(c) for c in checkpoints if 0 < int(c) <= n_nodes)),
-                   dtype=np.int64)
+    cps = [check_int(c, "checkpoint") for c in checkpoints]
+    cps = np.array(sorted(set(c for c in cps if 0 < c <= n_nodes)), dtype=np.int64)
 
     decide, _ = _decision_step(policy, template)
     types = np.zeros(n_nodes, dtype=np.int16)
@@ -128,6 +128,7 @@ def grow_and_match(
             else:
                 q[c] += 1
             kept.append(j)
+        del us
         types[n : n + len(cls)] = cls
         took[n : n + len(cls)] = kept
         n += len(cls)

@@ -6,6 +6,13 @@ arriving class categorically; this is exact in law and keeps one arrival
 stream that coupled replicas can share. Queues change only at arrival
 epochs, so hitting times are detected exactly at event granularity.
 
+The loop of simulate only decides: per event it updates the queue list and
+keeps the matched class, and it stops at the event that empties the stop
+node or the whole vector. After each chunk of the stream, numpy reads the
+trace off the kept decisions, the chunk's classes and the queue vector at
+the chunk's start: the recorded rows and their states, the first time each
+queue and the whole vector are zero, the end time and the arrival counts.
+
 Randomness is split into an arrival stream and a decision stream derived
 from one seed, so priority runs and randomized-policy runs with the same
 seed see identical arrivals. Replications across seeds are independent.
@@ -31,6 +38,7 @@ from .policies import (
     MATCH_LONGEST,
     PRIORITY,
     Policy,
+    _CHUNK,
     _arrivals,
     _decision_step,
     check_int,
@@ -157,12 +165,8 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
     decide, _ = _decision_step(policy, graph)
 
     q = [0] + list(state)
-    nnz = sum(1 for v in state if v > 0)
-    first_zero: list = [None] * (p + 1)
-    for i in range(1, p + 1):
-        if q[i] == 0:
-            first_zero[i] = 0.0
-    empty_time = 0.0 if nnz == 0 else None
+    first_zero: list = [0.0 if v == 0 else None for v in q]
+    empty_time = None if any(state) else 0.0
     arrivals = np.zeros(p + 1, dtype=np.int64)
 
     stride = config.trace_stride
@@ -170,44 +174,69 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
     stop_empty = config.stop_when_empty
     max_events = config.max_events
 
-    rec_t: list[float] = []
-    rec_c: list[int] = []
-    rec_m: list[int] = []
-    rec_s: list[int] = []      # the whole of q per snapshot, index 0 included
+    # recorded rows per chunk, each list seeded with an empty block of its dtype
+    rec_t = [np.zeros(0)]
+    rec_c = [np.zeros(0, dtype=np.int64)]
+    rec_m = [np.zeros(0, dtype=np.int64)]
+    rec_s = [np.zeros((0, p), dtype=np.int64)]
 
     t = 0.0
     events = 0
-    stop = (stop_node is not None and q[stop_node] == 0) or (stop_empty and nnz == 0)
+    stop = (stop_node is not None and q[stop_node] == 0) or (stop_empty and not any(state))
     chunks = () if stop else _arrivals(
         rates, config.seed, 1, policy.kind != PRIORITY, t_end, max_events
     )
+    buf = np.empty((_CHUNK, p + 1), dtype=np.int32)
     for times, cls, us in chunks:
-        start = events
-        for t, c, u in zip(times.tolist(), cls.tolist(), us):
+        q0 = np.array(q, dtype=np.int64)
+        kept = []
+        for c, u in zip(cls.tolist(), us):
             j = 0 if q[c] else decide(q, c, u)
             if j:
                 v = q[j] - 1
                 q[j] = v
-                if v == 0:
-                    nnz -= 1
-                    if first_zero[j] is None:
-                        first_zero[j] = t
-                    if nnz == 0 and empty_time is None:
-                        empty_time = t
-                    stop = j == stop_node or (stop_empty and nnz == 0)
+                if not v and (j == stop_node or stop_empty and not any(q)):
+                    kept.append(j)
+                    stop = True
+                    break
             else:
-                if q[c] == 0:
-                    nnz += 1
                 q[c] += 1
-            events += 1
-            if stride and events % stride == 0:
-                rec_t.append(t)
-                rec_c.append(c)
-                rec_m.append(j)
-                rec_s.extend(q)
-            if stop:
-                break
-        arrivals += np.bincount(cls[: events - start], minlength=p + 1)
+            kept.append(j)
+        del us
+        n = len(kept)
+        if n:
+            # bytes() reads a list of small ints at C speed
+            took = np.frombuffer(bytes(kept), np.uint8) if p < 256 else np.array(kept)
+            cls = cls[:n]
+            matched = took > 0
+            arrivals += np.bincount(cls, minlength=p + 1)
+            t = float(times[n - 1])
+            # Each event moves one queue by one: the matched class down, or
+            # the arriving class up when it queues. After chunk event k the
+            # total is q0.sum() + k + 1 less twice the matches so far.
+            if empty_time is None:
+                hit = np.flatnonzero(2 * np.cumsum(matched) - np.arange(1, n + 1) == q0.sum())
+                if hit.size:
+                    empty_time = float(times[hit[0]])
+            pending = [i for i in range(1, p + 1) if first_zero[i] is None]
+            if stride or pending:
+                # moves[k] is the queue vector after chunk event k less q0
+                moves = buf[:n]
+                moves.fill(0)
+                moves[np.arange(n), np.where(matched, took, cls)] = 1 - 2 * matched.view(np.int8)
+                np.cumsum(moves, axis=0, out=moves)
+                for i in pending:
+                    hit = np.flatnonzero(moves[:, i] == -q0[i])
+                    if hit.size:
+                        first_zero[i] = float(times[hit[0]])
+                if stride:
+                    # chunk event k is event events + k + 1 of the run
+                    rows = slice((-events - 1) % stride, n, stride)
+                    rec_s.append(moves[rows, 1:] + q0[1:])
+                    rec_t.append(times[rows].copy())
+                    rec_c.append(cls[rows].copy())
+                    rec_m.append(took[rows].copy())
+        events += n
         if stop:
             break
     if not stop and (max_events is None or events < max_events):
@@ -221,12 +250,10 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
         scale=config.scale,
         seed=config.seed,
         horizon=config.horizon,
-        times=np.asarray(rec_t, dtype=float),
-        classes=np.asarray(rec_c, dtype=np.int64),
-        matched=np.asarray(rec_m, dtype=np.int64),
-        states=np.ascontiguousarray(
-            np.fromiter(rec_s, dtype=np.int64, count=len(rec_s)).reshape(-1, p + 1)[:, 1:]
-        ),
+        times=np.concatenate(rec_t),
+        classes=np.concatenate(rec_c),
+        matched=np.concatenate(rec_m),
+        states=np.concatenate(rec_s),
         final_state=tuple(q[1:]),
         end_time=t,
         n_events=events,
@@ -350,6 +377,7 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
                 worst = excess
             if excess > bound:
                 violations += 1
+        del uas, ubs
         events += len(cls)
     return events, removed, bound, worst, violations
 

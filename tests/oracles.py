@@ -3,7 +3,7 @@
 pendant_alpha_quotient, apply_transition, dense_row_stationary,
 triplet_generator, sliced_pinned_system, independent_sets, ncond_check,
 find_induced_pendant, find_induced_odd_cycle, grow_with_deques,
-matching_edges and matching_is_valid restate what the package computes
+simulate_per_event, matching_edges and matching_is_valid restate what the package computes
 another way, so a test that agrees with them checks the package by a
 second route. stationary_closed_pendant, stationary_closed_5cycle and
 fivecycle_alpha write out the geometric laws of the two canonical marginal
@@ -12,6 +12,7 @@ stationary law as a dict keyed by state, and law_gap compares two laws
 state by state.
 """
 
+import math
 from collections import deque
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
@@ -55,6 +56,7 @@ from matchq.marginal import (
 )
 from matchq.policies import PRIORITY, _arrivals, _decision_step
 from matchq.randgraph import GrowthResult
+from matchq.simulate import SimTrace, _prepare
 
 SOLVER_POWER = "power-iteration"
 
@@ -457,4 +459,96 @@ def grow_with_deques(template, mu, policy, n_nodes, seed, checkpoints=None):
     return GrowthResult(
         template=template, mu=mu, seed=seed, node_types=types, partner=partner,
         matched_count=matched, queue=tuple(q[1:]), checkpoints=records,
+    )
+
+
+# -- the sample path, recorded one event at a time ----------------------------------
+
+
+def simulate_per_event(graph, rates, policy, config) -> SimTrace:
+    """simulate with its bookkeeping inside the event loop: the count of
+    nonempty queues, the first-zero and empty times, and each recorded row
+    are updated event by event as the run passes them."""
+    rates, state = _prepare(graph, rates, policy, config)
+    p = graph.node_count
+    t_end = config.horizon * config.scale
+    decide, _ = _decision_step(policy, graph)
+
+    q = [0] + list(state)
+    nnz = sum(1 for v in state if v > 0)
+    first_zero: list = [None] * (p + 1)
+    for i in range(1, p + 1):
+        if q[i] == 0:
+            first_zero[i] = 0.0
+    empty_time = 0.0 if nnz == 0 else None
+    arrivals = np.zeros(p + 1, dtype=np.int64)
+
+    stride = config.trace_stride
+    stop_node = config.stop_node
+    stop_empty = config.stop_when_empty
+    max_events = config.max_events
+
+    rec_t: list[float] = []
+    rec_c: list[int] = []
+    rec_m: list[int] = []
+    rec_s: list[int] = []      # the whole of q per snapshot, index 0 included
+
+    t = 0.0
+    events = 0
+    stop = (stop_node is not None and q[stop_node] == 0) or (stop_empty and nnz == 0)
+    chunks = () if stop else _arrivals(
+        rates, config.seed, 1, policy.kind != PRIORITY, t_end, max_events
+    )
+    for times, cls, us in chunks:
+        start = events
+        for t, c, u in zip(times.tolist(), cls.tolist(), us):
+            j = 0 if q[c] else decide(q, c, u)
+            if j:
+                v = q[j] - 1
+                q[j] = v
+                if v == 0:
+                    nnz -= 1
+                    if first_zero[j] is None:
+                        first_zero[j] = t
+                    if nnz == 0 and empty_time is None:
+                        empty_time = t
+                    stop = j == stop_node or (stop_empty and nnz == 0)
+            else:
+                if q[c] == 0:
+                    nnz += 1
+                q[c] += 1
+            events += 1
+            if stride and events % stride == 0:
+                rec_t.append(t)
+                rec_c.append(c)
+                rec_m.append(j)
+                rec_s.extend(q)
+            if stop:
+                break
+        arrivals += np.bincount(cls[: events - start], minlength=p + 1)
+        if stop:
+            break
+    if not stop and (max_events is None or events < max_events):
+        t = t_end  # the stream ended at the horizon, not at the event cap
+
+    fz = np.array(
+        [math.nan if v is None else v for v in first_zero[1:]], dtype=float
+    )
+    return SimTrace(
+        node_count=p,
+        scale=config.scale,
+        seed=config.seed,
+        horizon=config.horizon,
+        times=np.asarray(rec_t, dtype=float),
+        classes=np.asarray(rec_c, dtype=np.int64),
+        matched=np.asarray(rec_m, dtype=np.int64),
+        states=np.ascontiguousarray(
+            np.fromiter(rec_s, dtype=np.int64, count=len(rec_s)).reshape(-1, p + 1)[:, 1:]
+        ),
+        final_state=tuple(q[1:]),
+        end_time=t,
+        n_events=events,
+        arrivals=arrivals,
+        first_zero=fz,
+        empty_time=math.nan if empty_time is None else empty_time,
     )

@@ -18,6 +18,7 @@ from matchq.errors import MatchQError, NotConnectedError, ValidationError
 from matchq.graphs import Graph, check_rates, ncond_check, pendant_graph
 from matchq.marginal import _CLOSED_FORMS, build_marginal, fluid_report
 from matchq.policies import (
+    match_decision,
     ml_policy,
     pendant_priority_policy,
     priority_policy,
@@ -389,6 +390,49 @@ NON_INTEGER_PARAMS = {
     "budget-max-events": lambda: ClassifyBudget(max_events=1e6),
     "budget-master-seed": lambda: ClassifyBudget(master_seed=1.5),
 }
+
+
+# A queue entry given as a bool or a non-integer used to be truncated:
+# (0, 0, 0, 2.5) started from 2 and True from 1.
+NON_INTEGER_QUEUES = {
+    "simulate": lambda q: _sim(seed=0, initial_state=q),
+    "coupled-x": lambda q: coupled_nonexpansive(
+        PENDANT, LAM, ml_policy(), q, (0, 0, 0, 0), SimConfig(horizon=1.0, seed=0)),
+    "coupled-y": lambda q: coupled_nonexpansive(
+        PENDANT, LAM, ml_policy(), (0, 0, 0, 0), q, SimConfig(horizon=1.0, seed=0)),
+    "match-decision": lambda q: match_decision(
+        ml_policy(), PENDANT, q, 3, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_QUEUES))
+def test_non_integer_queue_rejected(case, value):
+    with pytest.raises(ValidationError, match="queue of node 4 must be an integer"):
+        NON_INTEGER_QUEUES[case]((0, 0, 0, value))
+
+
+def test_numpy_integer_queues_accepted():
+    got = _sim(seed=3, initial_state=tuple(np.int64(v) for v in (0, 0, 0, 2)))
+    want = _sim(seed=3, initial_state=(0, 0, 0, 2))
+    assert np.array_equal(got.states, want.states) and got.final_state == want.final_state
+    assert all(type(v) is int for v in got.final_state)
+    assert match_decision(ml_policy(), PENDANT, (np.int32(0), 0, 0, np.uint8(2)), 3) == 4
+
+
+@pytest.mark.parametrize("bad", [[2.5], [True], [3, 7.9], [np.float64(4.0)]])
+def test_non_integer_checkpoint_rejected(bad):
+    # [2.5, True, 7.9] on 10 nodes used to record n = 2, 1 and 7
+    with pytest.raises(ValidationError, match="checkpoint must be an integer"):
+        grow_and_match(PENDANT, type_distribution(LAM), uniform_policy(), 10, 0,
+                       checkpoints=bad)
+
+
+def test_numpy_integer_checkpoints_accepted():
+    got = grow_and_match(PENDANT, type_distribution(LAM), uniform_policy(), 10, 0,
+                         checkpoints=[np.int64(3), np.uint16(7)])
+    assert [n for n, _, _ in got.checkpoints] == [3, 7]
+    assert all(type(n) is int for n, _, _ in got.checkpoints)
 
 
 @pytest.mark.parametrize("case", sorted(NON_INTEGER_PARAMS))

@@ -1,9 +1,11 @@
 """Event engine: reproducibility, law checks, hitting times, couplings."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from oracles import simulate_per_event
 
 from matchq.errors import (
     InsufficientSamplesError,
@@ -14,6 +16,7 @@ from matchq.errors import (
 from matchq.graphs import Graph, complete_graph, five_cycle_graph, pendant_graph
 from matchq.marginal import pendant_alpha
 from matchq.policies import (
+    _CHUNK,
     five_cycle_priority_policy,
     ml_policy,
     pendant_priority_policy,
@@ -374,3 +377,89 @@ def test_triangle_empty_state_recurs():
         gaps = np.diff(trace.times[empty])
         medians.append(float(np.median(gaps)))
     assert 0.3 < medians[0] / medians[1] < 3.0
+
+
+# -- the decision loop against the per-event loop ---------------------------------
+
+C5 = five_cycle_graph()
+C5_RATES = (0.1, 0.1, 0.225, 0.225, 0.35)
+K4 = complete_graph(4)
+# (graph, rates, policy, a start with queues that empty at different times)
+ORACLE_CASES = {
+    "pendant-priority": (PENDANT, LAM, FIG_POLICY, (5, 0, 0, 40)),
+    "pendant-ml": (PENDANT, LAM, ml_policy(), (5, 0, 0, 40)),
+    "pendant-uniform": (PENDANT, LAM, uniform_policy(), (5, 0, 0, 40)),
+    "c5-priority": (C5, C5_RATES, five_cycle_priority_policy(), (3, 0, 0, 0, 2)),
+    "c5-ml": (C5, C5_RATES, ml_policy(), (3, 0, 0, 0, 2)),
+    "c5-uniform": (C5, C5_RATES, uniform_policy(), (3, 0, 0, 0, 2)),
+    "k4-uniform": (K4, (0.25,) * 4, uniform_policy(), (0, 0, 0, 30)),
+}
+ORACLE_STRIDES = (0, 1, 2, 3, 7, _CHUNK, _CHUNK + 1)
+
+
+def _assert_same_trace(got, want):
+    """Every SimTrace field equal, with the same dtype and shape for arrays
+    and the same type and repr for everything else."""
+    for f in dataclasses.fields(SimTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), f.name
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.flags.c_contiguous, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert (type(a), repr(a)) == (type(b), repr(b)), f.name
+
+
+def _same_as_per_event(graph, rates, policy, config):
+    trace = simulate(graph, rates, policy, config)
+    _assert_same_trace(trace, simulate_per_event(graph, rates, policy, config))
+    return trace
+
+
+@pytest.mark.parametrize("stride", ORACLE_STRIDES)
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_event_caps_and_horizon_match_per_event_loop(case, stride):
+    graph, rates, policy, start = ORACLE_CASES[case]
+    for cap in (0, 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK):
+        trace = _same_as_per_event(graph, rates, policy, SimConfig(
+            horizon=math.inf, seed=11, initial_state=start, trace_stride=stride,
+            max_events=cap))
+        assert trace.n_events == cap
+    # cut by the horizon after about 10 000 events
+    trace = _same_as_per_event(graph, rates, policy, SimConfig(
+        horizon=10_000 / sum(rates), seed=12, initial_state=start, trace_stride=stride))
+    assert _CHUNK < trace.n_events < 2 * _CHUNK
+    assert trace.end_time == trace.horizon * trace.scale
+
+
+@pytest.mark.parametrize("stride", (0, 1, 7, _CHUNK + 1))
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_stop_conditions_match_per_event_loop(case, stride):
+    graph, rates, policy, start = ORACLE_CASES[case]
+    config = dict(horizon=20_000 / sum(rates), seed=13, trace_stride=stride)
+    emptying = start.index(max(start)) + 1
+    already_empty = start.index(0) + 1
+    stopped = _same_as_per_event(graph, rates, policy, SimConfig(
+        initial_state=start, stop_node=emptying, **config))
+    assert stopped.final_state[emptying - 1] == 0 or stopped.end_time == 20_000 / sum(rates)
+    trace = _same_as_per_event(graph, rates, policy, SimConfig(
+        initial_state=start, stop_node=already_empty, **config))
+    assert (trace.n_events, trace.end_time) == (0, 0.0)
+    _same_as_per_event(graph, rates, policy, SimConfig(
+        initial_state=start, stop_when_empty=True, **config))
+    trace = _same_as_per_event(graph, rates, policy, SimConfig(
+        initial_state=(0,) * graph.node_count, stop_when_empty=True, **config))
+    assert (trace.n_events, trace.empty_time) == (0, 0.0)
+
+
+@pytest.mark.parametrize("stride", (1, 7, _CHUNK + 1))
+def test_stops_in_a_later_chunk_match_per_event_loop(stride):
+    # K4 under uniform drains 5000 items on node 4 in about 10 000 events
+    graph, rates, policy, _ = ORACLE_CASES["k4-uniform"]
+    for stop in (dict(stop_node=4), dict(stop_when_empty=True)):
+        trace = _same_as_per_event(graph, rates, policy, SimConfig(
+            horizon=math.inf, seed=14, initial_state=(0, 0, 0, 5000), trace_stride=stride,
+            **stop))
+        assert _CHUNK < trace.n_events < 2 * _CHUNK
+        assert trace.final_state == (0, 0, 0, 0)
