@@ -13,7 +13,7 @@ from matchq.errors import (
     UnsupportedPolicyError,
     ValidationError,
 )
-from matchq.graphs import Graph, complete_graph, five_cycle_graph, pendant_graph
+from matchq.graphs import Graph, complete_graph, cycle_graph, five_cycle_graph, pendant_graph
 from matchq.marginal import pendant_alpha
 from matchq.policies import (
     _CHUNK,
@@ -463,3 +463,14 @@ def test_stops_in_a_later_chunk_match_per_event_loop(stride):
             **stop))
         assert _CHUNK < trace.n_events < 2 * _CHUNK
         assert trace.final_state == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("stride", (1, 3))
+def test_more_than_255_classes_match_per_event_loop(stride):
+    # a matched class above 255 does not fit the byte-wide kept decisions
+    graph = cycle_graph(300)
+    start = tuple(40 if v in (1, 3, 299) else 0 for v in graph.nodes)
+    trace = _same_as_per_event(graph, (1.0,) * 300, uniform_policy(), SimConfig(
+        horizon=math.inf, seed=15, initial_state=start, trace_stride=stride,
+        max_events=_CHUNK + 500))
+    assert trace.matched.max() > 255
