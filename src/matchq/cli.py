@@ -28,8 +28,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import IndexOutOfRangeError, MatchQError, ValidationError
-from .graphs import classify, ncond_check
+from .errors import MatchQError, ValidationError
+from .graphs import check_node, classify, ncond_check
 from .marginal import fluid_report
 from .randgraph import grow_and_match, type_distribution
 from .simulate import (
@@ -159,11 +159,8 @@ def _cmd_fluid(args):
 def _parse_initial(args):
     graph = args.graph
     if args.init_node is not None:
-        if not 1 <= args.init_node <= graph.node_count:
-            raise IndexOutOfRangeError(args.init_node, graph.node_count)
-        return tuple(
-            args.scale if v == args.init_node else 0 for v in graph.nodes
-        )
+        node = check_node(args.init_node, graph.node_count, "--init-node")
+        return tuple(args.scale if v == node else 0 for v in graph.nodes)
     if args.init:
         try:
             return tuple(int(x) for x in args.init.split(","))
@@ -175,8 +172,8 @@ def _parse_initial(args):
 
 
 def _cmd_simulate(args):
-    if args.node is not None and not 1 <= args.node <= args.graph.node_count:
-        raise IndexOutOfRangeError(args.node, args.graph.node_count)
+    if args.node is not None:
+        check_node(args.node, args.graph.node_count, "--node")
     initial = _parse_initial(args)
     seeds = (
         [args.seed]

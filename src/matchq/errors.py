@@ -33,8 +33,8 @@ class DuplicateEdgeError(ValidationError):
 
 
 class IndexOutOfRangeError(ValidationError):
-    def __init__(self, node: int, node_count: int):
-        super().__init__(f"node {node} outside 1..{node_count}")
+    def __init__(self, node: int, node_count: int, name: str = "node"):
+        super().__init__(f"{name} {node} outside 1..{node_count}")
         self.node = node
         self.node_count = node_count
 

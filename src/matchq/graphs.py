@@ -16,6 +16,7 @@ tooling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -42,37 +43,58 @@ PENDANT_EDGES = ((1, 2), (1, 3), (2, 3), (3, 4))
 FIVE_CYCLE_EDGES = ((1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
 
 
-def validate_edges(node_count: int, edges: Iterable[Sequence[int]]) -> None:
-    """Check simplicity and index range; raise a ValidationError subclass."""
-    if node_count < 1:
-        raise ValidationError(f"node_count must be positive, got {node_count}")
-    seen = set()
-    for e in edges:
-        i, j = int(e[0]), int(e[1])
-        if i == j:
-            raise SelfLoopError(i)
-        for v in (i, j):
-            if not 1 <= v <= node_count:
-                raise IndexOutOfRangeError(v, node_count)
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DuplicateEdgeError(*key)
-        seen.add(key)
+def check_int(value, name: str) -> int:
+    """value as an int; a bool or a non-integer raises ValidationError, and
+    numpy integers pass. A plain int, the common case, skips the ABC check."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_node(v, node_count: int, name: str = "node") -> int:
+    """v as a node id: an integer in 1..node_count, else a ValidationError."""
+    v = check_int(v, name)
+    if not 1 <= v <= node_count:
+        raise IndexOutOfRangeError(v, node_count, name)
+    return v
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph on nodes 1..node_count."""
+    """Immutable simple undirected graph on nodes 1..node_count. The
+    constructor refuses a node count below 1, an endpoint outside 1..node_count,
+    a self-loop and a repeated edge, and keeps the edges as a sorted tuple of
+    (min, max) pairs, so equal graphs compare equal. Disconnected graphs pass."""
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        p = check_int(self.node_count, "node_count")
+        if p < 1:
+            raise ValidationError(f"node_count must be positive, got {p}")
+        seen = set()
+        for e in self.edges:
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {e!r} is not a pair of nodes") from None
+            i, j = check_node(i, p), check_node(j, p)
+            if i == j:
+                raise SelfLoopError(i)
+            key = (i, j) if i < j else (j, i)
+            if key in seen:
+                raise DuplicateEdgeError(*key)
+            seen.add(key)
+        object.__setattr__(self, "node_count", p)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
+
     @classmethod
     def from_edges(cls, node_count: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        edges = list(edges)
-        validate_edges(node_count, edges)
-        canon = tuple(sorted((min(int(i), int(j)), max(int(i), int(j))) for i, j in edges))
-        return cls(node_count, canon)
+        """Graph(node_count, edges), under the name the benchmark scripts call."""
+        return cls(node_count, edges)
 
     @property
     def nodes(self) -> range:
@@ -120,14 +142,14 @@ def five_cycle_graph() -> Graph:
 
 def cycle_graph(length: int) -> Graph:
     """Cycle with consecutive labels 1-2-...-length-1."""
-    if length < 3:
+    if check_int(length, "cycle length") < 3:
         raise ValidationError("cycle needs at least 3 nodes")
     edges = [(i, i + 1) for i in range(1, length)] + [(1, length)]
-    return Graph.from_edges(length, edges)
+    return Graph(length, edges)
 
 
 def complete_graph(size: int) -> Graph:
-    return Graph(size, tuple(combinations(range(1, size + 1), 2)))
+    return Graph(size, combinations(range(1, check_int(size, "size") + 1), 2))
 
 
 def check_rates(graph: Graph, rates: Sequence[float]) -> tuple[float, ...]:

@@ -47,12 +47,14 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    check_int,
+    check_node,
     check_rates,
     five_cycle_graph,
     is_connected,
     pendant_graph,
 )
-from .policies import PRIORITY, UNIFORM, Policy, check_int, validate_policy
+from .policies import PRIORITY, UNIFORM, Policy, validate_policy
 
 CLOSED_FORM_PENDANT = "closed-form-pendant"
 CLOSED_FORM_FIVE_CYCLE = "closed-form-five-cycle"
@@ -358,26 +360,25 @@ def build_marginal(
 ) -> MarginalChain:
     """Construct the marginal chain of node i0; only priority and uniform
     policies have one."""
-    return _chain(graph, _check_instance(graph, rates, policy), policy, i0)
+    rates, i0 = _check_instance(graph, rates, policy, i0)
+    return _chain(graph, rates, policy, i0)
 
 
-def _check_instance(graph: Graph, rates, policy: Policy) -> tuple[float, ...]:
-    """The checked rates of a connected graph under a policy that fits it."""
+def _check_instance(graph: Graph, rates, policy: Policy, i0) -> tuple[tuple[float, ...], int]:
+    """The checked rates and node i0 of a connected graph under a fitting policy."""
     rates = check_rates(graph, rates)
     validate_policy(policy, graph)
     if not is_connected(graph):
         raise NotConnectedError("a marginal chain needs a connected graph")
-    return rates
+    return rates, check_node(i0, graph.node_count)
 
 
 def _chain(graph: Graph, rates: tuple[float, ...], policy: Policy, i0: int) -> MarginalChain:
-    """build_marginal on rates and a policy that have passed _check_instance."""
+    """build_marginal on rates, a policy and a node that have passed _check_instance."""
     if policy.kind not in (PRIORITY, UNIFORM):
         raise UnsupportedPolicyError(
             f"no marginal chain for policy kind {policy.kind!r}"
         )
-    if not 1 <= i0 <= graph.node_count:
-        raise ValidationError(f"node {i0} out of range")
     excluded = {i0} | set(graph.neighbors(i0))
     s_nodes = tuple(v for v in graph.nodes if v not in excluded)
     return MarginalChain(
@@ -560,7 +561,7 @@ def fluid_report(
     (i0 = 4) and 5-cycle (i0 = 5) under policies that keep those chains
     intact; anything else is a truncated numeric solve.
     """
-    rates = _check_instance(graph, rates, policy)
+    rates, i0 = _check_instance(graph, rates, policy, i0)
     if not (math.isfinite(q0) and q0 > 0):
         raise ValidationError(f"q0 must be positive and finite, got {q0}")
 

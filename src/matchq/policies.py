@@ -20,7 +20,6 @@ drivers read their events from the one chunked stream in _arrivals.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Mapping, Optional, Sequence
@@ -32,7 +31,7 @@ from .errors import (
     PolicyGraphMismatchError,
     ValidationError,
 )
-from .graphs import Graph
+from .graphs import Graph, check_int, check_node
 
 PRIORITY = "priority"
 MATCH_LONGEST = "ml"
@@ -55,7 +54,8 @@ class Policy:
 
 
 def priority_policy(order: Mapping[int, Sequence[int]]) -> Policy:
-    return Policy(PRIORITY, {int(k): tuple(int(x) for x in v) for k, v in order.items()})
+    return Policy(PRIORITY, {check_int(k, "order key"): tuple(
+        check_int(x, f"order of node {k}") for x in v) for k, v in order.items()})
 
 
 def ml_policy() -> Policy:
@@ -133,8 +133,7 @@ def match_decision(
     decisions never touch it.
     """
     state = check_state(graph, state)
-    if not 1 <= arriving <= graph.node_count:
-        raise ValidationError(f"arriving class {arriving} out of range")
+    arriving = check_node(arriving, graph.node_count, "arriving class")
     validate_policy(policy, graph)
     _, choices = _decision_step(policy, graph)
     options = choices((0,) + state, arriving)
@@ -216,14 +215,6 @@ def _decision_step(policy: Policy, graph: Graph):
 
 
 _CHUNK = 8192
-
-
-def check_int(value, name: str) -> int:
-    """value as an int; a bool or a non-integer raises ValidationError, and
-    numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def check_seed(seed) -> None:

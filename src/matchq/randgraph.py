@@ -24,13 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotConnectedError, ValidationError
-from .graphs import Graph, check_rates, independent_set_rates, is_connected
+from .graphs import Graph, check_int, check_rates, independent_set_rates, is_connected
 from .policies import (
     PRIORITY,
     Policy,
     _arrivals,
     _decision_step,
-    check_int,
     check_seed,
     validate_policy,
 )

@@ -86,7 +86,7 @@ def graph_from_obj(obj: dict) -> Graph:
         if nodes > len(edges) + 1:
             raise NotConnectedError(f"graph: {nodes} nodes need at least {nodes - 1} "
                                     f"edges to be connected, got {len(edges)}")
-        return Graph.from_edges(nodes, [tuple(map(_int, _list(e, 2))) for e in edges])
+        return Graph(nodes, [tuple(map(_int, _list(e, 2))) for e in edges])
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"graph: {exc}") from exc
 

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedPolicyError,
     ValidationError,
 )
-from .graphs import Graph, check_rates, is_connected
+from .graphs import Graph, check_int, check_node, check_rates, is_connected
 from .policies import (
     MATCH_LONGEST,
     PRIORITY,
@@ -41,7 +41,6 @@ from .policies import (
     _CHUNK,
     _arrivals,
     _decision_step,
-    check_int,
     check_seed,
     check_state,
     validate_policy,
@@ -129,7 +128,7 @@ def _prepare(graph: Graph, rates, policy: Policy, config: SimConfig):
     rates = check_rates(graph, rates)
     validate_policy(policy, graph)
     check_seed(config.seed)
-    for name in ("scale", "trace_stride", "stop_node", "max_events"):
+    for name in ("scale", "trace_stride", "max_events"):
         if getattr(config, name) is not None:
             check_int(getattr(config, name), name)
     if graph.node_count < 2 or not is_connected(graph):
@@ -147,9 +146,8 @@ def _prepare(graph: Graph, rates, policy: Policy, config: SimConfig):
         config.stop_node is None and not config.stop_when_empty
     ):
         raise ValidationError("infinite horizon * scale needs max_events or a stop condition")
-    p = graph.node_count
-    if config.stop_node is not None and not 1 <= config.stop_node <= p:
-        raise ValidationError(f"stop_node {config.stop_node} outside 1..{p}")
+    if config.stop_node is not None:
+        check_node(config.stop_node, graph.node_count, "stop_node")
     if config.max_events is not None and config.max_events < 0:
         raise ValidationError("max_events must be nonnegative")
     if config.trace_stride < 0:
@@ -240,7 +238,7 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
         if stop:
             break
     if not stop and (max_events is None or events < max_events):
-        t = t_end  # the stream ended at the horizon, not at the event cap
+        t = float(t_end)  # the stream ended at the horizon, not at the event cap
 
     fz = np.array(
         [math.nan if v is None else v for v in first_zero[1:]], dtype=float
@@ -265,9 +263,7 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
 
 def hitting_time(trace: SimTrace, node: int) -> float:
     """First scaled time the node's queue reaches zero; inf if never observed."""
-    if not 1 <= node <= trace.node_count:
-        raise ValidationError(f"node {node} out of range")
-    raw = trace.first_zero[node - 1]
+    raw = trace.first_zero[check_node(node, trace.node_count) - 1]
     if math.isnan(raw):
         return math.inf
     return raw / trace.scale
@@ -304,8 +300,7 @@ def drift_estimate(
     avoid the initial transient and the boundary behavior after emptying.
     Slopes are invariant under fluid scaling, so the fit runs on raw data.
     """
-    if not 1 <= node <= trace.node_count:
-        raise ValidationError(f"node {node} out of range")
+    node = check_node(node, trace.node_count)
     t_scaled = trace.times / trace.scale
     if window is None:
         total = trace.end_time / trace.scale
@@ -430,12 +425,8 @@ def restricted_policy(policy: Policy, graph: Graph, kept: frozenset[int]) -> Pol
 
 def disconnected_graph(graph: Graph, kept: frozenset[int]) -> Graph:
     """Erase every edge joining the kept set and its complement."""
-    edges = [
-        e
-        for e in graph.edges
-        if (e[0] in kept) == (e[1] in kept)
-    ]
-    return Graph(graph.node_count, tuple(edges))
+    edges = [(i, j) for i, j in graph.edges if (i in kept) == (j in kept)]
+    return Graph(graph.node_count, edges)
 
 
 def coupled_nonchaotic(
@@ -453,9 +444,9 @@ def coupled_nonchaotic(
     the removed nodes. Supports priority and uniform policies; there is no
     coupling recipe for match-the-longest here.
     """
-    kept = frozenset(int(v) for v in kept_nodes)
-    if not kept or not kept <= set(graph.nodes):
-        raise ValidationError("kept node set must be a nonempty subset of the nodes")
+    kept = frozenset(check_node(v, graph.node_count, "kept node") for v in kept_nodes)
+    if not kept:
+        raise ValidationError("kept node set must be nonempty")
     if policy.kind == MATCH_LONGEST:
         raise UnsupportedPolicyError(
             "no product coupling for match-the-longest in the cross-edge experiment"

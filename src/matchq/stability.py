@@ -27,7 +27,6 @@ from .errors import (
     BoundaryDegenerateError,
     BudgetExceededError,
     EpsilonOutOfRangeError,
-    IndexOutOfRangeError,
     MatchQError,
     NotApplicableError,
     ValidationError,
@@ -35,6 +34,8 @@ from .errors import (
 from .graphs import (
     Graph,
     bfs_levels,
+    check_int,
+    check_node,
     check_rates,
     classify,
     five_cycle_graph,
@@ -45,7 +46,6 @@ from .graphs import (
 from .marginal import _FIVE_CYCLE, fivecycle_node_reports, fluid_report, pendant_alpha
 from .policies import (
     Policy,
-    check_int,
     check_seed,
     five_cycle_priority_policy,
     pendant_priority_policy,
@@ -446,14 +446,11 @@ def empirical_classify(
     """
     rates = check_rates(graph, rates)
     lambar = sum(rates)
-    probe = list(graph.nodes) if nodes is None else [int(v) for v in nodes]
+    probe = [check_node(v, graph.node_count) for v in (graph.nodes if nodes is None else nodes)]
     if not probe:
         raise ValidationError("empirical_classify needs at least one node to probe")
     if len(set(probe)) < len(probe):
         raise ValidationError(f"nodes {probe} name a node twice; evidence is kept per node")
-    for v in probe:
-        if not 1 <= v <= graph.node_count:
-            raise IndexOutOfRangeError(v, graph.node_count)
     events_used = 0
     node_evidence: dict[int, dict] = {}
     node_flags: dict[int, str] = {}

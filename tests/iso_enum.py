@@ -85,7 +85,7 @@ def connected_graphs_up_to(max_nodes):
                 for v in range(u + 1, p)
                 if adj[u] >> v & 1
             ]
-            yield p, Graph.from_edges(p, edges)
+            yield p, Graph(p, edges)
 
 
 def brute_force_separable(graph):

@@ -54,7 +54,7 @@ from oracles import (
 
 PENDANT = pendant_graph()
 FIVE_CYCLE = five_cycle_graph()
-PENDANT_PLUS = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+PENDANT_PLUS = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
 
 
 def _line(tag, ok, detail=""):

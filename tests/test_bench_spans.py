@@ -69,7 +69,7 @@ COUNTED_CALLS = {
     "simulate.coupled_nonexpansive": lambda tmp_path: (
         (PENDANT, LAM, matchq.ml_policy(), (0, 0, 0, 2), (0, 0, 0, 0), TEN_EVENTS), 10),
     "simulate.coupled_nonchaotic": lambda tmp_path: (
-        (matchq.Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]), [1, 2, 3, 4],
+        (matchq.Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]), [1, 2, 3, 4],
          (0.2, 0.2, 0.4, 0.35, 0.05), matchq.uniform_policy(), TEN_EVENTS), 10),
     "marginal.stationary_numeric": _chain_call,
     "marginal.enumerate_states": _chain_call,

@@ -32,7 +32,7 @@ def files(tmp_path):
     ser.dump_json(ser.graph_to_obj(pendant_graph()), tmp_path / "pendant.json")
     ser.dump_json(ser.graph_to_obj(five_cycle_graph()), tmp_path / "c5.json")
     ser.dump_json(
-        ser.graph_to_obj(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])),
+        ser.graph_to_obj(Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])),
         tmp_path / "square.json",
     )
     ser.dump_json({"rates": [0.1, 0.1, 0.45, 0.35]}, tmp_path / "rates.json")
@@ -273,7 +273,7 @@ _FILE_RUNS = {
 @pytest.mark.parametrize("run", sorted(_FILE_RUNS))
 def test_cli_manifest_lists_exactly_the_files_given(files, monkeypatch, run):
     files["g5"] = files["dir"] / "g5.json"
-    g5 = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    g5 = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
     ser.dump_json(ser.graph_to_obj(g5), files["g5"])
     keys, extra = _FILE_RUNS[run]
     given = [str(files[key]) for key in keys]
@@ -297,14 +297,14 @@ def test_cli_manifest_lists_exactly_the_files_given(files, monkeypatch, run):
 
 def test_cli_construct_not_applicable_exit_3(files, tmp_path):
     ser.dump_json(
-        ser.graph_to_obj(Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])),
+        ser.graph_to_obj(Graph(3, [(1, 2), (2, 3), (1, 3)])),
         tmp_path / "k3.json",
     )
     assert main(["construct-nonmaximal", "--graph", str(tmp_path / "k3.json")]) == 3
 
 
 def test_cli_construct_emits_instance(files, capsys, tmp_path):
-    g = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    g = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
     ser.dump_json(ser.graph_to_obj(g), tmp_path / "g5.json")
     assert main(["construct-nonmaximal", "--graph", str(tmp_path / "g5.json")]) == 0
     out = json.loads(capsys.readouterr().out)

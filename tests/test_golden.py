@@ -100,7 +100,7 @@ PENDANT = pendant_graph()
 C5 = five_cycle_graph()
 LAM = (0.1, 0.1, 0.45, 0.35)
 C5_LAM = (0.1, 0.1, 0.225, 0.225, 0.35)
-PENDANT_PLUS = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+PENDANT_PLUS = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
 PENDANT_PLUS_POLICY = priority_policy(
     {1: (2, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3, 5), 5: (4,)}
 )
@@ -294,7 +294,7 @@ def _relabel(graph, rates, policy, node, perm):
         policy = priority_policy(
             {perm[v]: tuple(perm[w] for w in order) for v, order in policy.order.items()}
         )
-    return Graph.from_edges(graph.node_count, edges), tuple(new_rates), policy, perm[node]
+    return Graph(graph.node_count, edges), tuple(new_rates), policy, perm[node]
 
 
 def _nonmaximal_graphs(count, seed=51):
@@ -305,7 +305,7 @@ def _nonmaximal_graphs(count, seed=51):
         p = rng.randint(5, 7)
         pairs = [(a, b) for a in range(1, p + 1) for b in range(a + 1, p + 1)]
         edges = rng.sample(pairs, rng.randint(p, len(pairs) - 1))
-        graph = Graph.from_edges(p, edges)
+        graph = Graph(p, edges)
         try:
             inst = construct_nonmaximal(graph)
         except (NotApplicableError, NotConnectedError):
@@ -455,7 +455,7 @@ def _rate_graphs():
     while k < 8:
         p = rng.randint(6, 12)
         pairs = [(a, b) for a in range(1, p + 1) for b in range(a + 1, p + 1)]
-        graph = Graph.from_edges(p, rng.sample(pairs, rng.randint(p - 1, 2 * p)))
+        graph = Graph(p, rng.sample(pairs, rng.randint(p - 1, 2 * p)))
         if is_connected(graph):
             yield f"random-{k}", graph
             k += 1
@@ -577,10 +577,10 @@ def _c5_witness_graphs():
     """The 5-cycle, the 5-cycle with a node on a chordless 4-cycle, and the
     Petersen graph: each classifies with an induced 5-cycle as witness."""
     yield "c5", C5
-    yield "c5-plus", Graph.from_edges(6, list(C5.edges) + [(1, 6), (4, 6)])
+    yield "c5-plus", Graph(6, list(C5.edges) + [(1, 6), (4, 6)])
     ring = [(v, v % 5 + 1) for v in range(1, 6)]
     star = [(6, 8), (8, 10), (10, 7), (7, 9), (9, 6)]
-    yield "petersen", Graph.from_edges(10, ring + star + [(v, v + 5) for v in range(1, 6)])
+    yield "petersen", Graph(10, ring + star + [(v, v + 5) for v in range(1, 6)])
 
 
 def _closed_form_cases():

@@ -14,9 +14,29 @@ import pytest
 import matchq
 import matchq.serialize as ser
 from matchq.cli import main
-from matchq.errors import MatchQError, NotConnectedError, ValidationError
-from matchq.graphs import Graph, check_rates, ncond_check, pendant_graph
-from matchq.marginal import _CLOSED_FORMS, build_marginal, fluid_report
+from matchq.errors import (
+    DuplicateEdgeError,
+    IndexOutOfRangeError,
+    MatchQError,
+    NotConnectedError,
+    SelfLoopError,
+    ValidationError,
+)
+from matchq.graphs import (
+    Graph,
+    check_rates,
+    classify,
+    complete_graph,
+    cycle_graph,
+    ncond_check,
+    pendant_graph,
+)
+from matchq.marginal import (
+    _CLOSED_FORMS,
+    CLOSED_FORM_PENDANT,
+    build_marginal,
+    fluid_report,
+)
 from matchq.policies import (
     match_decision,
     ml_policy,
@@ -25,8 +45,16 @@ from matchq.policies import (
     uniform_policy,
 )
 from matchq.randgraph import grow_and_match, type_distribution
-from matchq.simulate import SimConfig, coupled_nonexpansive, replication_seeds, simulate
-from matchq.stability import ClassifyBudget, pendant_region
+from matchq.simulate import (
+    SimConfig,
+    coupled_nonchaotic,
+    coupled_nonexpansive,
+    drift_estimate,
+    hitting_time,
+    replication_seeds,
+    simulate,
+)
+from matchq.stability import ClassifyBudget, empirical_classify, exact_region, pendant_region
 
 PENDANT = pendant_graph()
 LAM = (0.1, 0.1, 0.45, 0.35)
@@ -508,3 +536,78 @@ def test_every_error_class_exits_with_its_documented_code(files, capsys, monkeyp
     expected = 3 if cls.__name__ in EXIT_3 else 4 if cls.__name__ in EXIT_4 else 2
     assert main(["analyze", "--graph", str(files / "pendant.json")]) == expected
     assert capsys.readouterr().err == "error: raised on purpose\n"
+
+
+# Graphs and node ids that used to be taken as something else: a graph with
+# a self-loop, an edge to a missing node or a repeated edge was built (and
+# classify or ncond_check failed later with NoWitnessFoundError or a bare
+# KeyError), a fractional or boolean number was read with int(), a builder
+# took a float size to a bare TypeError or built a graph with no nodes, and
+# a node id passed on to a run or a solve was truncated, read as node 1, or
+# met a bare KeyError or IndexError.
+C7 = cycle_graph(7)
+SMALL_BUDGET = ClassifyBudget(seeds=2, scales=(20, 40), horizon=1.0)
+BAD_GRAPHS_AND_NODES = {
+    "graph-self-loop": (SelfLoopError, lambda: classify(Graph(3, ((1, 1), (1, 2), (2, 3))))),
+    "graph-node-out-of-range": (
+        IndexOutOfRangeError, lambda: ncond_check(Graph(3, ((1, 2), (2, 9))), (1, 1, 1))),
+    "graph-repeated-edge": (DuplicateEdgeError, lambda: Graph(3, ((1, 2), (2, 3), (2, 1)))),
+    "graph-fractional-endpoint": (ValidationError, lambda: Graph(3, [(1, 2.7), (2, 3)])),
+    "graph-boolean-endpoint": (ValidationError, lambda: Graph(3, [(True, 2), (2, 3)])),
+    "graph-boolean-node-count": (ValidationError, lambda: Graph(True, [])),
+    "graph-no-nodes": (ValidationError, lambda: Graph(0, [])),
+    "graph-edge-not-a-pair": (ValidationError, lambda: Graph(3, [(1, 2, 3)])),
+    "cycle-fractional-length": (ValidationError, lambda: cycle_graph(5.0)),
+    "complete-fractional-size": (ValidationError, lambda: complete_graph(2.5)),
+    "complete-no-nodes": (ValidationError, lambda: complete_graph(0)),
+    "nonchaotic-fractional-kept-node": (ValidationError, lambda: coupled_nonchaotic(
+        PENDANT, [1, 2.7, 3], LAM, pendant_priority_policy(), SimConfig(horizon=1.0, seed=0))),
+    "empirical-fractional-node": (ValidationError, lambda: empirical_classify(
+        PENDANT, LAM, ml_policy(), SMALL_BUDGET, nodes=[3.5])),
+    "fluid-boolean-node": (
+        ValidationError, lambda: fluid_report(C7, (1.0,) * 7, uniform_policy(), True, 1.0)),
+    "fluid-fractional-node": (
+        ValidationError, lambda: fluid_report(C7, (1.0,) * 7, uniform_policy(), 2.5, 1.0)),
+    "hitting-fractional-node": (ValidationError, lambda: hitting_time(_sim(seed=0), 1.5)),
+    "hitting-boolean-node": (ValidationError, lambda: hitting_time(_sim(seed=0), True)),
+    "drift-fractional-node": (ValidationError, lambda: drift_estimate(_sim(seed=0), 3.5)),
+    "decision-fractional-class": (ValidationError, lambda: match_decision(
+        ml_policy(), PENDANT, (0, 0, 0, 0), 2.5, np.random.default_rng(0))),
+    "priority-fractional-order": (ValidationError, lambda: priority_policy(
+        {1: (2.7, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3,)})),
+    "priority-boolean-key": (ValidationError, lambda: priority_policy(
+        {True: (2, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3,)})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRAPHS_AND_NODES))
+def test_bad_graph_or_node_id_is_a_validation_error(case):
+    error, call = BAD_GRAPHS_AND_NODES[case]
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "edges", [[(1, 2), (1, 3), (2, 3), (3, 4)], ((3, 4), (2, 1), (1, 3), (3, 2))],
+    ids=["list", "reordered"],
+)
+def test_pendant_written_another_way_is_the_canonical_pendant(edges):
+    graph = Graph(4, edges)
+    assert graph == PENDANT and hash(graph) == hash(PENDANT) and graph.edges == PENDANT.edges
+    assert exact_region(graph, LAM) == exact_region(PENDANT, LAM)
+    report = fluid_report(graph, LAM, pendant_priority_policy(), 4, 1.0)
+    assert report.method == CLOSED_FORM_PENDANT
+    assert report == fluid_report(PENDANT, LAM, pendant_priority_policy(), 4, 1.0)
+
+
+def test_numpy_integer_graph_and_node_ids_accepted():
+    i = np.int64
+    assert Graph(i(4), [(i(3), i(4)), (1, 2), (1, 3), (2, 3)]) == PENDANT
+    assert type(Graph(i(4), PENDANT.edges).node_count) is int
+    assert hitting_time(_sim(seed=0), i(4)) == hitting_time(_sim(seed=0), 4)
+
+
+def test_end_time_is_a_float_when_the_horizon_is_an_int():
+    # the run ends at the horizon, whose raw time horizon * scale is an int
+    trace = simulate(PENDANT, LAM, ml_policy(), SimConfig(horizon=2, seed=1))
+    assert type(trace.end_time) is float and trace.end_time == 2.0

@@ -202,7 +202,7 @@ def test_numeric_detects_transient_coordinate_as_reducible():
     from matchq.errors import ReducibleError
     from matchq.graphs import Graph
 
-    path = Graph.from_edges(3, [(1, 2), (2, 3)])
+    path = Graph(3, [(1, 2), (2, 3)])
     policy = priority_policy({1: (2,), 2: (1, 3), 3: (2,)})
     chain = build_marginal(path, (0.4, 0.5, 0.1), policy, 1)
     assert chain.s_nodes == (3,)
@@ -453,7 +453,7 @@ def _clique_chain():
     # 2..11 form a clique, so 201**10 overflows int64 while the chain has
     # only 2001 states
     edges = [(a, b) for a in range(1, 12) for b in range(a + 1, 12)] + [(1, 12)]
-    graph = matchq.Graph.from_edges(12, edges)
+    graph = matchq.Graph(12, edges)
     return pytest.param(graph, (0.05,) * 11 + (0.3,), uniform_policy(), 12,
                         "numeric-truncated", id="wide-codes")
 
@@ -646,7 +646,7 @@ def test_numeric_two_state_chain_matches_closed_form(policy, down):
     # 2 splits its arrivals between it and node 1
     from matchq.graphs import Graph
 
-    path = Graph.from_edges(3, [(1, 2), (2, 3)])
+    path = Graph(3, [(1, 2), (2, 3)])
     rates = (0.5, 0.3, 0.2)
     dist = stationary_numeric(build_marginal(path, rates, policy, 1), truncation=1)
     up = rates[2]
@@ -665,7 +665,7 @@ def test_numeric_wide_state_codes_match_glued_rays():
     outer = range(3, 12)
     edges = [(1, 2)] + [(2, v) for v in outer]
     edges += [(u, v) for u in outer for v in outer if u < v]
-    graph = Graph.from_edges(11, edges)
+    graph = Graph(11, edges)
     rates = tuple([0.3, 0.4] + [0.01 * k for k in range(1, 10)])
     chain = build_marginal(graph, rates, uniform_policy(), 1)
     dist = stationary_numeric(chain, truncation=200)

@@ -25,7 +25,7 @@ from matchq.simulate import SimConfig, simulate
 from oracles import grow_with_deques, matching_edges, matching_is_valid
 
 TRIANGLE = complete_graph(3)
-EDGE = Graph.from_edges(2, [(1, 2)])
+EDGE = Graph(2, [(1, 2)])
 # The two AC-10 templates: the triangle and the destabilised pendant.
 AC10 = {
     "triangle": (TRIANGLE, (1, 1, 1)),
@@ -219,7 +219,7 @@ def test_tutte_rejects_invalid_mu(mu):
 
 
 def test_tutte_cap():
-    path = Graph.from_edges(21, [(i, i + 1) for i in range(1, 21)])
+    path = Graph(21, [(i, i + 1) for i in range(1, 21)])
     with pytest.raises(TooLargeError):
         tutte_condition_estimate(path, [1.0 / 21] * 21)
 

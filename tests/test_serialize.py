@@ -72,7 +72,7 @@ def test_trace_csv_matches_the_row_writer(tmp_path, stride):
 
 
 def test_trace_csv_two_nodes(tmp_path):
-    edge = Graph.from_edges(2, [(1, 2)])
+    edge = Graph(2, [(1, 2)])
     trace = simulate(edge, (0.5, 0.5), ml_policy(), SimConfig(
         horizon=50.0, seed=6, scale=10, initial_state=(20, 0)))
     assert trace.states.shape == (trace.n_events, 2)

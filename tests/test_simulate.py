@@ -38,7 +38,7 @@ PENDANT = pendant_graph()
 FIG_POLICY = pendant_priority_policy()
 LAM = (0.1, 0.1, 0.45, 0.35)
 
-PENDANT_PLUS = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+PENDANT_PLUS = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
 PENDANT_PLUS_POLICY = priority_policy(
     {1: (2, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3, 5), 5: (4,)}
 )
@@ -105,7 +105,7 @@ def test_single_node_graph_rejected():
         simulate(Graph(1, ()), (1.0,), ml_policy(), SimConfig(1.0, 0, (0,)))
     with pytest.raises(NotConnectedError):
         simulate(
-            Graph.from_edges(4, [(1, 2), (3, 4)]),
+            Graph(4, [(1, 2), (3, 4)]),
             (1, 1, 1, 1),
             ml_policy(),
             SimConfig(1.0, 0, (0, 0, 0, 0)),
@@ -346,7 +346,7 @@ def test_nonexpansive_on_randomized_graphs_and_states():
         for _ in range(p):
             a, b = sorted(rng.choice(np.arange(1, p + 1), 2, replace=False))
             edges.add((int(a), int(b)))
-        graph = Graph.from_edges(p, sorted(edges))
+        graph = Graph(p, sorted(edges))
         prio = priority_policy({v: tuple(sorted(graph.neighbors(v))) for v in graph.nodes})
 
         def random_state():

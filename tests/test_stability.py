@@ -43,7 +43,7 @@ from matchq.stability import (
     pendant_region,
 )
 
-PENDANT_PLUS = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+PENDANT_PLUS = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
 
 
 def _failing_names(verdict):
@@ -319,7 +319,7 @@ def test_construct_refuses_a_bad_eps_on_every_call(eps, error):
 def test_construct_handles_multi_level_remainders():
     # a path hanging off the tail; an even split over the remainder would
     # tie the two leftover nodes and break the strict rate condition
-    graph = Graph.from_edges(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)])
+    graph = Graph(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)])
     inst = construct_nonmaximal(graph)
     res = ncond_check(inst.graph, inst.rates)
     assert res.satisfied
@@ -327,7 +327,7 @@ def test_construct_handles_multi_level_remainders():
 
 
 def test_construct_on_five_cycle_extension():
-    graph = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)])
+    graph = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)])
     inst = construct_nonmaximal(graph)
     assert ncond_check(inst.graph, inst.rates).satisfied
     assert inst.notes["witness_kind"] == "five_cycle"
