@@ -51,11 +51,13 @@ class Policy:
             raise ValidationError("priority policy needs an order map")
         if self.kind != PRIORITY and self.order is not None:
             raise ValidationError(f"{self.kind} policy takes no order map")
+        if self.order is not None:
+            object.__setattr__(self, "order", {check_int(k, "order key"): tuple(
+                check_int(x, f"order of node {k}") for x in v) for k, v in self.order.items()})
 
 
 def priority_policy(order: Mapping[int, Sequence[int]]) -> Policy:
-    return Policy(PRIORITY, {check_int(k, "order key"): tuple(
-        check_int(x, f"order of node {k}") for x in v) for k, v in order.items()})
+    return Policy(PRIORITY, order)
 
 
 def ml_policy() -> Policy:

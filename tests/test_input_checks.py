@@ -38,6 +38,7 @@ from matchq.marginal import (
     fluid_report,
 )
 from matchq.policies import (
+    Policy,
     match_decision,
     ml_policy,
     pendant_priority_policy,
@@ -544,7 +545,8 @@ def test_every_error_class_exits_with_its_documented_code(files, capsys, monkeyp
 # KeyError), a fractional or boolean number was read with int(), a builder
 # took a float size to a bare TypeError or built a graph with no nodes, and
 # a node id passed on to a run or a solve was truncated, read as node 1, or
-# met a bare KeyError or IndexError.
+# met a bare KeyError or IndexError. A priority order built with Policy
+# itself took 2.0 as a node and met a bare TypeError in the first run.
 C7 = cycle_graph(7)
 SMALL_BUDGET = ClassifyBudget(seeds=2, scales=(20, 40), horizon=1.0)
 BAD_GRAPHS_AND_NODES = {
@@ -577,6 +579,8 @@ BAD_GRAPHS_AND_NODES = {
         {1: (2.7, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3,)})),
     "priority-boolean-key": (ValidationError, lambda: priority_policy(
         {True: (2, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3,)})),
+    "policy-float-order-entry": (ValidationError, lambda: Policy(
+        "priority", {1: (2.0, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3,)})),
 }
 
 
