@@ -53,6 +53,21 @@ def check_int(value, name: str) -> int:
     return int(value)
 
 
+def check_real(value, name: str, finite: bool = True) -> float:
+    """value as a float; a bool, a string or any other non-real value raises
+    ValidationError, and so do NaN and the infinities when `finite`. numpy
+    floats and integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be a float, got {value!r}") from None
+    if finite and not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    return value
+
+
 def check_node(v, node_count: int, name: str = "node") -> int:
     """v as a node id: an integer in 1..node_count, else a ValidationError."""
     v = check_int(v, name)

@@ -21,10 +21,16 @@ waits on; under the uniform rule those neighbours' rates are halved.
 fluid_report's closed route, pendant_alpha, the stability regions and the
 counterexample families all read it.
 Everything else goes through a truncated sparse solve of the balance
-equations, assembled over an (n, m) int array of states with rates
-computed for all states at once; it is the independent check of the
-closed forms. Only that solve needs SciPy, so SciPy is imported when a
-chain is first solved, not when this module loads.
+equations, assembled over an (n, m) int array of states; it is the
+independent check of the closed forms. A state's rates depend on it only
+through its support pattern, the set of positive coordinates, so each up
+rate, down rate and guard divisor is computed once per pattern in Python
+floats and gathered by the pattern of each state. The state space itself
+(the states, their mixed-radix codes and pattern indices) depends only on
+the coordinate graph and the truncation: it is built once per chain, and
+small spaces are cached across chains, read-only (`_state_space`). Only
+the solve needs SciPy, so SciPy is imported when a chain is first solved,
+not when this module loads.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .graphs import (
     check_int,
     check_node,
     check_rates,
+    check_real,
     five_cycle_graph,
     is_connected,
     pendant_graph,
@@ -83,9 +90,10 @@ def pendant_alpha(rates: Sequence[float]) -> float:
 class StationaryDist:
     """Probabilities over a finite (truncated) list of marginal states.
 
-    The states are the rows of `state_array`, an (n, m) int array; `states`
-    lists them as tuples. `solver` says how the law was found: "lu" (sparse
-    direct solve) or "closed-form".
+    The states are the rows of `state_array`, an (n, m) int array that is
+    read-only and may be shared with other laws of the same state space;
+    `states` lists them as tuples. `solver` says how the law was found:
+    "lu" (sparse direct solve) or "closed-form".
     `residual` is max |pi Q| over the balance equations of a numeric solve,
     and None for a geometric closed form.
     `tail_mass` near rounding level is noise, and its value depends on the
@@ -264,15 +272,23 @@ class MarginalChain:
         return {v: k for k, v in enumerate(self.s_nodes)}
 
     @cached_property
+    def _coordinate_graph(self) -> tuple[int, ...]:
+        """Each coordinate's neighbouring coordinates, as a bitmask."""
+        return tuple(
+            sum(1 << self._index[w] for w in self.graph.neighbors(v) if w in self._index)
+            for v in self.s_nodes
+        )
+
+    @cached_property
     def _splits(self) -> dict[int, tuple]:
         """The class split, per target node: every coordinate, then i0.
 
         An entry (j, coords, busy, step) says that a class-j arrival matches
         the target with weight 1 / (busy + step for each positive coordinate
-        in coords). Priority: coords are those j serves first, busy is 1 and
-        step infinite, so the weight is 1 or 0; j is left out when i0 is
-        ahead. Uniform: coords are j's in-chain neighbors, busy counts j's
-        always-busy neighbors (i0) and step is 1.
+        in coords), a bitmask of coordinates. Priority: coords are those j
+        serves first, busy is 1 and step infinite, so the weight is 1 or 0;
+        j is left out when i0 is ahead. Uniform: coords are j's in-chain
+        neighbors, busy counts j's always-busy neighbors (i0) and step is 1.
         """
         priority = self.policy.kind == PRIORITY
         out = {}
@@ -288,71 +304,170 @@ class MarginalChain:
                 else:
                     nodes = self.graph.neighbors(j)
                     busy, step = float(self.graph.has_edge(j, self.i0)), 1.0
-                coords = [self._index[k] for k in nodes if k in self._index]
+                coords = sum(1 << self._index[k] for k in nodes if k in self._index)
                 entries.append((j, coords, busy, step))
             out[target] = tuple(entries)
         return out
 
-    def split(self, pos: np.ndarray, target: int):
-        """(j, divisor) for each class j in the target's split, where a
-        class-j arrival reaches the target with weight 1 / divisor at the
-        states whose positive coordinates are the rows of `pos`."""
+    def split(self, patterns: np.ndarray, target: int):
+        """(j, divisors) for each class j in the target's split, where a
+        class-j arrival reaches the target with weight 1 / divisors[p] at
+        the states of support pattern p, the rows of the (P, m) bool array
+        `patterns`."""
+        bits = _bitmasks(patterns)
         for j, coords, busy, step in self._splits[target]:
-            yield j, busy + np.where(pos[:, coords], step, 0.0).sum(axis=1)
+            yield j, np.array([_divisor(b, coords, busy, step) for b in bits], dtype=float)
 
-    @cached_property
-    def _coord_rates(self) -> np.ndarray:
-        return np.array([self.rates[v - 1] for v in self.s_nodes], dtype=float)
+    def pattern_rates(self, patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Up and down rates of every coordinate at every support pattern.
 
-    @cached_property
-    def _adjacency(self) -> np.ndarray:
-        """0/1 adjacency matrix among the coordinates."""
-        m = len(self.s_nodes)
-        adj = np.zeros((m, m), dtype=np.int64)
-        for k, v in enumerate(self.s_nodes):
-            adj[k, [self._index[w] for w in self.graph.neighbors(v) if w in self._index]] = 1
-        return adj
-
-    def rates_at(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Up and down rates of every coordinate at every state.
-
-        `states` is an (n, m) int array; both results are (n, m) float
-        arrays. A down rate adds the classes of the coordinate's split in
-        neighbor order, so it is the same float for one state or many.
+        `patterns` is a (P, m) bool array whose rows mark the positive
+        coordinates; both results are (P, m) float arrays. A coordinate
+        climbs at its own rate while no neighbouring coordinate is positive.
+        A positive one falls at rate(j) / divisor, added up over its split
+        in order, so each rate is the same float whichever states share the
+        pattern.
         """
-        pos = states > 0
-        blocked = pos.astype(np.int64) @ self._adjacency > 0
-        up = np.where(blocked, 0.0, self._coord_rates)
-        down = np.zeros(states.shape)
-        for coord, v in enumerate(self.s_nodes):
-            rows = np.flatnonzero(pos[:, coord])
-            total = np.zeros(len(rows))
-            for j, divisor in self.split(pos[rows], v):
-                total += self.rates[j - 1] / divisor
-            down[rows, coord] = total
-        return up, down
+        rates = self.rates
+        coords = [
+            (1 << k, near, rates[v - 1], self._splits[v])
+            for k, (v, near) in enumerate(zip(self.s_nodes, self._coordinate_graph))
+        ]
+        bits = _bitmasks(patterns)
+        up, down = [], []
+        for b in bits:
+            for own, near, rate, classes in coords:
+                up.append(0.0 if b & near else rate)
+                total = 0.0
+                if b & own:
+                    for j, mask, busy, step in classes:
+                        total += rates[j - 1] / _divisor(b, mask, busy, step)
+                down.append(total)
+        shape = (len(bits), len(coords))
+        return np.array(up, dtype=float).reshape(shape), np.array(down, dtype=float).reshape(shape)
+
+    @cached_property
+    def _spaces(self) -> dict[int, "_StateSpace"]:
+        return {}
+
+    def _space(self, truncation: int) -> "_StateSpace":
+        """The truncated state space, built once per chain and truncation
+        and shared with every chain of the same coordinate graph while it is
+        small (see _state_space). The state cap is checked on every call."""
+        space = self._spaces.get(truncation)
+        if space is None:
+            space = self._spaces[truncation] = _state_space(self._coordinate_graph, truncation)
+        _check_size(len(space.states))
+        return space
 
     def enumerate_states(self, truncation: int) -> np.ndarray:
         """All states with every coordinate at most `truncation`, as the rows
-        of an (n, m) int array in lexicographic order.
+        of a read-only (n, m) int array in lexicographic order."""
+        return self._space(truncation).states
 
-        Built one coordinate at a time: a prefix extends by 0..truncation
-        when no earlier neighbor of the new coordinate k (row k of the
-        adjacency matrix) is positive, else by 0 alone, so the rows stay
-        sorted.
-        """
-        states = np.zeros((1, 0), dtype=np.int64)
-        for k in range(len(self.s_nodes)):
-            earlier = np.flatnonzero(self._adjacency[k, :k])
-            counts = np.where((states[:, earlier] > 0).any(axis=1), 1, truncation + 1)
-            n = int(counts.sum())
-            if n > _MAX_STATES:
-                raise TooLargeError(
-                    f"truncated marginal space exceeds {_MAX_STATES} states"
-                )
-            offsets = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-            states = np.column_stack([np.repeat(states, counts, axis=0), offsets])
-        return states
+
+def _bitmasks(patterns: np.ndarray) -> list[int]:
+    """Each row of a (P, m) bool array as the bitmask of its True columns."""
+    return [
+        sum(1 << c for c, positive in enumerate(row) if positive)
+        for row in np.asarray(patterns, dtype=bool).tolist()
+    ]
+
+
+def _divisor(bits: int, mask: int, busy: float, step: float) -> float:
+    """busy plus one step for each coordinate of `mask` that is positive in
+    `bits`: the same float as adding the steps one by one, since a sum of
+    ones is exact and a sum of infinities is infinite."""
+    count = (bits & mask).bit_count()
+    return busy + step * count if count else busy
+
+
+@dataclass(frozen=True)
+class _StateSpace:
+    """A truncated marginal state space, which depends only on the coordinate
+    graph and the truncation.
+
+    states holds the states as the rows of an (n, m) int array in
+    lexicographic order, and codes their mixed-radix codes with place values
+    `place` (Python ints when (truncation + 1)**m would overflow int64), so
+    the codes are sorted too. patterns is a (P, m) bool array of the support
+    patterns, the independent sets of the coordinate graph, and pattern[i]
+    the row of state i's pattern. Every array is read-only.
+    """
+
+    states: np.ndarray
+    codes: np.ndarray
+    place: np.ndarray
+    pattern: np.ndarray
+    patterns: np.ndarray
+
+
+# Spaces of at most _CACHED_STATES states, where building them costs as much
+# as solving them, are kept for reuse: the _CACHED_SPACES most recently used,
+# keyed by coordinate graph and truncation.
+_CACHED_STATES = 4096
+_CACHED_SPACES = 128
+_SPACES: dict[tuple, _StateSpace] = {}
+
+
+def _check_size(n: int) -> None:
+    if n > _MAX_STATES:
+        raise TooLargeError(f"truncated marginal space exceeds {_MAX_STATES} states")
+
+
+def _state_space(graph: tuple[int, ...], truncation: int) -> _StateSpace:
+    """The truncated state space of a coordinate graph (each coordinate's
+    neighbours as a bitmask), from the cache when it holds it."""
+    key = (graph, truncation)
+    space = _SPACES.pop(key, None)
+    if space is None:
+        space = _build_space(graph, truncation)
+        if len(space.states) > _CACHED_STATES:
+            return space
+        if len(_SPACES) >= _CACHED_SPACES:
+            del _SPACES[next(iter(_SPACES))]
+    _SPACES[key] = space
+    return space
+
+
+def _build_space(graph: tuple[int, ...], truncation: int) -> _StateSpace:
+    """Built one coordinate at a time: a prefix extends by 0..truncation
+    when its pattern holds no neighbour of the new coordinate k, else by 0
+    alone, so the rows stay sorted, and a positive level of k moves the
+    prefix to its pattern with k added."""
+    m = len(graph)
+    states = np.zeros((1, 0), dtype=np.int64)
+    pattern = np.zeros(1, dtype=np.intp)
+    supports = [0]  # each pattern's positive coordinates, as a bitmask
+    for k, near in enumerate(graph):
+        joined = np.full(len(supports), -1)
+        for p in range(len(supports)):
+            if not supports[p] & near:
+                joined[p] = len(supports)
+                supports.append(supports[p] | 1 << k)
+        counts = np.where(joined[pattern] >= 0, truncation + 1, 1)
+        n = int(counts.sum())
+        _check_size(n)
+        offsets = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        pattern = np.repeat(pattern, counts)
+        pattern = np.where(offsets > 0, joined[pattern], pattern)
+        states = np.column_stack([np.repeat(states, counts, axis=0), offsets])
+    patterns = np.array([[support >> k & 1 for k in range(m)] for support in supports],
+                        dtype=bool).reshape(len(supports), m)
+    radix = truncation + 1
+    wide = radix**m > np.iinfo(np.int64).max
+    place = np.array([radix ** (m - 1 - k) for k in range(m)],
+                     dtype=object if wide else np.int64)
+    space = _StateSpace(
+        states=states,
+        codes=states.astype(place.dtype) @ place,
+        place=place,
+        pattern=pattern.astype(np.min_scalar_type(len(supports) - 1)),
+        patterns=patterns,
+    )
+    for array in (space.states, space.codes, space.place, space.pattern, space.patterns):
+        array.flags.writeable = False
+    return space
 
 
 def build_marginal(
@@ -427,6 +542,7 @@ def stationary_numeric(
 
     truncation = _check_truncation(truncation)
     states = chain.enumerate_states(truncation)
+    space = chain._space(truncation)  # the space enumerate_states built
     n, m = states.shape
     if n == 1:
         return StationaryDist(
@@ -437,15 +553,10 @@ def stationary_numeric(
             solver=SOLVER_CLOSED,
             residual=0.0,
         )
-    # Mixed-radix codes: the states are sorted lexicographically, so their
-    # codes are sorted and a neighbor is found by binary search. Python
-    # integers take over when the codes would overflow int64.
-    radix = truncation + 1
-    wide = radix**m > np.iinfo(np.int64).max
-    place = np.array([radix ** (m - 1 - k) for k in range(m)],
-                     dtype=object if wide else np.int64)
-    codes = states.astype(place.dtype) @ place
-    up, down = chain.rates_at(states)
+    # Each rate is computed once per support pattern and gathered by the
+    # pattern of each state.
+    up, down = chain.pattern_rates(space.patterns)
+    up, down = up[space.pattern], down[space.pattern]
     up[states >= truncation] = 0.0  # suppressed: leaves the box
     # Per state, the diagonal subtracts the rates in coordinate order, up
     # before down; a zero rate leaves it as it was, so each entry is the
@@ -461,6 +572,9 @@ def stationary_numeric(
     # the diagonal is always stored.
     rate = np.column_stack([down, diag, up[:, ::-1]])
     del up, down
+    # The states are sorted lexicographically, so their mixed-radix codes
+    # are sorted and a neighbor is found by binary search.
+    place, codes = space.place, space.codes
     step = np.concatenate([-place, np.zeros(1, dtype=place.dtype), place[::-1]])
     present = rate != 0.0
     present[:, m] = True
@@ -471,7 +585,7 @@ def stationary_numeric(
     np.cumsum(present.sum(axis=1), out=indptr[1:])
     # The assembly tables go before the factorization, which sets the peak
     # memory of a large solve.
-    del rate, present, move, codes
+    del rate, present, move
     q = sp.csr_matrix((data, cols, indptr), shape=(n, n))
 
     ncomp, _ = connected_components(q, directed=True, connection="strong")
@@ -506,7 +620,10 @@ def stationary_numeric(
         raise NotConvergedError(f"negative mass {pi.min():.3e} in stationary solve")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    residual = float(np.max(np.abs(pi @ q)))
+    # pi Q, adding pi[i] * Q[i, j] into column j row by row as SciPy's
+    # product does, so it is the same float.
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    residual = float(np.max(np.abs(np.bincount(cols, weights=data * pi[row], minlength=n))))
     if residual > max(DEFAULT_TOL, 1e3 * np.finfo(float).eps * scale):
         raise NotConvergedError(f"balance residual {residual:.3e} above {DEFAULT_TOL:.1e}")
     boundary = (states >= truncation).any(axis=1).astype(float)
@@ -562,7 +679,8 @@ def fluid_report(
     intact; anything else is a truncated numeric solve.
     """
     rates, i0 = _check_instance(graph, rates, policy, i0)
-    if not (math.isfinite(q0) and q0 > 0):
+    q0 = check_real(q0, "q0")
+    if not q0 > 0:
         raise ValidationError(f"q0 must be positive and finite, got {q0}")
 
     family, method = _CLOSED_FORMS.get(graph, (None, None))
@@ -577,9 +695,10 @@ def fluid_report(
 
     chain = _chain(graph, rates, policy, i0)
     dist = stationary_numeric(chain, truncation)
+    space = chain._space(_check_truncation(truncation))
     guard = {
-        j: _sequential_sum(dist.probs / divisor)
-        for j, divisor in chain.split(dist.state_array > 0, i0)
+        j: _sequential_sum(dist.probs / divisors[space.pattern])
+        for j, divisors in chain.split(space.patterns, i0)
     }
     return _assemble(rates, i0, guard, q0, dist.method, dist.tail_mass, dist.solver,
                      dist.residual)

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedPolicyError,
     ValidationError,
 )
-from .graphs import Graph, check_int, check_node, check_rates, is_connected
+from .graphs import Graph, check_int, check_node, check_rates, check_real, is_connected
 from .policies import (
     MATCH_LONGEST,
     PRIORITY,
@@ -137,7 +137,7 @@ def _prepare(graph: Graph, rates, policy: Policy, config: SimConfig):
         state = (0,) * graph.node_count
     else:
         state = check_state(graph, config.initial_state)
-    if not (config.horizon > 0):
+    if not check_real(config.horizon, "horizon", finite=False) > 0:
         raise ValidationError("horizon must be positive")
     if config.scale < 1:
         raise ValidationError("scale must be >= 1")

@@ -37,6 +37,7 @@ from .graphs import (
     check_int,
     check_node,
     check_rates,
+    check_real,
     classify,
     five_cycle_graph,
     independent_set_rates,
@@ -231,7 +232,7 @@ def _certified(family: str, eps: float):
         raise ValidationError(
             f"unknown family {family!r}; choose from {sorted(FAMILY_EPS_BOUND)}"
         )
-    if not 0.0 < eps <= bound:
+    if not 0.0 < check_real(eps, "eps", finite=False) <= bound:
         raise EpsilonOutOfRangeError(
             f"{family} needs eps in (0, {bound:.6g}], got {eps}"
         )
@@ -416,7 +417,7 @@ class ClassifyBudget:
             raise ValidationError("need at least 2 scales for consistency checks")
         if not all(s >= 1 for s in self.scales):
             raise ValidationError(f"every scale must be >= 1, got {list(self.scales)}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
+        if not check_real(self.horizon, "horizon") > 0:
             raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
         check_seed(self.master_seed)
 

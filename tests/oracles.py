@@ -1,11 +1,11 @@
 """Helpers the tests share.
 
 pendant_alpha_quotient, apply_transition, dense_row_stationary,
-triplet_generator, sliced_pinned_system, independent_sets, ncond_check,
-find_induced_pendant, find_induced_odd_cycle, grow_with_deques,
-simulate_per_event, matching_edges and matching_is_valid restate what the package computes
-another way, so a test that agrees with them checks the package by a
-second route. stationary_closed_pendant, stationary_closed_5cycle and
+triplet_generator, rates_at, split, sliced_pinned_system, independent_sets,
+ncond_check, find_induced_pendant, find_induced_odd_cycle, grow_with_deques,
+simulate_per_event, matching_edges and matching_is_valid restate what the
+package computes another way, so a test that agrees with them checks the
+package by a second route. stationary_closed_pendant, stationary_closed_5cycle and
 fivecycle_alpha write out the geometric laws of the two canonical marginal
 chains, the references the numeric solve is checked against; law reads a
 stationary law as a dict keyed by state, and law_gap compares two laws
@@ -225,6 +225,44 @@ def dense_row_stationary(
     )
 
 
+def split(chain: MarginalChain, pos: np.ndarray, target: int):
+    """(j, divisor) for each class j in the target's split, where a class-j
+    arrival reaches the target with weight 1 / divisor at the states whose
+    positive coordinates are the rows of `pos`: one numpy pass per class
+    over every state, where MarginalChain.split works once per support
+    pattern in Python floats."""
+    for j, mask, busy, step in chain._splits[target]:
+        coords = [c for c in range(pos.shape[1]) if mask >> c & 1]
+        yield j, busy + np.where(pos[:, coords], step, 0.0).sum(axis=1)
+
+
+def rates_at(chain: MarginalChain, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Up and down rates of every coordinate at every state, computed state
+    by state with numpy, where MarginalChain.pattern_rates computes them
+    once per support pattern.
+
+    `states` is an (n, m) int array; both results are (n, m) float arrays.
+    A down rate adds the classes of the coordinate's split in neighbor
+    order.
+    """
+    index = {v: k for k, v in enumerate(chain.s_nodes)}
+    adjacency = np.zeros((len(index), len(index)), dtype=np.int64)
+    for k, v in enumerate(chain.s_nodes):
+        adjacency[k, [index[w] for w in chain.graph.neighbors(v) if w in index]] = 1
+    coord_rates = np.array([chain.rates[v - 1] for v in chain.s_nodes], dtype=float)
+    pos = states > 0
+    blocked = pos.astype(np.int64) @ adjacency > 0
+    up = np.where(blocked, 0.0, coord_rates)
+    down = np.zeros(states.shape)
+    for coord, v in enumerate(chain.s_nodes):
+        rows = np.flatnonzero(pos[:, coord])
+        total = np.zeros(len(rows))
+        for j, divisor in split(chain, pos[rows], v):
+            total += chain.rates[j - 1] / divisor
+        down[rows, coord] = total
+    return up, down
+
+
 def triplet_generator(chain: MarginalChain, states: np.ndarray, truncation: int):
     """The generator Q of the truncated chain on `states`, assembled from
     COO triplets and converted to CSR, with the triplets: (q, rows, cols,
@@ -239,7 +277,7 @@ def triplet_generator(chain: MarginalChain, states: np.ndarray, truncation: int)
     place = np.array([radix ** (m - 1 - k) for k in range(m)],
                      dtype=object if wide else np.int64)
     codes = states.astype(place.dtype) @ place
-    up, down = chain.rates_at(states)
+    up, down = rates_at(chain, states)
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
     # Per state, the diagonal subtracts the rates in coordinate order, up

@@ -88,7 +88,9 @@ from matchq.simulate import (
 )
 from oracles import (
     dense_row_stationary,
+    rates_at,
     sliced_pinned_system,
+    split,
     stationary_closed_5cycle,
     stationary_closed_pendant,
     triplet_generator,
@@ -441,6 +443,48 @@ def test_direct_assembly_matches_the_sliced_route(graph, rates, policy, node, tr
     assert _same_arrays(seen["a"], a)
     assert seen["b"].dtype == b.dtype and seen["b"].tobytes() == b.tobytes()
     assert dist.residual == float(np.max(np.abs(dist.probs @ q)))
+
+
+def _wide_chain():
+    """Nine pairwise adjacent coordinates behind node 2, the one neighbor of
+    node 1: 201**9 overflows int64, so the state codes are Python ints."""
+    outer = range(3, 12)
+    edges = [(1, 2)] + [(2, v) for v in outer]
+    edges += [(u, v) for u in outer for v in outer if u < v]
+    rates = tuple([0.3, 0.4] + [0.01 * k for k in range(1, 10)])
+    return Graph(11, edges), rates, uniform_policy(), 1, 200
+
+
+def _other_kind(graph, policy):
+    """The uniform rule for a priority policy, and for the uniform rule the
+    priority policy that serves every node's neighbors in descending order."""
+    if policy.kind == "priority":
+        return uniform_policy()
+    return priority_policy({v: tuple(sorted(graph.neighbors(v), reverse=True))
+                            for v in graph.nodes})
+
+
+@pytest.mark.parametrize("graph, rates, policy, node, truncation", [
+    pytest.param(*chain, id=f"{name}-{chain[2].kind}") for name, *chain in MARGINAL_CHAINS
+] + [pytest.param(*_wide_chain(), id="wide-codes")])
+def test_pattern_tables_match_the_per_state_oracle(graph, rates, policy, node, truncation):
+    # stationary_numeric and fluid_report compute every rate and guard
+    # divisor once per support pattern and gather them by each state's
+    # pattern; the oracle computes them state by state with numpy. The
+    # gathered tables must agree bit for bit, under both policy kinds.
+    for pol in (policy, _other_kind(graph, policy)):
+        chain = build_marginal(graph, rates, pol, node)
+        states = chain.enumerate_states(truncation)
+        space = chain._space(truncation)
+        assert np.array_equal(space.patterns[space.pattern], states > 0)
+        assert np.array_equal(np.unique(space.pattern), np.arange(len(space.patterns)))
+        up, down = chain.pattern_rates(space.patterns)
+        want_up, want_down = rates_at(chain, states)
+        assert up[space.pattern].tobytes() == want_up.tobytes()
+        assert down[space.pattern].tobytes() == want_down.tobytes()
+        got = [(j, d[space.pattern].tobytes()) for j, d in chain.split(space.patterns, node)]
+        want = [(j, d.tobytes()) for j, d in split(chain, states > 0, node)]
+        assert got == want
 
 
 def _rate_graphs():

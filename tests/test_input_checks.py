@@ -615,3 +615,68 @@ def test_end_time_is_a_float_when_the_horizon_is_an_int():
     # the run ends at the horizon, whose raw time horizon * scale is an int
     trace = simulate(PENDANT, LAM, ml_policy(), SimConfig(horizon=2, seed=1))
     assert type(trace.end_time) is float and trace.end_time == 2.0
+
+
+PENDANT_PLUS = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+
+
+# Real parameters given as a bool, a string or None: each used to raise a
+# bare TypeError, or to pass a bool on as a number.
+NON_REAL_PARAMS = {
+    **{
+        f"q0-{label}": lambda v=v: fluid_report(PENDANT, LAM, pendant_priority_policy(), 4, v)
+        for label, v in (("str", "1"), ("bool", True), ("none", None))
+    },
+    **{
+        f"q0-numeric-{label}": lambda v=v: fluid_report(
+            cycle_graph(7), (1 / 7,) * 7, uniform_policy(), 1, v, truncation=2)
+        for label, v in (("str", "1"), ("bool", True))
+    },
+    **{
+        f"simconfig-horizon-{label}": lambda v=v: simulate(
+            PENDANT, LAM, ml_policy(), SimConfig(horizon=v, seed=0))
+        for label, v in (("str", "1"), ("bool", True), ("none", None))
+    },
+    **{
+        f"budget-horizon-{label}": lambda v=v: ClassifyBudget(horizon=v)
+        for label, v in (("str", "1"), ("bool", True))
+    },
+    **{
+        f"counterexample-eps-{label}": lambda v=v: matchq.counterexample("pendant-priority", v)
+        for label, v in (("str", "0.1"), ("bool", True))
+    },
+    "construct-eps-str": lambda: matchq.construct_nonmaximal(PENDANT_PLUS, "0.1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_REAL_PARAMS))
+def test_non_real_parameter_rejected(case):
+    with pytest.raises(ValidationError, match="must be a real number"):
+        NON_REAL_PARAMS[case]()
+
+
+def test_numpy_real_parameters_accepted():
+    f = np.float64
+    report = fluid_report(PENDANT, LAM, pendant_priority_policy(), 4, f(2.0))
+    assert report == fluid_report(PENDANT, LAM, pendant_priority_policy(), 4, 2.0)
+    assert type(report.q0) is float
+    assert fluid_report(PENDANT, LAM, pendant_priority_policy(), 4, np.int64(2)).q0 == 2.0
+    got, want = _sim(seed=0), simulate(PENDANT, LAM, ml_policy(), SimConfig(horizon=f(1.0),
+                                                                           seed=0))
+    assert np.array_equal(got.times, want.times) and got.end_time == want.end_time
+    assert ClassifyBudget(horizon=f(3.0)).horizon == 3.0
+    assert matchq.counterexample("pendant-priority", f(0.1)).drift == matchq.counterexample(
+        "pendant-priority", 0.1).drift
+
+
+def test_check_real():
+    from matchq.graphs import check_real
+
+    assert check_real(np.float32(0.5), "x") == 0.5 and type(check_real(3, "x")) is float
+    assert check_real(math.inf, "x", finite=False) == math.inf
+    assert math.isnan(check_real(math.nan, "x", finite=False))
+    for bad in (math.inf, -math.inf, math.nan, 10**400):
+        with pytest.raises(ValidationError):
+            check_real(bad, "x")
+    with pytest.raises(ValidationError, match="x must be a real number, got 1j"):
+        check_real(1j, "x")

@@ -53,7 +53,7 @@ LAM_5 = (0.1, 0.1, 0.225, 0.225, 0.35)
 
 def _rates_map(chain, x):
     """Every positive-rate move from state x as {(coordinate, delta): rate}."""
-    up, down = chain.rates_at(np.array([x], dtype=np.int64))
+    up, down = chain.pattern_rates(np.array([x]) > 0)
     out = {}
     for coord in range(len(x)):
         if up[0, coord] > 0.0:
@@ -694,3 +694,101 @@ def test_numeric_wide_state_codes_match_glued_rays():
 def test_closed_forms_reject_a_nan_rate(closed, rates):
     with pytest.raises(ValidationError, match="finite and strictly positive"):
         closed(rates)
+
+
+def _space_arrays(space):
+    return [(a.dtype, a.shape, a.tobytes()) if a.dtype != object else list(a)
+            for a in (space.states, space.codes, space.place, space.pattern, space.patterns)]
+
+
+def test_state_space_cache_hit_is_equal_and_read_only(monkeypatch):
+    import matchq.marginal as marginal
+
+    monkeypatch.setattr(marginal, "_SPACES", {})
+    c7 = cycle_graph(7)
+    first = build_marginal(c7, (1 / 7,) * 7, C7_DESCENDING, 1)
+    states = first.enumerate_states(6)
+    # another chain of the same coordinate graph: other rates, other rule
+    other = build_marginal(c7, (0.22,) + (0.13,) * 6, uniform_policy(), 1)
+    assert other._coordinate_graph == first._coordinate_graph
+    assert other.enumerate_states(6) is states
+    space = other._space(6)
+    for array in (space.states, space.codes, space.place, space.pattern, space.patterns):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    dist = stationary_numeric(other, 6)
+    assert dist.state_array is states and not dist.state_array.flags.writeable
+    # a fresh build of the same space, cache or no cache, is the same
+    fresh = marginal._build_space(first._coordinate_graph, 6)
+    assert fresh is not space and _space_arrays(fresh) == _space_arrays(space)
+    monkeypatch.setattr(marginal, "_SPACES", {})
+    rebuilt = build_marginal(c7, (1 / 7,) * 7, C7_DESCENDING, 1)._space(6)
+    assert rebuilt is not space and _space_arrays(rebuilt) == _space_arrays(space)
+
+
+def test_state_space_cache_keeps_small_spaces_and_bounds_its_entries(monkeypatch):
+    import matchq.marginal as marginal
+
+    monkeypatch.setattr(marginal, "_SPACES", {})
+    monkeypatch.setattr(marginal, "_CACHED_SPACES", 2)
+    chain = build_marginal(cycle_graph(7), (1 / 7,) * 7, C7_DESCENDING, 1)
+    n = {t: 1 + 4 * t + 3 * t * t for t in (1, 2, 3)}
+    monkeypatch.setattr(marginal, "_CACHED_STATES", n[3] - 1)
+    for t in (1, 2, 3):
+        assert len(chain.enumerate_states(t)) == n[t]
+    # the largest space is too big to keep
+    graph = chain._coordinate_graph
+    assert list(marginal._SPACES) == [(graph, 1), (graph, 2)]
+    # a hit moves its space to the back; the least recently used leaves first
+    build_marginal(cycle_graph(7), (1 / 7,) * 7, uniform_policy(), 1).enumerate_states(1)
+    build_marginal(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 5).enumerate_states(1)
+    assert [t for _, t in marginal._SPACES] == [1, 1]
+    assert (graph, 1) in marginal._SPACES
+
+
+def test_state_cap_is_checked_on_every_call(monkeypatch):
+    import matchq.marginal as marginal
+
+    monkeypatch.setattr(marginal, "_SPACES", {})
+    chain = build_marginal(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 5)
+    assert len(chain.enumerate_states(10)) == 21
+    monkeypatch.setattr(marginal, "_MAX_STATES", 20)
+    # the same chain, and another chain that finds the space in the cache
+    with pytest.raises(TooLargeError):
+        chain.enumerate_states(10)
+    with pytest.raises(TooLargeError):
+        build_marginal(FIVE_CYCLE, LAM_5, uniform_policy(), 5).enumerate_states(10)
+    with pytest.raises(TooLargeError):
+        fluid_report(FIVE_CYCLE, LAM_5, uniform_policy(), 3, 1.0, truncation=10)
+
+
+@pytest.mark.parametrize("node", [1, 2])
+def test_chains_sharing_a_space_keep_their_own_rates(monkeypatch, node):
+    # every chain below has the same coordinate graph at its node, so all
+    # share one cached space; each must read its own rates and rule, as
+    # with an empty cache
+    import matchq.marginal as marginal
+
+    c7 = cycle_graph(7)
+    instances = [(rates, policy) for rates in ((1 / 7,) * 7, (0.22,) + (0.13,) * 6,
+                                               (0.13,) * 6 + (0.22,))
+                 for policy in (C7_DESCENDING, uniform_policy(),
+                                priority_policy({v: tuple(sorted(c7.neighbors(v)))
+                                                 for v in c7.nodes}))]
+
+    def results(rates, policy):
+        report = fluid_report(c7, rates, policy, node, 1.0, truncation=8)
+        chain = build_marginal(c7, rates, policy, node)
+        return report, stationary_numeric(chain, 8).probs.tobytes(), chain._space(8)
+
+    monkeypatch.setattr(marginal, "_SPACES", {})
+    shared = [results(*inst) for inst in instances]
+    assert len({id(space) for *_, space in shared}) == 1
+    alone = []
+    for inst in instances:
+        monkeypatch.setattr(marginal, "_SPACES", {})
+        alone.append(results(*inst))
+    for (report, probs, _), (want_report, want_probs, _) in zip(shared, alone):
+        assert report == want_report and probs == want_probs
+    assert len({(r.drift, probs) for r, probs, _ in shared}) == len(instances)
