@@ -5,11 +5,11 @@ triplet_generator, rates_at, split, sliced_pinned_system, independent_sets,
 ncond_check, find_induced_pendant, find_induced_odd_cycle, grow_with_deques,
 simulate_per_event, matching_edges and matching_is_valid restate what the
 package computes another way, so a test that agrees with them checks the
-package by a second route. stationary_closed_pendant, stationary_closed_5cycle and
-fivecycle_alpha write out the geometric laws of the two canonical marginal
-chains, the references the numeric solve is checked against; law reads a
-stationary law as a dict keyed by state, and law_gap compares two laws
-state by state.
+package by a second route. stationary_closed_pendant,
+stationary_closed_5cycle and fivecycle_alpha write out the geometric laws of
+the two canonical marginal chains, the references the numeric solve is
+checked against; law reads a stationary law as a dict keyed by state, and
+law_gap compares two laws state by state.
 """
 
 import math
