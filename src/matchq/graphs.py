@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +67,15 @@ def check_real(value, name: str, finite: bool = True) -> float:
     if finite and not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
     return value
+
+
+def check_reals(values, name: str) -> tuple[float, ...]:
+    """values as a tuple of floats read by check_real, NaN and the infinities
+    let through; a string or a non-iterable raises ValidationError. A plain
+    float, the common case, skips check_real."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValidationError(f"{name} must be a sequence of real numbers, got {values!r}")
+    return tuple(v if type(v) is float else check_real(v, name, False) for v in values)
 
 
 def check_node(v, node_count: int, name: str = "node") -> int:
@@ -168,8 +178,8 @@ def complete_graph(size: int) -> Graph:
 
 
 def check_rates(graph: Graph, rates: Sequence[float]) -> tuple[float, ...]:
-    """Validate an arrival-rate vector: length p, finite, strictly positive."""
-    rates = tuple(float(r) for r in rates)
+    """Validate an arrival-rate vector: p reals (check_reals), finite, strictly positive."""
+    rates = check_reals(rates, "rates")
     if len(rates) != graph.node_count:
         raise ValidationError(
             f"expected {graph.node_count} rates, got {len(rates)}"

@@ -14,10 +14,12 @@ probabilities and the chain's down-rates read.
 
 For the canonical pendant graph and 5-cycle the marginal chain lives on
 two glued rays and is reversible, so the stationary law is an explicit
-pair of geometric arms. That law is written once (`_GluedRays`, built
-from each arm's up and down rates), and one table (`_CLOSED_FORMS`) says
-per graph which arms the chain has and which arms each neighbour of i0
-waits on; under the uniform rule those neighbours' rates are halved.
+pair of geometric arms. That law is written once (`_GluedRays`) and reads
+everything off the chain: each arm's up and down rates from
+`pattern_rates` at the pattern where that arm alone is positive, and
+each neighbour of i0's arms and share of a match from `_splits`, so the
+rule that drains the chain has one copy. `_CLOSED_FORMS` only names the
+graph, the node and the priority rule of each canonical chain.
 fluid_report's closed route, pendant_alpha, the stability regions and the
 counterexample families all read it.
 Everything else goes through a truncated sparse solve of the balance
@@ -61,7 +63,8 @@ from .graphs import (
     is_connected,
     pendant_graph,
 )
-from .policies import PRIORITY, UNIFORM, Policy, validate_policy
+from .policies import (PRIORITY, UNIFORM, Policy, five_cycle_priority_policy,
+                       pendant_priority_policy, validate_policy)
 
 CLOSED_FORM_PENDANT = "closed-form-pendant"
 CLOSED_FORM_FIVE_CYCLE = "closed-form-five-cycle"
@@ -125,35 +128,46 @@ def _check_truncation(truncation) -> int:
 
 
 class _GluedRays:
-    """The marginal chain on two adjacent coordinates.
+    """The marginal chain of a node i0 whose two coordinates are adjacent,
+    read off the chain itself.
 
     At most one coordinate is positive, so the chain lives on two arms
     glued at the empty state. Arm k climbs at rate up[k] and falls at rate
-    down[k]; the chain is reversible, with pi(empty) = alpha and
+    down[k], the chain's rates at the pattern where k alone is positive;
+    the chain is reversible, with pi(empty) = alpha and
     pi(level n on arm k) = alpha * r_k**n for the arm ratio
     r_k = up[k] / down[k]. alpha exists only while both ratios are below
-    one; reading it outside that region raises RatesOutsideRegionError
-    with the message `outside`.
+    one; reading it outside that region raises RatesOutsideRegionError.
+    splits maps each neighbour j of i0 to the arms in its split of i0
+    (MarginalChain._splits) and the share 1 / (busy + step) of a match it
+    gives i0 while one of them is positive: 0 under priority, 1/2 under
+    the uniform rule.
     """
 
-    def __init__(self, up, down, outside: str):
-        self.up, self.down, self.outside = up, down, outside
-        self.gaps = (down[0] - up[0], down[1] - up[1])
-
-    @cached_property
-    def ratios(self) -> tuple[float, float]:
-        return (self.up[0] / self.down[0], self.up[1] / self.down[1])
+    def __init__(self, chain: MarginalChain, name: str):
+        up, down = chain.pattern_rates(np.eye(2, dtype=bool))
+        # Python floats, so every comparison on them is a plain bool
+        self.up, self.down = tuple(up.diagonal().tolist()), tuple(down.diagonal().tolist())
+        self.gaps = (self.down[0] - self.up[0], self.down[1] - self.up[1])
+        self.ratios = (self.up[0] / self.down[0], self.up[1] / self.down[1])
+        self.splits = {
+            j: (tuple(k for k in (0, 1) if coords >> k & 1), 1.0 / (busy + step))
+            for j, coords, busy, step in chain._splits[chain.i0]
+        }
+        self._chain, self._name = chain, name
 
     @cached_property
     def alpha(self) -> float:
         if self.gaps[0] <= 0 or self.gaps[1] <= 0:
-            raise RatesOutsideRegionError(self.outside)
+            chain = self._chain
+            raise RatesOutsideRegionError(f"{self._name} closed form needs " + " and ".join(
+                f"l{v} < " + " + ".join(f"l{w}" for w in chain.graph.neighbors(v))
+                for v in chain.s_nodes))
         return 1.0 / (1.0 + self.up[0] / self.gaps[0] + self.up[1] / self.gaps[1])
 
-    def guard(self, arms: tuple[int, ...], share: float) -> float:
-        """Expected weight with which a class-j arrival matches i0, where j
-        waits on the given arms and takes `share` of a match while one of
-        them is positive."""
+    def guard(self, j: int) -> float:
+        """Expected weight with which a class-j arrival matches i0."""
+        arms, share = self.splits[j]
         if len(arms) == 2:
             return share + (1.0 - share) * self.alpha
         k = arms[0]
@@ -170,47 +184,19 @@ class _GluedRays:
 
 @dataclass(frozen=True)
 class _GluedFamily:
-    """A node i0 of a canonical graph whose marginal chain is glued rays.
-
-    arms gives each coordinate as (its node, the two nodes whose arrivals
-    drain it), and waits maps each neighbour j of i0 to the arms j must
-    find empty before a class-j arrival reaches i0. That holds under a
-    priority rule in which every such j serves those arms before i0 (the
-    guard then takes no share of a positive arm), and under the uniform
-    rule, where j splits its arrivals evenly between i0 and a positive
-    arm: its rate is halved in the down rates, and its guard takes half a
-    match there.
-    """
+    """A node i0 of a canonical graph whose marginal chain is glued rays,
+    with the graph's canonical priority rule, under which every neighbour
+    of i0 serves its in-chain neighbours before i0."""
 
     name: str
     graph: Graph
     i0: int
-    arms: tuple[tuple[int, tuple[int, int]], tuple[int, tuple[int, int]]]
-    waits: dict[int, tuple[int, ...]]
+    policy: Policy
 
-    def law(self, rates, uniform: bool = False) -> _GluedRays:
-        rates = check_rates(self.graph, rates)
-        rate = [r / 2.0 if uniform and v in self.waits else r for v, r in enumerate(rates, 1)]
-        return _GluedRays(
-            tuple(rates[v - 1] for v, _ in self.arms),
-            tuple(rate[a - 1] + rate[b - 1] for _, (a, b) in self.arms),
-            self.outside,
-        )
-
-    @cached_property
-    def outside(self) -> str:
-        conditions = (f"l{v} < l{a} + l{b}" for v, (a, b) in self.arms)
-        return f"{self.name} closed form needs " + " and ".join(conditions)
-
-    def serves_first(self, policy: Policy) -> bool:
-        """Whether every neighbour of i0 serves the arms it waits on first."""
-        if policy.kind != PRIORITY:
-            return False
-        return all(
-            policy.order[j].index(self.arms[k][0]) < policy.order[j].index(self.i0)
-            for j, arms in self.waits.items()
-            for k in arms
-        )
+    def law(self, rates) -> _GluedRays:
+        """The glued-rays law under the family's priority rule."""
+        chain = _chain(self.graph, check_rates(self.graph, rates), self.policy, self.i0)
+        return _GluedRays(chain, self.name)
 
     def service(self, rates) -> tuple[float, float]:
         """(c, alpha) with i0's drift rate(i0) - c * alpha under priority,
@@ -220,7 +206,7 @@ class _GluedFamily:
         alpha = law.alpha
         c = sum(
             rates[j - 1] * law.down[1 - k] / law.gaps[1 - k]
-            for j, (k,) in self.waits.items()
+            for j, ((k,), _) in law.splits.items()
         )
         return c, alpha
 
@@ -228,24 +214,16 @@ class _GluedFamily:
 # The canonical pendant graph at its tail and 5-cycle at its apex, the
 # chains fluid_report solves in closed form, keyed by the whole graph, so
 # an extra node finds no closed form.
-_PENDANT = _GluedFamily(
-    "pendant", pendant_graph(), i0=4,
-    arms=((1, (2, 3)), (2, (1, 3))), waits={3: (0, 1)},
-)
-_FIVE_CYCLE = _GluedFamily(
-    "5-cycle", five_cycle_graph(), i0=5,
-    arms=((1, (2, 3)), (2, (1, 4))), waits={3: (0,), 4: (1,)},
-)
+_PENDANT = _GluedFamily("pendant", pendant_graph(), 4, pendant_priority_policy())
+_FIVE_CYCLE = _GluedFamily("5-cycle", five_cycle_graph(), 5, five_cycle_priority_policy())
 _CLOSED_FORMS = {
     _PENDANT.graph: (_PENDANT, CLOSED_FORM_PENDANT),
     _FIVE_CYCLE.graph: (_FIVE_CYCLE, CLOSED_FORM_FIVE_CYCLE),
 }
 # Node 3 of the 5-cycle is glued rays too, but fluid_report solves it
 # numerically, which checks fivecycle_node_reports.
-_FIVE_CYCLE_NODE3 = _GluedFamily(
-    "5-cycle node-3", five_cycle_graph(), i0=3,
-    arms=((2, (1, 4)), (4, (2, 5))), waits={1: (0,), 5: (1,)},
-)
+_FIVE_CYCLE_NODE3 = _GluedFamily("5-cycle node-3", five_cycle_graph(), 3,
+                                 five_cycle_priority_policy())
 
 
 # -- the general marginal chain -------------------------------------------------
@@ -683,17 +661,21 @@ def fluid_report(
     if not q0 > 0:
         raise ValidationError(f"q0 must be positive and finite, got {q0}")
 
+    chain = _chain(graph, rates, policy, i0)
     family, method = _CLOSED_FORMS.get(graph, (None, None))
-    uniform = policy.kind == UNIFORM
-    if family is not None and family.i0 == i0 and (uniform or family.serves_first(policy)):
+    # The closed route needs every neighbour j of i0 to split only over
+    # its in-chain neighbours: under priority, j serves them all first.
+    index = chain._index
+    if family is not None and family.i0 == i0 and all(
+        coords == sum(1 << index[w] for w in graph.neighbors(j) if w in index)
+        for j, coords, _, _ in chain._splits[i0]
+    ):
         truncation = _check_truncation(truncation)
-        law = family.law(rates, uniform)
-        share = 0.5 if uniform else 0.0
-        guard = {j: law.guard(arms, share) for j, arms in family.waits.items()}
+        law = _GluedRays(chain, family.name)
+        guard = {j: law.guard(j) for j in law.splits}
         return _assemble(rates, i0, guard, q0, method, law.tail_mass(truncation),
                          SOLVER_CLOSED, None)
 
-    chain = _chain(graph, rates, policy, i0)
     dist = stationary_numeric(chain, truncation)
     space = chain._space(_check_truncation(truncation))
     guard = {

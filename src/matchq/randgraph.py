@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotConnectedError, ValidationError
-from .graphs import Graph, check_int, check_rates, independent_set_rates, is_connected
+from .graphs import Graph, check_int, check_rates, check_reals, independent_set_rates, is_connected
 from .policies import (
     PRIORITY,
     Policy,
@@ -36,10 +36,10 @@ from .policies import (
 
 
 def type_distribution(rates: Sequence[float]) -> tuple[float, ...]:
-    """Normalize an arrival-rate vector into a type distribution."""
-    rates = [float(r) for r in rates]
-    if not all(math.isfinite(r) and r > 0 for r in rates):
-        raise ValidationError("rates must be finite and strictly positive")
+    """Normalize a nonempty arrival-rate vector into a type distribution."""
+    rates = check_reals(rates, "rates")
+    if not rates or not all(math.isfinite(r) and r > 0 for r in rates):
+        raise ValidationError("rates must be nonempty, finite and strictly positive")
     total = sum(rates)
     return tuple(r / total for r in rates)
 
@@ -93,7 +93,7 @@ def grow_and_match(
     lists node counts at which to record (n, matched, unmatched-by-type);
     None records 100 evenly spaced points.
     """
-    mu = tuple(float(m) for m in mu)
+    mu = check_reals(mu, "mu")
     if len(mu) != template.node_count or not all(m > 0 for m in mu):
         raise ValidationError("mu must be strictly positive over the template nodes")
     if abs(sum(mu) - 1.0) > 1e-9:

@@ -137,12 +137,13 @@ def _prepare(graph: Graph, rates, policy: Policy, config: SimConfig):
         state = (0,) * graph.node_count
     else:
         state = check_state(graph, config.initial_state)
-    if not check_real(config.horizon, "horizon", finite=False) > 0:
+    horizon = check_real(config.horizon, "horizon", finite=False)
+    if not horizon > 0:
         raise ValidationError("horizon must be positive")
     if config.scale < 1:
         raise ValidationError("scale must be >= 1")
     # the raw clock runs to horizon * scale, which can overflow a finite horizon
-    if math.isinf(config.horizon * config.scale) and config.max_events is None and (
+    if math.isinf(horizon * config.scale) and config.max_events is None and (
         config.stop_node is None and not config.stop_when_empty
     ):
         raise ValidationError("infinite horizon * scale needs max_events or a stop condition")
@@ -152,14 +153,14 @@ def _prepare(graph: Graph, rates, policy: Policy, config: SimConfig):
         raise ValidationError("max_events must be nonnegative")
     if config.trace_stride < 0:
         raise ValidationError("trace_stride must be nonnegative")
-    return rates, state
+    return rates, state, horizon
 
 
 def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace:
     """Run one matching-queue sample path; reproducible from (inputs, seed)."""
-    rates, state = _prepare(graph, rates, policy, config)
+    rates, state, horizon = _prepare(graph, rates, policy, config)
     p = graph.node_count
-    t_end = config.horizon * config.scale
+    t_end = horizon * config.scale
     decide, _ = _decision_step(policy, graph)
 
     q = [0] + list(state)
@@ -247,7 +248,7 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
         node_count=p,
         scale=config.scale,
         seed=config.seed,
-        horizon=config.horizon,
+        horizon=horizon,
         times=np.concatenate(rec_t),
         classes=np.concatenate(rec_c),
         matched=np.concatenate(rec_m),
@@ -394,7 +395,7 @@ def coupled_nonexpansive(
     gap from ever exceeding the initial gap. The report counts violations
     of that bound (expected: zero).
     """
-    rates, _ = _prepare(graph, rates, policy, config)
+    rates, _, _ = _prepare(graph, rates, policy, config)
     qx = [0] + list(check_state(graph, x))
     qy = [0] + list(check_state(graph, y))
     step = _decision_step(policy, graph)
@@ -451,7 +452,7 @@ def coupled_nonchaotic(
         raise UnsupportedPolicyError(
             "no product coupling for match-the-longest in the cross-edge experiment"
         )
-    rates, state = _prepare(graph, rates, policy, config)
+    rates, state, _ = _prepare(graph, rates, policy, config)
     for i in graph.nodes:
         if i not in kept and state[i - 1] != 0:
             raise InvalidStateError("removed nodes must start with empty queues")

@@ -5,15 +5,19 @@ triplet_generator, rates_at, split, sliced_pinned_system, independent_sets,
 ncond_check, find_induced_pendant, find_induced_odd_cycle, grow_with_deques,
 simulate_per_event, matching_edges and matching_is_valid restate what the
 package computes another way, so a test that agrees with them checks the
-package by a second route. stationary_closed_pendant,
-stationary_closed_5cycle and fivecycle_alpha write out the geometric laws of
-the two canonical marginal chains, the references the numeric solve is
-checked against; law reads a stationary law as a dict keyed by state, and
-law_gap compares two laws state by state.
+package by a second route. HandGluedRays and the hand tables
+PENDANT_TABLE, FIVE_CYCLE_TABLE and FIVE_CYCLE_NODE3_TABLE write out the
+glued-rays laws of the canonical marginal chains from the graph alone, with
+no MarginalChain; stationary_closed_pendant, stationary_closed_5cycle and
+fivecycle_alpha read them, and are the references the numeric solve and the
+package's own closed forms are checked against. law reads a stationary law
+as a dict keyed by state, and law_gap compares two laws state by state.
 """
 
 import math
 from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
@@ -26,6 +30,7 @@ from matchq.errors import (
     InvalidStateError,
     NotConnectedError,
     NotConvergedError,
+    RatesOutsideRegionError,
     ReducibleError,
     TooLargeError,
 )
@@ -36,7 +41,9 @@ from matchq.graphs import (
     _induced_cycle_order,
     _neighborhood,
     check_rates,
+    five_cycle_graph,
     is_connected,
+    pendant_graph,
     rate_of_set,
 )
 from matchq.marginal import (
@@ -49,12 +56,10 @@ from matchq.marginal import (
     SOLVER_LU,
     MarginalChain,
     StationaryDist,
-    _FIVE_CYCLE,
     _MAX_STATES,
-    _PENDANT,
     _check_truncation,
 )
-from matchq.policies import PRIORITY, _arrivals, _decision_step
+from matchq.policies import PRIORITY, Policy, _arrivals, _decision_step
 from matchq.randgraph import GrowthResult
 from matchq.simulate import SimTrace, _prepare
 
@@ -68,13 +73,132 @@ def pendant_alpha_quotient(rates):
     return (l3 * l3 - (l1 - l2) ** 2) / (l3 * (l3 + l1 + l2))
 
 
+class HandGluedRays:
+    """The marginal chain on two adjacent coordinates, from hand-written
+    rates.
+
+    At most one coordinate is positive, so the chain lives on two arms
+    glued at the empty state. Arm k climbs at rate up[k] and falls at rate
+    down[k]; the chain is reversible, with pi(empty) = alpha and
+    pi(level n on arm k) = alpha * r_k**n for the arm ratio
+    r_k = up[k] / down[k]. alpha exists only while both ratios are below
+    one; reading it outside that region raises RatesOutsideRegionError
+    with the message `outside`.
+    """
+
+    def __init__(self, up, down, outside: str):
+        self.up, self.down, self.outside = up, down, outside
+        self.gaps = (down[0] - up[0], down[1] - up[1])
+
+    @cached_property
+    def ratios(self) -> tuple[float, float]:
+        return (self.up[0] / self.down[0], self.up[1] / self.down[1])
+
+    @cached_property
+    def alpha(self) -> float:
+        if self.gaps[0] <= 0 or self.gaps[1] <= 0:
+            raise RatesOutsideRegionError(self.outside)
+        return 1.0 / (1.0 + self.up[0] / self.gaps[0] + self.up[1] / self.gaps[1])
+
+    def guard(self, arms: tuple[int, ...], share: float) -> float:
+        """Expected weight with which a class-j arrival matches i0, where j
+        waits on the given arms and takes `share` of a match while one of
+        them is positive."""
+        if len(arms) == 2:
+            return share + (1.0 - share) * self.alpha
+        k = arms[0]
+        r = self.ratios[k]
+        return self.alpha / (1.0 - self.ratios[1 - k]) + share * (self.alpha * r / (1.0 - r))
+
+    def tail_mass(self, truncation: int) -> float:
+        """Probability of the levels beyond `truncation` on either arm."""
+        r1, r2 = self.ratios
+        return self.alpha * (
+            r1 ** (truncation + 1) / (1.0 - r1) + r2 ** (truncation + 1) / (1.0 - r2)
+        )
+
+
+@dataclass(frozen=True)
+class HandGluedTable:
+    """A node i0 of a canonical graph whose marginal chain is glued rays,
+    written out by hand.
+
+    arms gives each coordinate as (its node, the two nodes whose arrivals
+    drain it), and waits maps each neighbour j of i0 to the arms j must
+    find empty before a class-j arrival reaches i0. That holds under a
+    priority rule in which every such j serves those arms before i0 (the
+    guard then takes no share of a positive arm), and under the uniform
+    rule, where j splits its arrivals evenly between i0 and a positive
+    arm: its rate is halved in the down rates, and its guard takes half a
+    match there.
+    """
+
+    name: str
+    graph: Graph
+    i0: int
+    arms: tuple
+    waits: dict
+
+    def law(self, rates, uniform: bool = False) -> HandGluedRays:
+        rates = check_rates(self.graph, rates)
+        rate = [r / 2.0 if uniform and v in self.waits else r for v, r in enumerate(rates, 1)]
+        return HandGluedRays(
+            tuple(rates[v - 1] for v, _ in self.arms),
+            tuple(rate[a - 1] + rate[b - 1] for _, (a, b) in self.arms),
+            self.outside,
+        )
+
+    @cached_property
+    def outside(self) -> str:
+        conditions = (f"l{v} < l{a} + l{b}" for v, (a, b) in self.arms)
+        return f"{self.name} closed form needs " + " and ".join(conditions)
+
+    def serves_first(self, policy: Policy) -> bool:
+        """Whether every neighbour of i0 serves the arms it waits on first."""
+        if policy.kind != PRIORITY:
+            return False
+        return all(
+            policy.order[j].index(self.arms[k][0]) < policy.order[j].index(self.i0)
+            for j, arms in self.waits.items()
+            for k in arms
+        )
+
+    def service(self, rates) -> tuple[float, float]:
+        """(c, alpha) with i0's drift rate(i0) - c * alpha under priority,
+        where each neighbour j waits on one arm: c sums rate(j) * D / (D - u)
+        of the other arm."""
+        law = self.law(rates)
+        alpha = law.alpha
+        c = sum(
+            rates[j - 1] * law.down[1 - k] / law.gaps[1 - k]
+            for j, (k,) in self.waits.items()
+        )
+        return c, alpha
+
+
+# The canonical pendant graph at its tail, and the 5-cycle at its apex and
+# at node 3.
+PENDANT_TABLE = HandGluedTable(
+    "pendant", pendant_graph(), i0=4,
+    arms=((1, (2, 3)), (2, (1, 3))), waits={3: (0, 1)},
+)
+FIVE_CYCLE_TABLE = HandGluedTable(
+    "5-cycle", five_cycle_graph(), i0=5,
+    arms=((1, (2, 3)), (2, (1, 4))), waits={3: (0,), 4: (1,)},
+)
+FIVE_CYCLE_NODE3_TABLE = HandGluedTable(
+    "5-cycle node-3", five_cycle_graph(), i0=3,
+    arms=((2, (1, 4)), (4, (2, 5))), waits={1: (0,), 5: (1,)},
+)
+
+
 def fivecycle_alpha(rates):
     """Empty-state probability of the 5-cycle marginal chain at the apex."""
-    return _FIVE_CYCLE.law(rates).alpha
+    return FIVE_CYCLE_TABLE.law(rates).alpha
 
 
 def glued_rays_stationary(law, truncation: int, method: str):
-    """alpha, and a glued-rays law (marginal._GluedRays) on the empty state
+    """alpha, and a glued-rays law (HandGluedRays) on the empty state
     and levels 1..truncation of each arm: level n of arm k has probability
     alpha * r_k**n."""
     _check_truncation(truncation)
@@ -106,7 +230,7 @@ def stationary_closed_pendant(rates, truncation: int = DEFAULT_TRUNCATION):
     Coordinates are the two triangle base queues. The arms have ratios
     l1/(l3+l2) and l2/(l3+l1); both must be below one.
     """
-    return glued_rays_stationary(_PENDANT.law(rates), truncation, CLOSED_FORM_PENDANT)
+    return glued_rays_stationary(PENDANT_TABLE.law(rates), truncation, CLOSED_FORM_PENDANT)
 
 
 def stationary_closed_5cycle(rates, truncation: int = DEFAULT_TRUNCATION):
@@ -115,7 +239,7 @@ def stationary_closed_5cycle(rates, truncation: int = DEFAULT_TRUNCATION):
     Coordinates are the two base queues; arm ratios l1/(l3+l2) and
     l2/(l1+l4).
     """
-    return glued_rays_stationary(_FIVE_CYCLE.law(rates), truncation, CLOSED_FORM_FIVE_CYCLE)
+    return glued_rays_stationary(FIVE_CYCLE_TABLE.law(rates), truncation, CLOSED_FORM_FIVE_CYCLE)
 
 
 def apply_transition(state, arriving, decision):
@@ -507,9 +631,9 @@ def simulate_per_event(graph, rates, policy, config) -> SimTrace:
     """simulate with its bookkeeping inside the event loop: the count of
     nonempty queues, the first-zero and empty times, and each recorded row
     are updated event by event as the run passes them."""
-    rates, state = _prepare(graph, rates, policy, config)
+    rates, state, horizon = _prepare(graph, rates, policy, config)
     p = graph.node_count
-    t_end = config.horizon * config.scale
+    t_end = horizon * config.scale
     decide, _ = _decision_step(policy, graph)
 
     q = [0] + list(state)
@@ -576,7 +700,7 @@ def simulate_per_event(graph, rates, policy, config) -> SimTrace:
         node_count=p,
         scale=config.scale,
         seed=config.seed,
-        horizon=config.horizon,
+        horizon=horizon,
         times=np.asarray(rec_t, dtype=float),
         classes=np.asarray(rec_c, dtype=np.int64),
         matched=np.asarray(rec_m, dtype=np.int64),

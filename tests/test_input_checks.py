@@ -111,6 +111,42 @@ def test_rates_with_an_infinite_sum_rejected():
         ncond_check(PENDANT, OVERFLOWING)
 
 
+# Rate vectors whose entries are not real numbers: a string or a bool
+# entry used to pass through float(), a string read as its characters, an
+# int too large for a float raised a bare OverflowError and a bare number
+# a bare TypeError.
+NON_REAL_RATES = {
+    "str-entry": ("0.1", 0.1, 0.45, 0.35),
+    "bool-entry": (True, 0.1, 0.45, 0.35),
+    "none-entry": (None, 0.1, 0.45, 0.35),
+    "str": "1234",
+    "huge-int-entry": (10**400, 0.1, 0.45, 0.35),
+    "int": 5,
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("rates", NON_REAL_RATES.values(), ids=NON_REAL_RATES)
+def test_non_real_rates_rejected(rates):
+    with pytest.raises(ValidationError):
+        check_rates(PENDANT, rates)
+    with pytest.raises(ValidationError):
+        type_distribution(rates)
+    with pytest.raises(ValidationError):
+        grow_and_match(PENDANT, rates, uniform_policy(), 10, seed=0)
+
+
+def test_rate_vectors_of_ints_and_numpy_reals_pass():
+    assert check_rates(PENDANT, (1, np.int64(2), np.float32(0.5), 0.25)) == (1.0, 2.0, 0.5, 0.25)
+    assert all(type(r) is float for r in check_rates(PENDANT, np.array(LAM)))
+    assert type_distribution((1, 1, 2)) == (0.25, 0.25, 0.5)
+
+
+def test_empty_type_distribution_rejected():
+    with pytest.raises(ValidationError):
+        type_distribution([])
+
+
 def test_cli_ncond_rates_with_an_infinite_sum_exit_2(files, capsys):
     ser.dump_json({"rates": list(OVERFLOWING)}, files / "huge.json")
     argv = ["ncond", "--graph", str(files / "pendant.json"), "--rates", str(files / "huge.json")]
@@ -615,6 +651,13 @@ def test_end_time_is_a_float_when_the_horizon_is_an_int():
     # the run ends at the horizon, whose raw time horizon * scale is an int
     trace = simulate(PENDANT, LAM, ml_policy(), SimConfig(horizon=2, seed=1))
     assert type(trace.end_time) is float and trace.end_time == 2.0
+
+
+@pytest.mark.parametrize("horizon", [2, np.float32(2.5)], ids=["int", "float32"])
+def test_trace_horizon_is_a_float(horizon):
+    trace = simulate(PENDANT, LAM, ml_policy(), SimConfig(horizon=horizon, seed=1))
+    assert type(trace.horizon) is float and trace.horizon == float(horizon)
+    assert type(trace.end_time) is float and trace.end_time == float(horizon)
 
 
 PENDANT_PLUS = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])

@@ -1,5 +1,6 @@
 """Marginal chains: generator tables, closed forms, numeric solves, drifts."""
 
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import matchq
 from matchq.errors import (
+    MatchQError,
     NotConvergedError,
     RatesOutsideRegionError,
     TooLargeError,
@@ -21,6 +23,12 @@ from matchq.errors import (
 )
 from matchq.graphs import complete_graph, cycle_graph, five_cycle_graph, pendant_graph
 from matchq.marginal import (
+    CLOSED_FORM_FIVE_CYCLE,
+    CLOSED_FORM_PENDANT,
+    _FIVE_CYCLE,
+    _FIVE_CYCLE_NODE3,
+    _PENDANT,
+    _GluedRays,
     build_marginal,
     fivecycle_node_reports,
     fluid_report,
@@ -37,6 +45,9 @@ from matchq.policies import (
 from matchq.simulate import SimConfig, drift_estimate, simulate
 from matchq.stability import PENDANT_PRIORITY, PENDANT_UNIFORM, counterexample
 from oracles import (
+    FIVE_CYCLE_NODE3_TABLE,
+    FIVE_CYCLE_TABLE,
+    PENDANT_TABLE,
     fivecycle_alpha,
     law,
     law_gap,
@@ -129,6 +140,81 @@ def test_alpha_two_forms_agree_on_random_rates():
         assert pendant_alpha(lam) == pytest.approx(
             pendant_alpha_quotient(lam), abs=1e-12
         )
+
+
+def _figures(law, guards):
+    """Every figure of a glued-rays law, floats as float.hex: the arm rates
+    and ratios, then alpha, the tail mass and the guards, or the text of
+    the error that reading alpha raises outside the region."""
+    figures = [*law.up, *law.down, *law.ratios]
+    try:
+        figures += [law.alpha, law.tail_mass(40), *guards(law)]
+    except RatesOutsideRegionError as e:
+        figures.append(str(e))
+    assert all(type(x) in (float, str) for x in figures)
+    return [x.hex() if type(x) is float else x for x in figures]
+
+
+@pytest.mark.parametrize("family, table", [
+    (_PENDANT, PENDANT_TABLE),
+    (_FIVE_CYCLE, FIVE_CYCLE_TABLE),
+    (_FIVE_CYCLE_NODE3, FIVE_CYCLE_NODE3_TABLE),
+], ids=["pendant", "5-cycle", "5-cycle-node-3"])
+@pytest.mark.parametrize("uniform", [False, True], ids=["priority", "uniform"])
+def test_glued_rays_read_off_the_chain_equal_the_hand_tables(family, table, uniform):
+    # The law each family reads off its marginal chain is the hand-written
+    # one, bit for bit, inside the region and out of it.
+    rng = np.random.default_rng(2024)
+    policy = uniform_policy() if uniform else family.policy
+    share = 0.5 if uniform else 0.0
+    inside = outside = 0
+    for _ in range(200):
+        rates = tuple(rng.uniform(0.05, 1.0, family.graph.node_count).tolist())
+        derived = _GluedRays(build_marginal(family.graph, rates, policy, family.i0), family.name)
+        reference = table.law(rates, uniform)
+        assert {j: arms for j, (arms, _) in derived.splits.items()} == table.waits
+        assert all(s == share for _, s in derived.splits.values())
+        got = _figures(derived, lambda law: [law.guard(j) for j in law.splits])
+        want = _figures(reference, lambda law: [law.guard(a, share) for a in table.waits.values()])
+        assert got == want
+        if min(reference.gaps) <= 0:
+            outside += 1
+            continue
+        inside += 1
+        if not uniform:
+            assert family.law(rates).alpha.hex() == reference.alpha.hex()
+            if all(len(arms) == 1 for arms in table.waits.values()):
+                assert [x.hex() for x in family.service(rates)] == \
+                    [x.hex() for x in table.service(rates)]
+    assert inside > 10 and outside > 10
+
+
+@pytest.mark.parametrize("table, rates, method, rules", [
+    (PENDANT_TABLE, LAM_P, CLOSED_FORM_PENDANT, 24),
+    (FIVE_CYCLE_TABLE, LAM_5, CLOSED_FORM_FIVE_CYCLE, 32),
+], ids=["pendant", "5-cycle"])
+def test_closed_route_iff_the_hand_table_serves_first(table, rates, method, rules):
+    # Over every priority rule (56 in all), fluid_report takes the closed
+    # route exactly where the hand table's neighbours serve their arms
+    # first, and its guards there are the hand-written law's.
+    graph = table.graph
+    orders = [itertools.permutations(graph.neighbors(v)) for v in graph.nodes]
+    seen = closed = 0
+    for combo in itertools.product(*orders):
+        policy = priority_policy(dict(zip(graph.nodes, combo)))
+        try:
+            report = fluid_report(graph, rates, policy, table.i0, 1.0, truncation=8)
+        except MatchQError:
+            report = None
+        seen += 1
+        serves_first = table.serves_first(policy)
+        assert (report is not None and report.method == method) == serves_first
+        if serves_first:
+            closed += 1
+            law = table.law(rates)
+            want = {j: law.guard(arms, 0.0).hex() for j, arms in table.waits.items()}
+            assert {j: w.hex() for j, w in report.guard_probs.items()} == want
+    assert seen == rules and 0 < closed < rules
 
 
 def test_alpha_outside_region():
