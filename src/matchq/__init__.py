@@ -45,7 +45,6 @@ from .marginal import (
     MarginalChain,
     StationaryDist,
     build_marginal,
-    fivecycle_node_reports,
     fluid_report,
     pendant_alpha,
     stationary_numeric,

@@ -18,10 +18,14 @@ pair of geometric arms. That law is written once (`_GluedRays`) and reads
 everything off the chain: each arm's up and down rates from
 `pattern_rates` at the pattern where that arm alone is positive, and
 each neighbour of i0's arms and share of a match from `_splits`, so the
-rule that drains the chain has one copy. `_CLOSED_FORMS` only names the
-graph, the node and the priority rule of each canonical chain.
-fluid_report's closed route, pendant_alpha, the stability regions and the
-counterexample families all read it.
+rule that drains the chain has one copy. `_CLOSED_FORMS` names, by graph,
+the node and the priority rule of each canonical chain: the pendant at its
+tail, and the 5-cycle at its apex and at node 3. It is the one copy of each
+graph's canonical rule: fluid_report's closed route, pendant_alpha, the
+counterexample families and the stability regions read it, and
+`exact_region` refuses any other rule by comparing with it. The 5-cycle
+region reads the apex and node-3 constants straight off these laws, with
+no report object in between.
 Everything else goes through a truncated sparse solve of the balance
 equations, assembled over an (n, m) int array of states; it is the
 independent check of the closed forms. A state's rates depend on it only
@@ -154,12 +158,12 @@ class _GluedRays:
             j: (tuple(k for k in (0, 1) if coords >> k & 1), 1.0 / (busy + step))
             for j, coords, busy, step in chain._splits[chain.i0]
         }
-        self._chain, self._name = chain, name
+        self.chain, self._name = chain, name
 
     @cached_property
     def alpha(self) -> float:
         if self.gaps[0] <= 0 or self.gaps[1] <= 0:
-            chain = self._chain
+            chain = self.chain
             raise RatesOutsideRegionError(f"{self._name} closed form needs " + " and ".join(
                 f"l{v} < " + " + ".join(f"l{w}" for w in chain.graph.neighbors(v))
                 for v in chain.s_nodes))
@@ -186,12 +190,15 @@ class _GluedRays:
 class _GluedFamily:
     """A node i0 of a canonical graph whose marginal chain is glued rays,
     with the graph's canonical priority rule, under which every neighbour
-    of i0 serves its in-chain neighbours before i0."""
+    of i0 serves its in-chain neighbours before i0. method names
+    fluid_report's closed route at i0; None where it solves the chain
+    numerically."""
 
     name: str
     graph: Graph
     i0: int
     policy: Policy
+    method: Optional[str] = None
 
     def law(self, rates) -> _GluedRays:
         """The glued-rays law under the family's priority rule."""
@@ -201,9 +208,10 @@ class _GluedFamily:
     def service(self, rates) -> tuple[float, float]:
         """(c, alpha) with i0's drift rate(i0) - c * alpha under priority,
         where each neighbour j waits on one arm: c sums rate(j) * D / (D - u)
-        of the other arm, that is rate(j) * P(j's arm empty) / alpha."""
+        of the other arm, that is rate(j) * P(j's arm empty) / alpha, over
+        the chain's checked rates."""
         law = self.law(rates)
-        alpha = law.alpha
+        rates, alpha = law.chain.rates, law.alpha
         c = sum(
             rates[j - 1] * law.down[1 - k] / law.gaps[1 - k]
             for j, ((k,), _) in law.splits.items()
@@ -211,19 +219,21 @@ class _GluedFamily:
         return c, alpha
 
 
-# The canonical pendant graph at its tail and 5-cycle at its apex, the
-# chains fluid_report solves in closed form, keyed by the whole graph, so
-# an extra node finds no closed form.
-_PENDANT = _GluedFamily("pendant", pendant_graph(), 4, pendant_priority_policy())
-_FIVE_CYCLE = _GluedFamily("5-cycle", five_cycle_graph(), 5, five_cycle_priority_policy())
-_CLOSED_FORMS = {
-    _PENDANT.graph: (_PENDANT, CLOSED_FORM_PENDANT),
-    _FIVE_CYCLE.graph: (_FIVE_CYCLE, CLOSED_FORM_FIVE_CYCLE),
-}
-# Node 3 of the 5-cycle is glued rays too, but fluid_report solves it
-# numerically, which checks fivecycle_node_reports.
+# The canonical glued-rays chains by graph, keyed by the whole graph, so an
+# extra node finds none; each holds its graph's canonical priority rule.
+# fluid_report solves the pendant at its tail and the 5-cycle at its apex in
+# closed form, and node 3 of the 5-cycle numerically, which checks the
+# node-3 constants of the 5-cycle region.
+_PENDANT = _GluedFamily("pendant", pendant_graph(), 4, pendant_priority_policy(),
+                        CLOSED_FORM_PENDANT)
+_FIVE_CYCLE = _GluedFamily("5-cycle", five_cycle_graph(), 5, five_cycle_priority_policy(),
+                           CLOSED_FORM_FIVE_CYCLE)
 _FIVE_CYCLE_NODE3 = _GluedFamily("5-cycle node-3", five_cycle_graph(), 3,
                                  five_cycle_priority_policy())
+_CLOSED_FORMS = {
+    _PENDANT.graph: (_PENDANT,),
+    _FIVE_CYCLE.graph: (_FIVE_CYCLE, _FIVE_CYCLE_NODE3),
+}
 
 
 # -- the general marginal chain -------------------------------------------------
@@ -662,19 +672,19 @@ def fluid_report(
         raise ValidationError(f"q0 must be positive and finite, got {q0}")
 
     chain = _chain(graph, rates, policy, i0)
-    family, method = _CLOSED_FORMS.get(graph, (None, None))
     # The closed route needs every neighbour j of i0 to split only over
     # its in-chain neighbours: under priority, j serves them all first.
     index = chain._index
-    if family is not None and family.i0 == i0 and all(
-        coords == sum(1 << index[w] for w in graph.neighbors(j) if w in index)
-        for j, coords, _, _ in chain._splits[i0]
-    ):
-        truncation = _check_truncation(truncation)
-        law = _GluedRays(chain, family.name)
-        guard = {j: law.guard(j) for j in law.splits}
-        return _assemble(rates, i0, guard, q0, method, law.tail_mass(truncation),
-                         SOLVER_CLOSED, None)
+    for family in _CLOSED_FORMS.get(graph, ()):
+        if family.i0 == i0 and family.method is not None and all(
+            coords == sum(1 << index[w] for w in graph.neighbors(j) if w in index)
+            for j, coords, _, _ in chain._splits[i0]
+        ):
+            truncation = _check_truncation(truncation)
+            law = _GluedRays(chain, family.name)
+            guard = {j: law.guard(j) for j in law.splits}
+            return _assemble(rates, i0, guard, q0, family.method, law.tail_mass(truncation),
+                             SOLVER_CLOSED, None)
 
     dist = stationary_numeric(chain, truncation)
     space = chain._space(_check_truncation(truncation))
@@ -704,40 +714,4 @@ def _assemble(rates, i0, guard, q0, method, tail_mass, solver, residual) -> Flui
         q0=q0,
         solver=solver,
         residual=residual,
-    )
-
-
-# -- per-node constants for the 5-cycle ------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiveCycleNodeReports:
-    """Drift constants for the two interior nodes of the canonical 5-cycle."""
-
-    alpha24: float
-    c: float
-    node3_drift: float
-    alpha13: float
-    node4_drift: float
-
-
-def fivecycle_node_reports(rates: Sequence[float]) -> FiveCycleNodeReports:
-    """Stability constants of nodes 3 and 4 under the canonical priority rule.
-
-    Node 3: while its queue is large, the (2,4)-marginal chain is the
-    glued-rays chain with ratios l2/(l1+l4) and l4/(l5+l2); the drift is
-    l3 - c * alpha24. Node 4: class-5 arrivals always feed it and class-2
-    arrivals feed it while node 1 is empty; alpha13 = 1 - l1/(l2+l3), one
-    minus the ratio of node 1's arm in the apex chain, bounds that idle
-    fraction from below, giving drift l4 - l5 - l2 * alpha13.
-    """
-    c, alpha24 = _FIVE_CYCLE_NODE3.service(rates)
-    l1, l2, l3, l4, l5 = rates
-    alpha13 = 1.0 - _FIVE_CYCLE.law(rates).ratios[0]
-    return FiveCycleNodeReports(
-        alpha24=alpha24,
-        c=c,
-        node3_drift=l3 - c * alpha24,
-        alpha13=alpha13,
-        node4_drift=l4 - l5 - l2 * alpha13,
     )

@@ -308,7 +308,11 @@ def drift_estimate(
         rho = hitting_time(trace, node)
         hi = total if math.isinf(rho) else min(total, 0.9 * rho)
         window = (0.1 * total, hi)
-    w0, w1 = window
+    try:
+        w0, w1 = window
+    except (TypeError, ValueError):
+        raise ValidationError(f"window must be a pair of real numbers, got {window!r}") from None
+    w0, w1 = check_real(w0, "window", finite=False), check_real(w1, "window", finite=False)
     mask = (t_scaled >= w0) & (t_scaled <= w1)
     n = int(mask.sum())
     if n < _MIN_SAMPLES:

@@ -44,7 +44,7 @@ from .graphs import (
     ncond_check,
     pendant_graph,
 )
-from .marginal import _FIVE_CYCLE, fivecycle_node_reports, fluid_report, pendant_alpha
+from .marginal import _CLOSED_FORMS, fluid_report, pendant_alpha
 from .policies import (
     Policy,
     check_seed,
@@ -121,13 +121,19 @@ def pendant_region(rates: Sequence[float]) -> StabilityVerdict:
 
 
 def _fivecycle_inequalities(rates) -> list[Inequality]:
-    a, alpha = _FIVE_CYCLE.service(rates)
-    reports = fivecycle_node_reports(rates)
+    """The apex and node-3 drifts rate(i0) - c * alpha of the glued-rays
+    families at those nodes, and node 4's drift bound: class-5 arrivals
+    always feed node 4 and class-2 arrivals feed it while node 1 is empty,
+    which happens at least a fraction alpha13 = 1 - l1/(l2+l3) of the time,
+    one minus the ratio of node 1's arm in the apex chain."""
+    apex, node3 = _CLOSED_FORMS[five_cycle_graph()]
+    a, alpha = apex.service(rates)
+    c, alpha24 = node3.service(rates)
+    alpha13 = 1.0 - apex.law(rates).ratios[0]
     return [
         Inequality("five_cycle:apex<a*alpha", rates[4], a * alpha),
-        Inequality("five_cycle:node3<c*alpha24", rates[2], reports.c * reports.alpha24),
-        Inequality("five_cycle:node4<l2*alpha13+l5", rates[3],
-                   rates[1] * reports.alpha13 + rates[4]),
+        Inequality("five_cycle:node3<c*alpha24", rates[2], c * alpha24),
+        Inequality("five_cycle:node4<l2*alpha13+l5", rates[3], rates[1] * alpha13 + rates[4]),
     ]
 
 
@@ -144,12 +150,10 @@ def fivecycle_region(rates: Sequence[float]) -> StabilityVerdict:
     return _region(five_cycle_graph(), rates, _fivecycle_inequalities)
 
 
-# The exact regions by graph, each with the one priority rule it holds for;
-# keyed by the whole graph, so an extra isolated node finds no region.
-_EXACT_REGIONS = {
-    pendant_graph(): (pendant_region, pendant_priority_policy),
-    five_cycle_graph(): (fivecycle_region, five_cycle_priority_policy),
-}
+# The exact regions by graph, keyed by the whole graph, so an extra isolated
+# node finds no region. Each holds for the priority rule of its graph's
+# glued-rays families in marginal._CLOSED_FORMS.
+_EXACT_REGIONS = {pendant_graph(): pendant_region, five_cycle_graph(): fivecycle_region}
 
 
 def exact_region(graph: Graph, rates, policy: Optional[Policy] = None) -> StabilityVerdict:
@@ -160,13 +164,12 @@ def exact_region(graph: Graph, rates, policy: Optional[Policy] = None) -> Stabil
             "exact regions exist for the canonical pendant graph and 5-cycle; "
             "use --empirical for other instances"
         )
-    region, canonical = _EXACT_REGIONS[graph]
-    if policy is not None and policy != canonical():
+    if policy is not None and policy != _CLOSED_FORMS[graph][0].policy:
         raise NotApplicableError(
             "the exact region holds for the graph's canonical priority rule "
             "only; use --empirical for other policies"
         )
-    return region(rates)
+    return _EXACT_REGIONS[graph](rates)
 
 
 # -- counterexample families ---------------------------------------------------
@@ -232,7 +235,8 @@ def _certified(family: str, eps: float):
         raise ValidationError(
             f"unknown family {family!r}; choose from {sorted(FAMILY_EPS_BOUND)}"
         )
-    if not 0.0 < check_real(eps, "eps", finite=False) <= bound:
+    eps = check_real(eps, "eps", finite=False)
+    if not 0.0 < eps <= bound:
         raise EpsilonOutOfRangeError(
             f"{family} needs eps in (0, {bound:.6g}], got {eps}"
         )
@@ -335,8 +339,7 @@ def construct_nonmaximal(
         # the witness lists the cycle in path order; the canonical labels
         # along that path are 1, 2, 4, 5, 3
         label_positions = (1, 2, 4, 5, 3)
-    if eps is None:
-        eps = FAMILY_EPS_BOUND[family] / 2.0
+    eps = FAMILY_EPS_BOUND[family] / 2.0 if eps is None else check_real(eps, "eps", finite=False)
     base = _family_base(family, eps)
 
     node_of_label = dict(zip(label_positions, cls.witness))
@@ -417,7 +420,8 @@ class ClassifyBudget:
             raise ValidationError("need at least 2 scales for consistency checks")
         if not all(s >= 1 for s in self.scales):
             raise ValidationError(f"every scale must be >= 1, got {list(self.scales)}")
-        if not check_real(self.horizon, "horizon") > 0:
+        object.__setattr__(self, "horizon", check_real(self.horizon, "horizon"))
+        if not self.horizon > 0:
             raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
         check_seed(self.master_seed)
 

@@ -61,7 +61,7 @@ PUBLIC_NAMES = {
     "complete_graph", "construct_nonmaximal", "counterexample", "coupled_nonchaotic",
     "coupled_nonexpansive", "cycle_graph", "drift_estimate", "empirical_classify",
     "find_induced_odd_cycle", "find_induced_pendant", "five_cycle_graph",
-    "five_cycle_priority_policy", "fivecycle_node_reports", "fivecycle_region",
+    "five_cycle_priority_policy", "fivecycle_region",
     "fluid_report", "grow_and_match", "hitting_time", "independent_sets",
     "is_bipartite", "is_connected", "match_decision", "ml_policy", "ncond_check",
     "pendant_alpha", "pendant_graph", "pendant_priority_policy", "pendant_region",

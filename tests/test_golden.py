@@ -51,7 +51,6 @@ from matchq.graphs import (
 )
 from matchq.marginal import (
     build_marginal,
-    fivecycle_node_reports,
     fluid_report,
     stationary_numeric,
 )
@@ -639,10 +638,6 @@ def _closed_form_cases():
         yield f"closed-stationary-{name}", lambda a=(closed, points): _digest(
             [_closed_digest(a[0], r, t) for r in a[1] for t in (1, 3, 7)]
         )
-    yield "closed-fivecycle-node-reports", lambda: _digest(
-        [_closed_digest(fivecycle_node_reports, r)
-         for r in CLOSED_POINTS["c5"][3] + [(0.2,) * 5, (1e-9, 0.1, 0.225, 0.225, 0.35)]]
-    )
     for family, bound in sorted(FAMILY_EPS_BOUND.items()):
         yield f"closed-counterexample-{family}", lambda f=family, b=bound: _digest(
             [_instance_digest(counterexample(f, x * b)) for x in (0.01, 0.125, 0.25, 0.5, 0.9)]

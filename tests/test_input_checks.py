@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +690,10 @@ NON_REAL_PARAMS = {
         for label, v in (("str", "0.1"), ("bool", True))
     },
     "construct-eps-str": lambda: matchq.construct_nonmaximal(PENDANT_PLUS, "0.1"),
+    **{
+        f"drift-window-{label}": lambda v=v: drift_estimate(_sim(seed=0), 4, window=v)
+        for label, v in (("str", ("a", "b")), ("bool", (True, 40)), ("none", (0.0, None)))
+    },
 }
 
 
@@ -710,6 +715,36 @@ def test_numpy_real_parameters_accepted():
     assert ClassifyBudget(horizon=f(3.0)).horizon == 3.0
     assert matchq.counterexample("pendant-priority", f(0.1)).drift == matchq.counterexample(
         "pendant-priority", 0.1).drift
+    # the instances carry the checked floats, as rates and as eps
+    for eps in (np.float32(0.2), Fraction(1, 5)):
+        for inst in (matchq.counterexample("pendant-priority", eps),
+                     matchq.construct_nonmaximal(PENDANT_PLUS, eps)):
+            assert all(type(x) is float for x in inst.rates + (inst.eps,))
+            json.dumps(ser.instance_to_obj(inst))
+    assert matchq.counterexample("pendant-priority", np.float32(0.2)).eps == float(
+        np.float32(0.2))
+
+
+@pytest.mark.parametrize("window", [(0.0,), (0.0, 1.0, 2.0), 5.0], ids=["one", "three", "scalar"])
+def test_drift_window_must_be_a_pair(window):
+    with pytest.raises(ValidationError, match="window must be a pair of real numbers"):
+        drift_estimate(_sim(seed=0), 4, window=window)
+
+
+def test_drift_window_numpy_and_infinite_ends_accepted():
+    trace = simulate(PENDANT, LAM, ml_policy(), SimConfig(horizon=400.0, seed=0))
+    want = drift_estimate(trace, 4, window=(0.0, 300.0))
+    got = drift_estimate(trace, 4, window=np.array([0, 300]))
+    assert got == want and [type(w) for w in got.window] == [float, float]
+    assert drift_estimate(trace, 4, window=(0, math.inf)).samples == trace.times.size
+
+
+def test_budget_horizon_is_stored_as_a_float():
+    budget = ClassifyBudget(seeds=2, scales=(1, 2), horizon=Fraction(1, 2))
+    assert type(budget.horizon) is float and budget.horizon == 0.5
+    verdict = empirical_classify(PENDANT, LAM, ml_policy(), budget, nodes=[4])
+    assert type(verdict.evidence["budget"]["horizon"]) is float
+    json.dumps(ser.verdict_to_obj(verdict))
 
 
 def test_check_real():

@@ -30,7 +30,6 @@ from matchq.marginal import (
     _PENDANT,
     _GluedRays,
     build_marginal,
-    fivecycle_node_reports,
     fluid_report,
     pendant_alpha,
     stationary_numeric,
@@ -43,7 +42,13 @@ from matchq.policies import (
     uniform_policy,
 )
 from matchq.simulate import SimConfig, drift_estimate, simulate
-from matchq.stability import PENDANT_PRIORITY, PENDANT_UNIFORM, counterexample
+from matchq.stability import (
+    PENDANT_PRIORITY,
+    PENDANT_UNIFORM,
+    _fivecycle_inequalities,
+    counterexample,
+    fivecycle_region,
+)
 from oracles import (
     FIVE_CYCLE_NODE3_TABLE,
     FIVE_CYCLE_TABLE,
@@ -224,7 +229,7 @@ def test_alpha_outside_region():
 
 def test_closed_forms_check_the_rate_count():
     for closed, rates in ((pendant_alpha, LAM_P[:3]), (fivecycle_alpha, LAM_5 + (0.1,)),
-                          (fivecycle_node_reports, LAM_5[:4]),
+                          (fivecycle_region, LAM_5[:4]),
                           (stationary_closed_pendant, LAM_5), (stationary_closed_5cycle, LAM_P)):
         with pytest.raises(ValidationError):
             closed(rates)
@@ -380,13 +385,30 @@ def test_fluid_report_numeric_uniform_matches_closed_form():
     assert report.drift == pytest.approx(drift_numeric, abs=1e-9)
 
 
-def test_fivecycle_node_reports_values():
-    rep = fivecycle_node_reports(LAM_5)
-    assert rep.alpha24 == pytest.approx(1 / (1 + 0.1 / 0.225 + 1.0), abs=1e-12)
+def _node_inequalities(inequalities):
+    """The node-3 and node-4 inequalities among a 5-cycle region's."""
+    named = {iq.name: iq for iq in inequalities}
+    return named["five_cycle:node3<c*alpha24"], named["five_cycle:node4<l2*alpha13+l5"]
+
+
+@pytest.mark.parametrize("family", [_FIVE_CYCLE, _FIVE_CYCLE_NODE3], ids=["apex", "node-3"])
+def test_glued_service_reads_the_checked_rates(family):
+    # numpy rates give the same Python floats as a tuple: service multiplies
+    # the chain's checked rates, not the rates as given
+    got = family.service(np.array(LAM_5))
+    assert [type(x) for x in got] == [float, float]
+    assert got == family.service(LAM_5)
+
+
+def test_fivecycle_node_constants_values():
+    c, alpha24 = FIVE_CYCLE_NODE3_TABLE.service(LAM_5)
+    assert alpha24 == pytest.approx(1 / (1 + 0.1 / 0.225 + 1.0), abs=1e-12)
     c_expected = 0.35 * 0.325 / 0.225 + 0.1 * 0.45 / 0.225
-    assert rep.c == pytest.approx(c_expected, abs=1e-12)
-    assert rep.node3_drift < 0
-    assert rep.node4_drift < 0
+    assert c == pytest.approx(c_expected, abs=1e-12)
+    node3, node4 = _node_inequalities(fivecycle_region(LAM_5).inequalities)
+    assert node3.rhs.hex() == (c * alpha24).hex()
+    assert node3.satisfied  # a negative node-3 drift
+    assert node4.satisfied
 
 
 def test_fivecycle_node3_constants_match_generic_numeric_machinery():
@@ -394,17 +416,15 @@ def test_fivecycle_node3_constants_match_generic_numeric_machinery():
     chain = build_marginal(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 3)
     assert chain.s_nodes == (2, 4)
     dist = stationary_numeric(chain, truncation=200)
-    rep = fivecycle_node_reports(LAM_5)
-    assert law(dist)[(0, 0)] == pytest.approx(rep.alpha24, abs=1e-9)
+    _, alpha24 = FIVE_CYCLE_NODE3_TABLE.service(LAM_5)
+    assert law(dist)[(0, 0)] == pytest.approx(alpha24, abs=1e-9)
     report = fluid_report(FIVE_CYCLE, LAM_5, five_cycle_priority_policy(), 3, 1.0)
-    assert report.drift == pytest.approx(rep.node3_drift, abs=1e-9)
+    node3, _ = _node_inequalities(fivecycle_region(LAM_5).inequalities)
+    assert report.drift == pytest.approx(node3.lhs - node3.rhs, abs=1e-9)
 
 
 def test_fivecycle_node_drift_signs_match_simulation():
-    for node, drift in (
-        (3, fivecycle_node_reports(LAM_5).node3_drift),
-        (4, fivecycle_node_reports(LAM_5).node4_drift),
-    ):
+    for node, iq in zip((3, 4), _node_inequalities(fivecycle_region(LAM_5).inequalities)):
         scale = 4000
         initial = tuple(scale if v == node else 0 for v in FIVE_CYCLE.nodes)
         trace = simulate(
@@ -414,25 +434,33 @@ def test_fivecycle_node_drift_signs_match_simulation():
             SimConfig(horizon=1.0, seed=13, initial_state=initial, scale=scale),
         )
         est = drift_estimate(trace, node)
-        assert (est.slope < 0) == (drift < 0)
+        assert (est.slope < 0) == iq.satisfied
 
 
 def test_fivecycle_node4_limiting_cases():
+    # Most of these rates break the rate condition, where fivecycle_region
+    # reads no drift inequality, so the region's inequalities are read
+    # directly. Node 4's bound is l2 * alpha13 + l5.
+    def alpha13(node4, rates):
+        return (node4.rhs - rates[4]) / rates[1]
+
     # tiny l1 pushes the idle bound to one
-    rep = fivecycle_node_reports((1e-9, 0.1, 0.225, 0.225, 0.35))
-    assert rep.alpha13 == pytest.approx(1.0, abs=1e-6)
+    rates = (1e-9, 0.1, 0.225, 0.225, 0.35)
+    _, node4 = _node_inequalities(_fivecycle_inequalities(rates))
+    assert alpha13(node4, rates) == pytest.approx(1.0, abs=1e-6)
     # l4 < l5 forces a negative node-4 drift whenever the constants exist
     rng = np.random.default_rng(5)
     for _ in range(50):
         l1, l2, l3 = rng.uniform(0.05, 0.4, 3)
         l5 = rng.uniform(0.1, 0.6)
         l4 = l5 * rng.uniform(0.2, 0.99)
+        rates = tuple(map(float, (l1, l2, l3, l4, l5)))
         try:
-            rep = fivecycle_node_reports((l1, l2, l3, l4, l5))
+            _, node4 = _node_inequalities(_fivecycle_inequalities(rates))
         except RatesOutsideRegionError:
             continue
-        if rep.alpha13 > 0:
-            assert rep.node4_drift < 0
+        if alpha13(node4, rates) > 0:
+            assert node4.satisfied
 
 
 def test_guard_occupancy_matches_simulation():
@@ -775,7 +803,7 @@ def test_numeric_wide_state_codes_match_glued_rays():
     (fivecycle_alpha, (0.1, 0.1, math.nan, 0.225, 0.35)),
     (stationary_closed_pendant, (0.1, 0.1, 0.45, math.nan)),
     (stationary_closed_5cycle, (math.nan, 0.1, 0.225, 0.225, 0.35)),
-    (fivecycle_node_reports, (0.1, 0.1, 0.225, 0.225, math.nan)),
+    (fivecycle_region, (0.1, 0.1, 0.225, 0.225, math.nan)),
 ], ids=lambda v: v.__name__ if callable(v) else "nan")
 def test_closed_forms_reject_a_nan_rate(closed, rates):
     with pytest.raises(ValidationError, match="finite and strictly positive"):

@@ -106,6 +106,23 @@ def test_fivecycle_region_node4_inequality_can_fail_alone():
     assert _failing_names(v) == {"five_cycle:node4<l2*alpha13+l5"}
 
 
+@pytest.mark.parametrize("region, rates", [
+    (pendant_region, (0.1, 0.1, 0.45, 0.35)),
+    (pendant_region, (0.1, 0.1, 0.4, 0.3)),
+    (fivecycle_region, (0.1, 0.1, 0.225, 0.225, 0.35)),
+    (fivecycle_region, (0.14, 0.05, 0.1, 0.207, 0.2)),
+], ids=["pendant-unstable", "pendant-stable", "c5-apex", "c5-node4"])
+def test_regions_of_numpy_rates_hold_python_scalars(region, rates):
+    # the JSON and CSV writers take Python floats and bools only
+    for given in (np.array(rates), np.array(rates, dtype=np.float32)):
+        verdict = region(given)
+        assert len(verdict.inequalities) > len(rates)  # the graph's own ones too
+        for iq in verdict.inequalities:
+            assert [type(x) for x in (iq.lhs, iq.rhs, iq.margin)] == [float] * 3
+            assert type(iq.satisfied) is bool
+    assert region(np.array(rates)) == region(rates)
+
+
 def test_exact_region_takes_only_the_canonical_graphs_and_rules():
     # exact_region is the one place that picks a region for a graph: each
     # holds for its graph's canonical priority rule, which None stands for
@@ -130,17 +147,20 @@ def test_fivecycle_node4_inequality_is_conservative_near_its_face():
     # fraction; just past that face the exact marginal still gives a
     # negative node-4 drift, so the region verdict errs on the safe side
     lam = (0.14, 0.05, 0.1, 0.207, 0.2)
-    from matchq.marginal import fivecycle_node_reports
+    from oracles import FIVE_CYCLE_TABLE
 
-    rep = fivecycle_node_reports(lam)
-    assert rep.node4_drift > 0  # the bound flags instability
+    (node4,) = fivecycle_region(lam).failing()
+    assert not node4.satisfied  # the bound flags instability
+    # alpha13 = 1 - l1/(l2+l3), one minus the ratio of node 1's arm at the apex
+    alpha13 = 1.0 - FIVE_CYCLE_TABLE.law(lam).ratios[0]
+    assert node4.rhs == lam[1] * alpha13 + lam[4]
     exact = fluid_report(five_cycle_graph(), lam, five_cycle_priority_policy(),
                          4, 1.0, truncation=300)
     assert exact.tail_mass < 1e-9
     assert exact.drift < 0  # the exact guard probability disagrees
     # the bound is a genuine lower bound on the idle fraction
     idle_exact = exact.guard_probs[2]
-    assert idle_exact >= rep.alpha13 - 1e-12
+    assert idle_exact >= alpha13 - 1e-12
 
 
 # -- counterexample families ------------------------------------------------------
@@ -479,7 +499,6 @@ def _sample_fivecycle_apex_instances(rng, want_stable, count):
     verdict is decided by the apex drift (which has an exact constant).
     """
     from matchq.errors import RatesOutsideRegionError
-    from matchq.marginal import fivecycle_node_reports
 
     out = []
     while len(out) < count:
@@ -493,10 +512,11 @@ def _sample_fivecycle_apex_instances(rng, want_stable, count):
         try:
             apex_margin = -fluid_report(five_cycle_graph(), lam, five_cycle_priority_policy(),
                                         5, 1.0).drift
-            rep = fivecycle_node_reports(lam)
+            named = {iq.name: iq for iq in fivecycle_region(lam).inequalities}
         except RatesOutsideRegionError:
             continue
-        if rep.node3_drift > -0.05 or rep.node4_drift > -0.05:
+        node3, node4 = named["five_cycle:node3<c*alpha24"], named["five_cycle:node4<l2*alpha13+l5"]
+        if node3.lhs - node3.rhs > -0.05 or node4.lhs - node4.rhs > -0.05:
             continue
         if want_stable and 0.03 <= apex_margin <= 0.25:
             out.append((lam, 1.0 / apex_margin))
