@@ -17,7 +17,7 @@ a positive residual drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -48,8 +48,6 @@ from .marginal import _CLOSED_FORMS, fluid_report, pendant_alpha
 from .policies import (
     Policy,
     check_seed,
-    five_cycle_priority_policy,
-    pendant_priority_policy,
     priority_policy,
     uniform_policy,
 )
@@ -194,27 +192,22 @@ FIVE_CYCLE_PRIORITY = "five-cycle-priority"
 PENDANT_UNIFORM = "pendant-uniform"
 FIVE_CYCLE_UNIFORM = "five-cycle-uniform"
 
-FAMILY_EPS_BOUND = {
-    PENDANT_PRIORITY: 2.0 / 5.0,
-    FIVE_CYCLE_PRIORITY: 2.0 / 9.0,
-    PENDANT_UNIFORM: 7.0 / 15.0,
-    FIVE_CYCLE_UNIFORM: 7.0 / 23.0,
+# Each family: its rates at eps, its eps bound, and the glued-rays family of
+# marginal._CLOSED_FORMS whose graph and node it is unstable at, with its
+# rule: that graph's canonical priority rule, or uniform.
+_PENDANT_TAIL = _CLOSED_FORMS[pendant_graph()][0]
+_FIVE_CYCLE_APEX = _CLOSED_FORMS[five_cycle_graph()][0]
+_FAMILIES = {
+    PENDANT_PRIORITY: (lambda e: (e / 2, e / 2, 0.5 - e / 4, 0.5 - 0.75 * e),
+                       2.0 / 5.0, _PENDANT_TAIL, _PENDANT_TAIL.policy),
+    FIVE_CYCLE_PRIORITY: (lambda e: (e / 2, e / 2, 0.25 - e / 8, 0.25 - e / 8, 0.5 - 0.75 * e),
+                          2.0 / 9.0, _FIVE_CYCLE_APEX, _FIVE_CYCLE_APEX.policy),
+    PENDANT_UNIFORM: (lambda e: (e, e, 0.5 - e / 2, 0.5 - 0.75 * e),
+                      7.0 / 15.0, _PENDANT_TAIL, uniform_policy()),
+    FIVE_CYCLE_UNIFORM: (lambda e: (e, e, 0.25 - e / 4, 0.25 - e / 4, 0.5 - 0.75 * e),
+                         7.0 / 23.0, _FIVE_CYCLE_APEX, uniform_policy()),
 }
-
-
-def _family_parts(family: str, eps: float):
-    if family == PENDANT_PRIORITY:
-        rates = (eps / 2, eps / 2, 0.5 - eps / 4, 0.5 - 0.75 * eps)
-        return pendant_graph(), rates, pendant_priority_policy(), 4
-    if family == FIVE_CYCLE_PRIORITY:
-        rates = (eps / 2, eps / 2, 0.25 - eps / 8, 0.25 - eps / 8, 0.5 - 0.75 * eps)
-        return five_cycle_graph(), rates, five_cycle_priority_policy(), 5
-    if family == PENDANT_UNIFORM:
-        rates = (eps, eps, 0.5 - eps / 2, 0.5 - 0.75 * eps)
-        return pendant_graph(), rates, uniform_policy(), 4
-    # FIVE_CYCLE_UNIFORM: counterexample has already refused unknown families
-    rates = (eps, eps, 0.25 - eps / 4, 0.25 - eps / 4, 0.5 - 0.75 * eps)
-    return five_cycle_graph(), rates, uniform_policy(), 5
+FAMILY_EPS_BOUND = {family: bound for family, (_, bound, _, _) in _FAMILIES.items()}
 
 
 def counterexample(family: str, eps: float) -> UnstableInstance:
@@ -229,18 +222,19 @@ def counterexample(family: str, eps: float) -> UnstableInstance:
 
 
 def _certified(family: str, eps: float):
-    """counterexample's instance and its rate-condition check."""
-    bound = FAMILY_EPS_BOUND.get(family)
-    if bound is None:
+    """counterexample's instance, with a Policy of its own, and its
+    rate-condition check."""
+    if family not in _FAMILIES:
         raise ValidationError(
             f"unknown family {family!r}; choose from {sorted(FAMILY_EPS_BOUND)}"
         )
+    rates_at, bound, glued, rule = _FAMILIES[family]
     eps = check_real(eps, "eps", finite=False)
     if not 0.0 < eps <= bound:
         raise EpsilonOutOfRangeError(
             f"{family} needs eps in (0, {bound:.6g}], got {eps}"
         )
-    graph, rates, policy, node = _family_parts(family, eps)
+    graph, rates, policy, node = glued.graph, rates_at(eps), replace(rule), glued.i0
     drift = fluid_report(graph, rates, policy, node, 1.0).drift
     if drift <= 1e-12:
         raise BoundaryDegenerateError(
@@ -251,7 +245,7 @@ def _certified(family: str, eps: float):
         raise MatchQError("family instance unexpectedly violates the rate condition")
     return UnstableInstance(
         graph=graph,
-        rates=tuple(rates),
+        rates=rates,
         policy=policy,
         node=node,
         drift=drift,
@@ -260,33 +254,19 @@ def _certified(family: str, eps: float):
     ), result
 
 
-@dataclass(frozen=True)
-class _FamilyBase:
-    """What construct_nonmaximal reads off a certified family instance:
-    its rates, priority orders and unstable node by canonical label, its
-    drift and its rate-condition margin tau."""
-
-    rates: tuple[float, ...]
-    orders: tuple[tuple[int, ...], ...]
-    node: int
-    drift: float
-    tau: float
+# The certified instance and rate-condition check of a family at eps, made
+# once per (family, eps) for construct_nonmaximal, which hands out none of
+# it. An eps that _certified refuses raises on every call, since lru_cache
+# keeps no exceptions.
+_family_base = lru_cache(maxsize=64, typed=True)(_certified)
 
 
-@lru_cache(maxsize=64, typed=True)
-def _family_base(family: str, eps: float) -> _FamilyBase:
-    """The certified base of a family at eps, computed once per (family,
-    eps); it holds no instance, whose notes dict callers may change. An
-    eps that _certified refuses raises on every call, since lru_cache keeps
-    no exceptions."""
-    base, condition = _certified(family, eps)
-    return _FamilyBase(
-        rates=base.rates,
-        orders=tuple(base.policy.order[v] for v in base.graph.nodes),
-        node=base.node,
-        drift=base.drift,
-        tau=condition.min_margin,
-    )
+@lru_cache(maxsize=None)
+def _canonical_witness(family: str) -> tuple[int, ...]:
+    """classify's witness on the family's own graph, which lists its labels
+    in the order any other witness of that kind lists its nodes: (1, 2, 3, 4)
+    for the pendant and (1, 2, 4, 5, 3), the path order, for the 5-cycle."""
+    return classify(_FAMILIES[family][2].graph).witness
 
 
 # -- transplanting a family onto a general graph --------------------------------
@@ -331,25 +311,18 @@ def construct_nonmaximal(
             f"graph class {cls.kind!r}: construction needs an induced pendant "
             "graph or 5-cycle in a non-bipartite non-separable graph"
         )
-    if cls.witness_kind == "pendant":
-        family = PENDANT_PRIORITY
-        label_positions = (1, 2, 3, 4)
-    else:
-        family = FIVE_CYCLE_PRIORITY
-        # the witness lists the cycle in path order; the canonical labels
-        # along that path are 1, 2, 4, 5, 3
-        label_positions = (1, 2, 4, 5, 3)
+    family = PENDANT_PRIORITY if cls.witness_kind == "pendant" else FIVE_CYCLE_PRIORITY
     eps = FAMILY_EPS_BOUND[family] / 2.0 if eps is None else check_real(eps, "eps", finite=False)
-    base = _family_base(family, eps)
+    base, condition = _family_base(family, eps)
 
-    node_of_label = dict(zip(label_positions, cls.witness))
+    node_of_label = dict(zip(_canonical_witness(family), cls.witness))
     kept = set(cls.witness)
 
     rates = [0.0] * graph.node_count
     for label, node in node_of_label.items():
         rates[node - 1] = base.rates[label - 1]
 
-    tau = base.tau
+    tau = condition.min_margin
     beta = base.drift
     gamma = 0.5 * min(tau, beta, min(base.rates))
     hat_total = 0.0
@@ -362,7 +335,7 @@ def construct_nonmaximal(
     orders = {}
     for v in graph.nodes:
         if v in kept:
-            fam_order = base.orders[label_of_node[v] - 1]
+            fam_order = base.policy.order[label_of_node[v]]
             mapped = [node_of_label[w] for w in fam_order]
             rest = sorted(w for w in graph.neighbors(v) if w not in kept)
             orders[v] = tuple(mapped + rest)
