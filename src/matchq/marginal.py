@@ -18,14 +18,14 @@ pair of geometric arms. That law is written once (`_GluedRays`) and reads
 everything off the chain: each arm's up and down rates from
 `pattern_rates` at the pattern where that arm alone is positive, and
 each neighbour of i0's arms and share of a match from `_splits`, so the
-rule that drains the chain has one copy. `_CLOSED_FORMS` names, by graph,
-the node and the priority rule of each canonical chain: the pendant at its
-tail, and the 5-cycle at its apex and at node 3. It is the one copy of each
-graph's canonical rule: fluid_report's closed route, pendant_alpha, the
-counterexample families and the stability regions read it, and
-`exact_region` refuses any other rule by comparing with it. The 5-cycle
-region reads the apex and node-3 constants straight off these laws, with
-no report object in between.
+rule that drains the chain has one copy. Its guard sum (`matched`) is
+what fluid_report's closed route takes from rate(i0) and what the 5-cycle
+region compares rate(i0) with, so their signs agree. `_CLOSED_FORMS`
+names, by graph, the node and the priority rule of each canonical chain:
+the pendant at its tail, and the 5-cycle at its apex and at node 3. It is
+the one copy of each graph's canonical rule: fluid_report's closed route,
+pendant_alpha, the counterexample families and the stability regions read
+it, and `exact_region` refuses any other rule by comparing with it.
 Everything else goes through a truncated sparse solve of the balance
 equations, assembled over an (n, m) int array of states; it is the
 independent check of the closed forms. A state's rates depend on it only
@@ -170,13 +170,20 @@ class _GluedRays:
         return 1.0 / (1.0 + self.up[0] / self.gaps[0] + self.up[1] / self.gaps[1])
 
     def guard(self, j: int) -> float:
-        """Expected weight with which a class-j arrival matches i0."""
+        """Expected weight with which a class-j arrival matches i0: its share,
+        plus the rest of a match while none of j's arms is positive, which has
+        probability alpha, or alpha * D / (D - u) of the other arm for one."""
         arms, share = self.splits[j]
-        if len(arms) == 2:
-            return share + (1.0 - share) * self.alpha
-        k = arms[0]
-        r = self.ratios[k]
-        return self.alpha / (1.0 - self.ratios[1 - k]) + share * (self.alpha * r / (1.0 - r))
+        empty = self.alpha
+        if len(arms) == 1:
+            other = 1 - arms[0]
+            empty = self.alpha * self.down[other] / self.gaps[other]
+        return share + (1.0 - share) * empty
+
+    def matched(self) -> float:
+        """rate(j) * guard(j) added up over the splits in split order."""
+        rates = self.chain.rates
+        return sum(rates[j - 1] * self.guard(j) for j in self.splits)
 
     def tail_mass(self, truncation: int) -> float:
         """Probability of the levels beyond `truncation` on either arm."""
@@ -204,19 +211,6 @@ class _GluedFamily:
         """The glued-rays law under the family's priority rule."""
         chain = _chain(self.graph, check_rates(self.graph, rates), self.policy, self.i0)
         return _GluedRays(chain, self.name)
-
-    def service(self, rates) -> tuple[float, float]:
-        """(c, alpha) with i0's drift rate(i0) - c * alpha under priority,
-        where each neighbour j waits on one arm: c sums rate(j) * D / (D - u)
-        of the other arm, that is rate(j) * P(j's arm empty) / alpha, over
-        the chain's checked rates."""
-        law = self.law(rates)
-        rates, alpha = law.chain.rates, law.alpha
-        c = sum(
-            rates[j - 1] * law.down[1 - k] / law.gaps[1 - k]
-            for j, ((k,), _) in law.splits.items()
-        )
-        return c, alpha
 
 
 # The canonical glued-rays chains by graph, keyed by the whole graph, so an

@@ -3,15 +3,15 @@
 The pendant graph and the 5-cycle admit exact stability regions under
 their canonical destabilizing priority rules: the independent-set rate
 condition plus one (pendant) or three (5-cycle) closed-form drift
-inequalities, whose constants come from the glued-rays law in
-`marginal`; `exact_region` is the one place that picks a graph's region
-and refuses every other policy. Four parametric families produce instances that satisfy the
-rate condition yet have a positive fluid drift at one node, read from
-fluid_report's closed route, and `construct_nonmaximal` transplants such
-a family onto any connected non-bipartite non-separable graph that
-embeds a pendant or a 5-cycle, budgeting the leftover nodes' arrival
-rates so the rate condition still holds while the designated node keeps
-a positive residual drift.
+inequalities, read off the glued-rays laws in `marginal`; `exact_region`
+is the one place that picks a graph's region and refuses every other
+policy. Four parametric families, one `_FAMILIES` entry each, produce
+instances that satisfy the rate condition yet have a positive fluid drift
+at one node, and `construct_nonmaximal` transplants such a family onto
+any connected non-bipartite non-separable graph that embeds a pendant or
+a 5-cycle, through classify's witness, budgeting the leftover nodes'
+arrival rates so the rate condition still holds while the designated node
+keeps a positive residual drift.
 """
 
 from __future__ import annotations
@@ -119,18 +119,16 @@ def pendant_region(rates: Sequence[float]) -> StabilityVerdict:
 
 
 def _fivecycle_inequalities(rates) -> list[Inequality]:
-    """The apex and node-3 drifts rate(i0) - c * alpha of the glued-rays
-    families at those nodes, and node 4's drift bound: class-5 arrivals
+    """The apex and node-3 drifts of the glued-rays families at those nodes,
+    rate(i0) less the guard sum, and node 4's drift bound: class-5 arrivals
     always feed node 4 and class-2 arrivals feed it while node 1 is empty,
     which happens at least a fraction alpha13 = 1 - l1/(l2+l3) of the time,
     one minus the ratio of node 1's arm in the apex chain."""
-    apex, node3 = _CLOSED_FORMS[five_cycle_graph()]
-    a, alpha = apex.service(rates)
-    c, alpha24 = node3.service(rates)
-    alpha13 = 1.0 - apex.law(rates).ratios[0]
+    apex, node3 = (family.law(rates) for family in _CLOSED_FORMS[five_cycle_graph()])
+    alpha13 = 1.0 - apex.ratios[0]
     return [
-        Inequality("five_cycle:apex<a*alpha", rates[4], a * alpha),
-        Inequality("five_cycle:node3<c*alpha24", rates[2], c * alpha24),
+        Inequality("five_cycle:apex<a*alpha", rates[4], apex.matched()),
+        Inequality("five_cycle:node3<c*alpha24", rates[2], node3.matched()),
         Inequality("five_cycle:node4<l2*alpha13+l5", rates[3], rates[1] * alpha13 + rates[4]),
     ]
 

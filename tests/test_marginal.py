@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -147,17 +148,36 @@ def test_alpha_two_forms_agree_on_random_rates():
         )
 
 
-def _figures(law, guards):
-    """Every figure of a glued-rays law, floats as float.hex: the arm rates
-    and ratios, then alpha, the tail mass and the guards, or the text of
-    the error that reading alpha raises outside the region."""
+def _figures(law):
+    """The figures of a glued-rays law that both routes compute alike, floats
+    as float.hex: the arm rates and ratios, then alpha and the tail mass, or
+    the text of the error that reading alpha raises outside the region."""
     figures = [*law.up, *law.down, *law.ratios]
     try:
-        figures += [law.alpha, law.tail_mass(40), *guards(law)]
+        figures += [law.alpha, law.tail_mass(40)]
     except RatesOutsideRegionError as e:
         figures.append(str(e))
     assert all(type(x) in (float, str) for x in figures)
     return [x.hex() if type(x) is float else x for x in figures]
+
+
+def _exact_guards(up, down, splits) -> dict:
+    """Each guard of the glued-rays law with arm rates up and down, exact on
+    those floats and by a route of its own: j in splits waits on its arms
+    and takes share of a match while one is positive, so its guard is the
+    share plus the rest of one times one less the mass alpha * u / (D - u)
+    of each of its arms."""
+    odds = [Fraction(u) / (Fraction(d) - Fraction(u)) for u, d in zip(up, down)]
+    alpha = 1 / (1 + sum(odds))
+    return {
+        j: Fraction(share) + (1 - Fraction(share)) * (1 - alpha * sum(odds[k] for k in arms))
+        for j, (arms, share) in splits.items()
+    }
+
+
+def _ulps(x: float, exact: Fraction) -> Fraction:
+    """The distance of x from the exact value, in ulps of that value."""
+    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
 
 
 @pytest.mark.parametrize("family, table", [
@@ -168,7 +188,9 @@ def _figures(law, guards):
 @pytest.mark.parametrize("uniform", [False, True], ids=["priority", "uniform"])
 def test_glued_rays_read_off_the_chain_equal_the_hand_tables(family, table, uniform):
     # The law each family reads off its marginal chain is the hand-written
-    # one, bit for bit, inside the region and out of it.
+    # one, bit for bit, inside the region and out of it. Its guards are
+    # within 4 ulps of their exact value, and agree with the hand-written
+    # guards, whose one-arm form loses bits as the other arm's ratio nears 1.
     rng = np.random.default_rng(2024)
     policy = uniform_policy() if uniform else family.policy
     share = 0.5 if uniform else 0.0
@@ -179,18 +201,21 @@ def test_glued_rays_read_off_the_chain_equal_the_hand_tables(family, table, unif
         reference = table.law(rates, uniform)
         assert {j: arms for j, (arms, _) in derived.splits.items()} == table.waits
         assert all(s == share for _, s in derived.splits.values())
-        got = _figures(derived, lambda law: [law.guard(j) for j in law.splits])
-        want = _figures(reference, lambda law: [law.guard(a, share) for a in table.waits.values()])
-        assert got == want
+        assert _figures(derived) == _figures(reference)
         if min(reference.gaps) <= 0:
             outside += 1
             continue
         inside += 1
+        exact = _exact_guards(derived.up, derived.down, derived.splits)
+        for j, arms in table.waits.items():
+            guard = derived.guard(j)
+            assert type(guard) is float and _ulps(guard, exact[j]) <= 4
+            assert guard == pytest.approx(reference.guard(arms, share), rel=1e-10)
         if not uniform:
             assert family.law(rates).alpha.hex() == reference.alpha.hex()
             if all(len(arms) == 1 for arms in table.waits.values()):
-                assert [x.hex() for x in family.service(rates)] == \
-                    [x.hex() for x in table.service(rates)]
+                c, alpha = table.service(rates)
+                assert family.law(rates).matched() == pytest.approx(c * alpha, rel=1e-10)
     assert inside > 10 and outside > 10
 
 
@@ -201,7 +226,8 @@ def test_glued_rays_read_off_the_chain_equal_the_hand_tables(family, table, unif
 def test_closed_route_iff_the_hand_table_serves_first(table, rates, method, rules):
     # Over every priority rule (56 in all), fluid_report takes the closed
     # route exactly where the hand table's neighbours serve their arms
-    # first, and its guards there are the hand-written law's.
+    # first, and its guards there are within 4 ulps of the hand-written
+    # law's exact guards and agree with its float ones.
     graph = table.graph
     orders = [itertools.permutations(graph.neighbors(v)) for v in graph.nodes]
     seen = closed = 0
@@ -217,8 +243,12 @@ def test_closed_route_iff_the_hand_table_serves_first(table, rates, method, rule
         if serves_first:
             closed += 1
             law = table.law(rates)
-            want = {j: law.guard(arms, 0.0).hex() for j, arms in table.waits.items()}
-            assert {j: w.hex() for j, w in report.guard_probs.items()} == want
+            exact = _exact_guards(law.up, law.down,
+                                  {j: (arms, 0.0) for j, arms in table.waits.items()})
+            assert report.guard_probs.keys() == table.waits.keys()
+            for j, arms in table.waits.items():
+                assert _ulps(report.guard_probs[j], exact[j]) <= 4
+                assert report.guard_probs[j] == pytest.approx(law.guard(arms, 0.0), rel=1e-10)
     assert seen == rules and 0 < closed < rules
 
 
@@ -391,13 +421,19 @@ def _node_inequalities(inequalities):
     return named["five_cycle:node3<c*alpha24"], named["five_cycle:node4<l2*alpha13+l5"]
 
 
-@pytest.mark.parametrize("family", [_FIVE_CYCLE, _FIVE_CYCLE_NODE3], ids=["apex", "node-3"])
-def test_glued_service_reads_the_checked_rates(family):
-    # numpy rates give the same Python floats as a tuple: service multiplies
-    # the chain's checked rates, not the rates as given
-    got = family.service(np.array(LAM_5))
-    assert [type(x) for x in got] == [float, float]
-    assert got == family.service(LAM_5)
+@pytest.mark.parametrize("family, name", [
+    (_FIVE_CYCLE, "five_cycle:apex<a*alpha"),
+    (_FIVE_CYCLE_NODE3, "five_cycle:node3<c*alpha24"),
+], ids=["apex", "node-3"])
+def test_glued_service_reads_the_checked_rates(family, name):
+    # numpy rates give the same Python float as a tuple: the guard sum, the
+    # region's right-hand side, multiplies the chain's checked rates, not
+    # the rates as given
+    got = family.law(np.array(LAM_5)).matched()
+    assert type(got) is float
+    assert got == family.law(LAM_5).matched()
+    named = {iq.name: iq for iq in fivecycle_region(np.array(LAM_5)).inequalities}
+    assert named[name].rhs.hex() == got.hex()
 
 
 def test_fivecycle_node_constants_values():
