@@ -69,13 +69,28 @@ def check_real(value, name: str, finite: bool = True) -> float:
     return value
 
 
+def check_sequence(values, name: str, of: str):
+    """values, unless it is a string or not iterable: then ValidationError,
+    which says that name must be a sequence of `of`."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValidationError(f"{name} must be a sequence of {of}, got {values!r}")
+    return values
+
+
 def check_reals(values, name: str) -> tuple[float, ...]:
     """values as a tuple of floats read by check_real, NaN and the infinities
     let through; a string or a non-iterable raises ValidationError. A plain
     float, the common case, skips check_real."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-        raise ValidationError(f"{name} must be a sequence of real numbers, got {values!r}")
-    return tuple(v if type(v) is float else check_real(v, name, False) for v in values)
+    return tuple(v if type(v) is float else check_real(v, name, False)
+                 for v in check_sequence(values, name, "real numbers"))
+
+
+def check_ints(values, name: str) -> tuple[int, ...]:
+    """values as a tuple of ints read by check_int; a string or a
+    non-iterable raises ValidationError. A plain int, the common case,
+    skips check_int."""
+    return tuple(v if type(v) is int else check_int(v, name)
+                 for v in check_sequence(values, name, "integers"))
 
 
 def check_node(v, node_count: int, name: str = "node") -> int:
@@ -101,7 +116,7 @@ class Graph:
         if p < 1:
             raise ValidationError(f"node_count must be positive, got {p}")
         seen = set()
-        for e in self.edges:
+        for e in check_sequence(self.edges, "edges", "node pairs"):
             try:
                 i, j = e
             except (TypeError, ValueError):

@@ -31,7 +31,7 @@ from .errors import (
     PolicyGraphMismatchError,
     ValidationError,
 )
-from .graphs import Graph, check_int, check_node
+from .graphs import Graph, check_int, check_ints, check_node, check_sequence
 
 PRIORITY = "priority"
 MATCH_LONGEST = "ml"
@@ -52,8 +52,10 @@ class Policy:
         if self.kind != PRIORITY and self.order is not None:
             raise ValidationError(f"{self.kind} policy takes no order map")
         if self.order is not None:
-            object.__setattr__(self, "order", {check_int(k, "order key"): tuple(
-                check_int(x, f"order of node {k}") for x in v) for k, v in self.order.items()})
+            if not isinstance(self.order, Mapping):
+                raise ValidationError(f"priority order must map nodes to orders, got {self.order!r}")
+            object.__setattr__(self, "order", {check_int(k, "order key"): check_ints(
+                v, f"order of node {k}") for k, v in self.order.items()})
 
 
 def priority_policy(order: Mapping[int, Sequence[int]]) -> Policy:
@@ -87,7 +89,10 @@ def five_cycle_priority_policy() -> Policy:
 
 
 def validate_policy(policy: Policy, graph: Graph) -> None:
-    """Check that a priority order map matches the graph's neighbor sets."""
+    """Check that policy is a Policy, and that a priority order map matches
+    the graph's neighbor sets."""
+    if not isinstance(policy, Policy):
+        raise ValidationError(f"policy must be a Policy, got {policy!r}")
     if policy.kind != PRIORITY:
         return
     assert policy.order is not None
@@ -115,7 +120,8 @@ def in_state_space(graph: Graph, state: Sequence[int]) -> bool:
 
 
 def check_state(graph: Graph, state: Sequence[int]) -> tuple[int, ...]:
-    state = tuple(check_int(q, f"queue of node {i}") for i, q in enumerate(state, start=1))
+    state = tuple(q if type(q) is int else check_int(q, f"queue of node {i}")
+                  for i, q in enumerate(check_sequence(state, "queue vector", "integers"), 1))
     if not in_state_space(graph, state):
         raise InvalidStateError(f"queue vector {state} leaves the state space")
     return state

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotConnectedError, ValidationError
-from .graphs import Graph, check_int, check_rates, check_reals, independent_set_rates, is_connected
+from .graphs import (Graph, check_int, check_rates, check_reals, check_sequence,
+                     independent_set_rates, is_connected)
 from .policies import (
     PRIORITY,
     Policy,
@@ -110,7 +111,8 @@ def grow_and_match(
         checkpoints = list(range(step, n_nodes + 1, step))
         if n_nodes and (not checkpoints or checkpoints[-1] != n_nodes):
             checkpoints.append(n_nodes)
-    cps = [check_int(c, "checkpoint") for c in checkpoints]
+    cps = [check_int(c, "checkpoint")
+           for c in check_sequence(checkpoints, "checkpoints", "integers")]
     cps = np.array(sorted(set(c for c in cps if 0 < c <= n_nodes)), dtype=np.int64)
 
     decide, _ = _decision_step(policy, template)

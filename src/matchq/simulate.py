@@ -33,7 +33,8 @@ from .errors import (
     UnsupportedPolicyError,
     ValidationError,
 )
-from .graphs import Graph, check_int, check_node, check_rates, check_real, is_connected
+from .graphs import (Graph, check_int, check_ints, check_node, check_rates, check_real,
+                     is_connected)
 from .policies import (
     MATCH_LONGEST,
     PRIORITY,
@@ -449,7 +450,8 @@ def coupled_nonchaotic(
     the removed nodes. Supports priority and uniform policies; there is no
     coupling recipe for match-the-longest here.
     """
-    kept = frozenset(check_node(v, graph.node_count, "kept node") for v in kept_nodes)
+    kept = frozenset(check_node(v, graph.node_count, "kept node")
+                     for v in check_ints(kept_nodes, "kept nodes"))
     if not kept:
         raise ValidationError("kept node set must be nonempty")
     if policy.kind == MATCH_LONGEST:

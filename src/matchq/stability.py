@@ -35,6 +35,7 @@ from .graphs import (
     Graph,
     bfs_levels,
     check_int,
+    check_ints,
     check_node,
     check_rates,
     check_real,
@@ -222,7 +223,7 @@ def counterexample(family: str, eps: float) -> UnstableInstance:
 def _certified(family: str, eps: float):
     """counterexample's instance, with a Policy of its own, and its
     rate-condition check."""
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValidationError(
             f"unknown family {family!r}; choose from {sorted(FAMILY_EPS_BOUND)}"
         )
@@ -383,8 +384,7 @@ class ClassifyBudget:
     def __post_init__(self):
         for name in ("seeds", "max_events"):
             check_int(getattr(self, name), name)
-        for scale in self.scales:
-            check_int(scale, "scale")
+        object.__setattr__(self, "scales", check_ints(self.scales, "scales"))
         if self.seeds < 2:
             raise ValidationError("need at least 2 seeds for stderr estimates")
         if len(self.scales) < 2:
@@ -422,7 +422,8 @@ def empirical_classify(
     """
     rates = check_rates(graph, rates)
     lambar = sum(rates)
-    probe = [check_node(v, graph.node_count) for v in (graph.nodes if nodes is None else nodes)]
+    probe = [check_node(v, graph.node_count)
+             for v in (graph.nodes if nodes is None else check_ints(nodes, "nodes"))]
     if not probe:
         raise ValidationError("empirical_classify needs at least one node to probe")
     if len(set(probe)) < len(probe):

@@ -758,3 +758,51 @@ def test_check_real():
             check_real(bad, "x")
     with pytest.raises(ValidationError, match="x must be a real number, got 1j"):
         check_real(1j, "x")
+
+
+# Sequences given as a scalar or a string, a priority order given as a list
+# of pairs and a policy given as its name: each used to raise a bare
+# TypeError or AttributeError.
+_CONFIG = SimConfig(horizon=1.0, seed=0)
+NON_SEQUENCE_INPUTS = {
+    "counterexample-family-list": lambda: matchq.counterexample(["x"], 0.1),
+    "budget-scales-int": lambda: ClassifyBudget(scales=5),
+    "empirical-nodes-int": lambda: empirical_classify(
+        PENDANT, LAM, ml_policy(), ClassifyBudget(seeds=2, scales=(1, 2)), nodes=5),
+    "simulate-initial-state-int": lambda: simulate(
+        PENDANT, LAM, ml_policy(), SimConfig(horizon=1.0, seed=0, initial_state=5)),
+    "growth-checkpoints-int": lambda: grow_and_match(
+        PENDANT, type_distribution(LAM), uniform_policy(), 10, 0, checkpoints=5),
+    "priority-order-int": lambda: priority_policy({1: 5}),
+    "priority-order-list": lambda: priority_policy([(1, 2)]),
+    "graph-edges-int": lambda: Graph(3, 5),
+    "coupled-x-int": lambda: coupled_nonexpansive(
+        PENDANT, LAM, ml_policy(), 5, (0, 0, 0, 0), _CONFIG),
+    "nonchaotic-kept-int": lambda: coupled_nonchaotic(
+        PENDANT, 5, LAM, uniform_policy(), _CONFIG),
+    "match-decision-state-int": lambda: match_decision(
+        pendant_priority_policy(), PENDANT, 5, 1),
+    "simulate-policy-str": lambda: simulate(PENDANT, LAM, "ml", _CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_SEQUENCE_INPUTS))
+def test_non_sequence_input_rejected(case):
+    with pytest.raises(ValidationError):
+        NON_SEQUENCE_INPUTS[case]()
+
+
+def test_check_ints():
+    from matchq.graphs import check_ints
+
+    got = check_ints([np.int64(3), 4, np.uint8(5)], "x")
+    assert got == (3, 4, 5) and all(type(v) is int for v in got)
+    assert check_ints(range(3), "x") == (0, 1, 2)
+    for bad in (5, "12", b"12", None):
+        with pytest.raises(ValidationError, match="x must be a sequence of integers"):
+            check_ints(bad, "x")
+    for bad in ([1, 2.0], [True], ["1"]):
+        with pytest.raises(ValidationError, match="x must be an integer"):
+            check_ints(bad, "x")
+    budget = ClassifyBudget(scales=[np.int64(10), 20])
+    assert budget.scales == (10, 20) and all(type(s) is int for s in budget.scales)

@@ -436,6 +436,66 @@ def test_glued_service_reads_the_checked_rates(family, name):
     assert named[name].rhs.hex() == got.hex()
 
 
+def _apex_inequality(rates):
+    """The 5-cycle region's apex inequality at the given rates, or None where
+    the node-3 law, which the region reads too, does not exist."""
+    try:
+        return _fivecycle_inequalities(rates)[0]
+    except RatesOutsideRegionError:
+        return None
+
+
+def test_glued_guard_sums_are_exact_and_sign_the_closed_drift():
+    # 20,000 seeded vectors in three rate ranges, each through one of the
+    # 5-cycle's apex and node-3 laws under the canonical rule or uniform in
+    # turn: inside the law, every guard sum is within 8 ulps of its exact
+    # value. Under the canonical rule, the region's apex inequality holds
+    # exactly where fluid_report's closed drift is negative, at every
+    # vector and on both sides of the apex face, bisected in l5.
+    rng = np.random.default_rng(26)
+    pairs = [(family, policy) for family in (_FIVE_CYCLE, _FIVE_CYCLE_NODE3)
+             for policy in (family.policy, uniform_policy())]
+    checked = signed = faces = 0
+    for n in range(20_000):
+        lo, hi = ((0.02, 0.6), (0.05, 1.0), (0.1, 0.5))[n % 3]
+        rates = tuple(rng.uniform(lo, hi, 5).tolist())
+        family, policy = pairs[n % 4]
+        law = _GluedRays(build_marginal(FIVE_CYCLE, rates, policy, family.i0), family.name)
+        if min(law.gaps) <= 0:
+            continue
+        checked += 1
+        exact = _exact_guards(law.up, law.down, law.splits)
+        got = sum(rates[j - 1] * law.guard(j) for j in law.splits)
+        assert _ulps(got, sum(Fraction(rates[j - 1]) * exact[j] for j in law.splits)) <= 8
+        if family is not _FIVE_CYCLE or policy is not family.policy:
+            continue
+        apex = _apex_inequality(rates)
+        if apex is not None:
+            signed += 1
+            assert apex.satisfied == (fluid_report(FIVE_CYCLE, rates, policy, 5, 1.0).drift < 0)
+        if n % 200:
+            continue
+        # the largest l5 that satisfies the apex inequality, and the next
+        # float up; node 3's arm 4 drains only above l4 - l2, and the right
+        # side is at most l3 + l4
+        floor = below = max(0.0, rates[3] - rates[1])
+        above = 2.0 * (rates[2] + rates[3])
+        while math.nextafter(below, math.inf) < above:
+            mid = (below + above) / 2
+            if _apex_inequality(rates[:4] + (mid,)).satisfied:
+                below = mid
+            else:
+                above = mid
+        if below == floor:
+            continue
+        faces += 1
+        for l5 in (below, above):
+            edge = rates[:4] + (l5,)
+            drift = fluid_report(FIVE_CYCLE, edge, policy, 5, 1.0).drift
+            assert _apex_inequality(edge).satisfied == (drift < 0) == (l5 == below)
+    assert checked > 10_000 and signed > 1_000 and faces > 40
+
+
 def test_fivecycle_node_constants_values():
     c, alpha24 = FIVE_CYCLE_NODE3_TABLE.service(LAM_5)
     assert alpha24 == pytest.approx(1 / (1 + 0.1 / 0.225 + 1.0), abs=1e-12)

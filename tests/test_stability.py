@@ -1,5 +1,6 @@
 """Exact regions, counterexample families, transplantation, empirical classify."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from matchq.errors import (
 )
 from matchq.graphs import (
     Graph,
+    classify,
     complete_graph,
     cycle_graph,
     five_cycle_graph,
@@ -42,6 +44,7 @@ from matchq.stability import (
     fivecycle_region,
     pendant_region,
 )
+from iso_enum import connected_graphs_up_to
 
 PENDANT_PLUS = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
 
@@ -296,6 +299,48 @@ def test_construct_pendant_plus_one():
     # the restriction of the policy to the embedded nodes is the family rule
     order = inst.policy.order[3]
     assert set(order[: order.index(4)]) == {1, 2}
+
+
+def _witness_maps(inst, family):
+    """Every map of the family's graph onto the induced subgraph on the
+    instance's witness that carries the family's rates, unstable node and
+    priority orders, restricted to the witness, onto the instance's."""
+    witness = inst.notes["witness"]
+    on_witness = {v: set(inst.graph.neighbors(v)) & set(witness) for v in witness}
+    for image in itertools.permutations(witness):
+        node = dict(zip(family.graph.nodes, image))
+        if (all({node[w] for w in family.graph.neighbors(v)} == on_witness[node[v]]
+                for v in family.graph.nodes)
+                and all(inst.rates[node[v] - 1] == family.rates[v - 1]
+                        for v in family.graph.nodes)
+                and inst.node == node[family.node]
+                and all([w for w in inst.policy.order[node[v]] if w in on_witness[node[v]]]
+                        == [node[w] for w in family.policy.order[v]]
+                        for v in family.graph.nodes)):
+            yield node
+
+
+def test_construct_transplants_the_family_onto_every_small_graph():
+    # On every non_separable_g7c graph with at most 6 nodes, up to
+    # isomorphism, the construction carries the family's rates and rule
+    # onto the witness, and orders each witness node's neighbours outside
+    # the witness after those inside it.
+    seen = {"pendant": 0, "five_cycle": 0}
+    for _, graph in connected_graphs_up_to(6):
+        if classify(graph).kind != "non_separable_g7c":
+            continue
+        inst = construct_nonmaximal(graph)
+        kind = inst.notes["witness_kind"]
+        family = counterexample(inst.family, inst.eps)
+        assert inst.family == (PENDANT_PRIORITY if kind == "pendant" else FIVE_CYCLE_PRIORITY)
+        assert next(_witness_maps(inst, family), None) is not None, graph
+        witness = set(inst.notes["witness"])
+        for v in witness:
+            order = inst.policy.order[v]
+            inside = [w in witness for w in order]
+            assert inside == sorted(inside, reverse=True)
+        seen[kind] += 1
+    assert min(seen.values()) > 0 and sum(seen.values()) > 50
 
 
 def test_construct_reads_a_family_base_no_caller_can_change():
