@@ -172,9 +172,10 @@ class _GluedRays:
     def guard(self, j: int) -> float:
         """Expected weight with which a class-j arrival matches i0: its share,
         plus the rest of a match while none of j's arms is positive, which has
-        probability alpha, or alpha * D / (D - u) of the other arm for one."""
+        probability alpha for two arms, alpha * D / (D - u) of the other arm
+        for one, and 1 for none."""
         arms, share = self.splits[j]
-        empty = self.alpha
+        empty = self.alpha if arms else 1.0
         if len(arms) == 1:
             other = 1 - arms[0]
             empty = self.alpha * self.down[other] / self.gaps[other]

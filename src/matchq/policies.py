@@ -53,7 +53,8 @@ class Policy:
             raise ValidationError(f"{self.kind} policy takes no order map")
         if self.order is not None:
             if not isinstance(self.order, Mapping):
-                raise ValidationError(f"priority order must map nodes to orders, got {self.order!r}")
+                raise ValidationError(
+                    f"priority order must map nodes to orders, got {self.order!r}")
             object.__setattr__(self, "order", {check_int(k, "order key"): check_ints(
                 v, f"order of node {k}") for k, v in self.order.items()})
 

@@ -454,11 +454,11 @@ def coupled_nonchaotic(
                      for v in check_ints(kept_nodes, "kept nodes"))
     if not kept:
         raise ValidationError("kept node set must be nonempty")
+    rates, state, _ = _prepare(graph, rates, policy, config)
     if policy.kind == MATCH_LONGEST:
         raise UnsupportedPolicyError(
             "no product coupling for match-the-longest in the cross-edge experiment"
         )
-    rates, state, _ = _prepare(graph, rates, policy, config)
     for i in graph.nodes:
         if i not in kept and state[i - 1] != 0:
             raise InvalidStateError("removed nodes must start with empty queues")

@@ -783,6 +783,7 @@ NON_SEQUENCE_INPUTS = {
     "match-decision-state-int": lambda: match_decision(
         pendant_priority_policy(), PENDANT, 5, 1),
     "simulate-policy-str": lambda: simulate(PENDANT, LAM, "ml", _CONFIG),
+    "nonchaotic-policy-str": lambda: coupled_nonchaotic(PENDANT, [1, 2, 3], LAM, "ml", _CONFIG),
 }
 
 

@@ -436,6 +436,21 @@ def test_glued_service_reads_the_checked_rates(family, name):
     assert named[name].rhs.hex() == got.hex()
 
 
+def test_glued_guard_of_a_neighbour_on_no_arm_is_one():
+    # Under the canonical rule node 5 serves node 4 first, so in node 4's
+    # chain, glued rays on nodes 1 and 3, class 5 waits on no arm and always
+    # matches node 4; every guard agrees with the numeric route.
+    rates = (0.21, 0.25, 0.18, 0.27, 0.09)
+    policy = five_cycle_priority_policy()
+    law = _GluedRays(build_marginal(FIVE_CYCLE, rates, policy, 4), "5-cycle node-4")
+    assert law.splits == {2: ((0,), 0.0), 5: ((), 0.0)}
+    assert law.guard(5) == 1.0
+    report = fluid_report(FIVE_CYCLE, rates, policy, 4, 1.0)
+    assert report.guard_probs.keys() == law.splits.keys()
+    for j, w in report.guard_probs.items():
+        assert law.guard(j) == pytest.approx(w, abs=1e-12)
+
+
 def _apex_inequality(rates):
     """The 5-cycle region's apex inequality at the given rates, or None where
     the node-3 law, which the region reads too, does not exist."""
