@@ -301,23 +301,21 @@ def test_construct_pendant_plus_one():
     assert set(order[: order.index(4)]) == {1, 2}
 
 
-def _witness_maps(inst, family):
-    """Every map of the family's graph onto the induced subgraph on the
-    instance's witness that carries the family's rates, unstable node and
+def _carries_family(inst, family) -> bool:
+    """Whether some map of the family's graph onto the induced subgraph on
+    the instance's witness carries the family's rates, unstable node and
     priority orders, restricted to the witness, onto the instance's."""
     witness = inst.notes["witness"]
     on_witness = {v: set(inst.graph.neighbors(v)) & set(witness) for v in witness}
-    for image in itertools.permutations(witness):
-        node = dict(zip(family.graph.nodes, image))
-        if (all({node[w] for w in family.graph.neighbors(v)} == on_witness[node[v]]
-                for v in family.graph.nodes)
-                and all(inst.rates[node[v] - 1] == family.rates[v - 1]
-                        for v in family.graph.nodes)
-                and inst.node == node[family.node]
-                and all([w for w in inst.policy.order[node[v]] if w in on_witness[node[v]]]
-                        == [node[w] for w in family.policy.order[v]]
-                        for v in family.graph.nodes)):
-            yield node
+    nodes = family.graph.nodes
+    return any(
+        all({node[w] for w in family.graph.neighbors(v)} == on_witness[node[v]] for v in nodes)
+        and all(inst.rates[node[v] - 1] == family.rates[v - 1] for v in nodes)
+        and inst.node == node[family.node]
+        and all([w for w in inst.policy.order[node[v]] if w in on_witness[node[v]]]
+                == [node[w] for w in family.policy.order[v]] for v in nodes)
+        for node in (dict(zip(nodes, image)) for image in itertools.permutations(witness))
+    )
 
 
 def test_construct_transplants_the_family_onto_every_small_graph():
@@ -333,7 +331,7 @@ def test_construct_transplants_the_family_onto_every_small_graph():
         kind = inst.notes["witness_kind"]
         family = counterexample(inst.family, inst.eps)
         assert inst.family == (PENDANT_PRIORITY if kind == "pendant" else FIVE_CYCLE_PRIORITY)
-        assert next(_witness_maps(inst, family), None) is not None, graph
+        assert _carries_family(inst, family), graph
         witness = set(inst.notes["witness"])
         for v in witness:
             order = inst.policy.order[v]
