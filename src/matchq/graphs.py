@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -70,9 +70,10 @@ def check_real(value, name: str, finite: bool = True) -> float:
 
 
 def check_sequence(values, name: str, of: str):
-    """values, unless it is a string or not iterable: then ValidationError,
-    which says that name must be a sequence of `of`."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+    """values, unless it is a string, a mapping, a set or not iterable: then
+    ValidationError, which says that name must be a sequence of `of`. A
+    mapping would be read as its keys and a set in its hash order."""
+    if isinstance(values, (str, bytes, Mapping, Set)) or not isinstance(values, Iterable):
         raise ValidationError(f"{name} must be a sequence of {of}, got {values!r}")
     return values
 

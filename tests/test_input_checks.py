@@ -762,7 +762,8 @@ def test_check_real():
 
 # Sequences given as a scalar or a string, a priority order given as a list
 # of pairs and a policy given as its name: each used to raise a bare
-# TypeError or AttributeError.
+# TypeError or AttributeError. A sequence given as a mapping or a set used
+# to be read as its keys or in its hash order.
 _CONFIG = SimConfig(horizon=1.0, seed=0)
 NON_SEQUENCE_INPUTS = {
     "counterexample-family-list": lambda: matchq.counterexample(["x"], 0.1),
@@ -784,6 +785,8 @@ NON_SEQUENCE_INPUTS = {
         pendant_priority_policy(), PENDANT, 5, 1),
     "simulate-policy-str": lambda: simulate(PENDANT, LAM, "ml", _CONFIG),
     "nonchaotic-policy-str": lambda: coupled_nonchaotic(PENDANT, [1, 2, 3], LAM, "ml", _CONFIG),
+    "rates-set": lambda: check_rates(PENDANT, {0.35, 0.1, 0.45, 0.2}),
+    "budget-scales-dict": lambda: ClassifyBudget(scales={10: "a", 20: "b"}),
 }
 
 
