@@ -215,19 +215,25 @@ def _assert_matching_json_is_dump_json(result, tmp_path):
         json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _growth_with_pairs(pairs, n, checkpoints=()):
+    """A growth result on n nodes matched by the given (u, v) pairs."""
+    partner = np.full(n, -1, dtype=np.int64)
+    for u, v in pairs:
+        partner[u], partner[v] = v, u
+    return GrowthResult(
+        template=complete_graph(3), mu=(1 / 3,) * 3, seed=0,
+        node_types=np.ones(n, dtype=np.int16), partner=partner,
+        matched_count=2 * len(pairs), queue=(n - 2 * len(pairs), 0, 0),
+        checkpoints=list(checkpoints),
+    )
+
+
 def _paired_growth(pairs, seed):
     """A growth result on 2 * pairs + 3 nodes whose partner array pairs
     random ids, leaving three unmatched."""
     n = 2 * pairs + 3
-    ids = np.random.default_rng(seed).permutation(n)
-    partner = np.full(n, -1, dtype=np.int64)
-    partner[ids[0:2 * pairs:2]] = ids[1:2 * pairs:2]
-    partner[ids[1:2 * pairs:2]] = ids[0:2 * pairs:2]
-    return GrowthResult(
-        template=complete_graph(3), mu=(1 / 3,) * 3, seed=seed,
-        node_types=np.ones(n, dtype=np.int16), partner=partner,
-        matched_count=2 * pairs, queue=(3, 0, 0), checkpoints=[],
-    )
+    ids = np.random.default_rng(seed).permutation(n).tolist()
+    return _growth_with_pairs(list(zip(ids[0:2 * pairs:2], ids[1:2 * pairs:2])), n)
 
 
 @pytest.mark.parametrize(
@@ -242,19 +248,6 @@ def test_matching_json_of_the_ac10_triangle(tmp_path):
     result = grow_and_match(complete_graph(3), type_distribution((1, 1, 1)),
                             uniform_policy(), 100_000, seed=1010)
     _assert_matching_json_is_dump_json(result, tmp_path)
-
-
-def _growth_with_pairs(pairs, n, checkpoints=()):
-    """A growth result on n nodes matched by the given (u, v) pairs."""
-    partner = np.full(n, -1, dtype=np.int64)
-    for u, v in pairs:
-        partner[u], partner[v] = v, u
-    return GrowthResult(
-        template=complete_graph(3), mu=(1 / 3,) * 3, seed=0,
-        node_types=np.ones(n, dtype=np.int16), partner=partner,
-        matched_count=2 * len(pairs), queue=(n - 2 * len(pairs), 0, 0),
-        checkpoints=list(checkpoints),
-    )
 
 
 def test_matching_json_ids_across_the_group_boundaries(tmp_path):
