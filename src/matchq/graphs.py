@@ -69,11 +69,14 @@ def check_real(value, name: str, finite: bool = True) -> float:
     return value
 
 
-def check_sequence(values, name: str, of: str):
-    """values, unless it is a string, a mapping, a set or not iterable: then
-    ValidationError, which says that name must be a sequence of `of`. A
-    mapping would be read as its keys and a set in its hash order."""
-    if isinstance(values, (str, bytes, Mapping, Set)) or not isinstance(values, Iterable):
+def check_sequence(values, name: str, of: str, ordered: bool = True):
+    """values, unless it is a string, a mapping, a set where `ordered` or not
+    iterable: then ValidationError, which says that name must be a sequence
+    of `of`. A mapping would be read as its keys and a set in its hash order;
+    callers that sort or de-duplicate what they read pass ordered=False and
+    take a set."""
+    if (isinstance(values, (str, bytes, Mapping)) or (ordered and isinstance(values, Set))
+            or not isinstance(values, Iterable)):
         raise ValidationError(f"{name} must be a sequence of {of}, got {values!r}")
     return values
 
@@ -86,12 +89,12 @@ def check_reals(values, name: str) -> tuple[float, ...]:
                  for v in check_sequence(values, name, "real numbers"))
 
 
-def check_ints(values, name: str) -> tuple[int, ...]:
+def check_ints(values, name: str, ordered: bool = True) -> tuple[int, ...]:
     """values as a tuple of ints read by check_int; a string or a
-    non-iterable raises ValidationError. A plain int, the common case,
-    skips check_int."""
+    non-iterable raises ValidationError, and so does a set where `ordered`
+    (check_sequence). A plain int, the common case, skips check_int."""
     return tuple(v if type(v) is int else check_int(v, name)
-                 for v in check_sequence(values, name, "integers"))
+                 for v in check_sequence(values, name, "integers", ordered))
 
 
 def check_node(v, node_count: int, name: str = "node") -> int:
@@ -117,7 +120,7 @@ class Graph:
         if p < 1:
             raise ValidationError(f"node_count must be positive, got {p}")
         seen = set()
-        for e in check_sequence(self.edges, "edges", "node pairs"):
+        for e in check_sequence(self.edges, "edges", "node pairs", ordered=False):
             try:
                 i, j = e
             except (TypeError, ValueError):

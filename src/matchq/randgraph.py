@@ -112,7 +112,7 @@ def grow_and_match(
         if n_nodes and (not checkpoints or checkpoints[-1] != n_nodes):
             checkpoints.append(n_nodes)
     cps = [check_int(c, "checkpoint")
-           for c in check_sequence(checkpoints, "checkpoints", "integers")]
+           for c in check_sequence(checkpoints, "checkpoints", "integers", ordered=False)]
     cps = np.array(sorted(set(c for c in cps if 0 < c <= n_nodes)), dtype=np.int64)
 
     decide, _ = _decision_step(policy, template)

@@ -451,7 +451,7 @@ def coupled_nonchaotic(
     coupling recipe for match-the-longest here.
     """
     kept = frozenset(check_node(v, graph.node_count, "kept node")
-                     for v in check_ints(kept_nodes, "kept nodes"))
+                     for v in check_ints(kept_nodes, "kept nodes", ordered=False))
     if not kept:
         raise ValidationError("kept node set must be nonempty")
     rates, state, _ = _prepare(graph, rates, policy, config)

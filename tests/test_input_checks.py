@@ -787,6 +787,11 @@ NON_SEQUENCE_INPUTS = {
     "nonchaotic-policy-str": lambda: coupled_nonchaotic(PENDANT, [1, 2, 3], LAM, "ml", _CONFIG),
     "rates-set": lambda: check_rates(PENDANT, {0.35, 0.1, 0.45, 0.2}),
     "budget-scales-dict": lambda: ClassifyBudget(scales={10: "a", 20: "b"}),
+    "graph-edges-dict": lambda: Graph(3, {(1, 2): 0, (2, 3): 1}),
+    "growth-checkpoints-dict": lambda: grow_and_match(
+        PENDANT, type_distribution(LAM), uniform_policy(), 10, 0, checkpoints={5: 0}),
+    "nonchaotic-kept-dict": lambda: coupled_nonchaotic(
+        PENDANT, {1: 0, 2: 0}, LAM, uniform_policy(), _CONFIG),
 }
 
 
@@ -794,6 +799,21 @@ NON_SEQUENCE_INPUTS = {
 def test_non_sequence_input_rejected(case):
     with pytest.raises(ValidationError):
         NON_SEQUENCE_INPUTS[case]()
+
+
+def test_set_accepted_where_order_cannot_matter():
+    # edges are sorted, checkpoints sorted and de-duplicated and kept nodes
+    # read into a frozenset, so a set gives what the sorted list gives
+    assert Graph(3, {(2, 3), (1, 2)}) == Graph(3, [(1, 2), (2, 3)])
+    assert Graph(3, frozenset({(1, 2)})) == Graph(3, [(1, 2)])
+    grow = [grow_and_match(PENDANT, type_distribution(LAM), uniform_policy(), 30, 4,
+                           checkpoints=cps)
+            for cps in ({20, 10}, frozenset({10, 20}), [10, 20])]
+    assert grow[0].checkpoints == grow[1].checkpoints == grow[2].checkpoints
+    assert [c[0] for c in grow[0].checkpoints] == [10, 20]
+    kept = [coupled_nonchaotic(PENDANT, nodes, LAM, uniform_policy(), _CONFIG)
+            for nodes in ({2, 1}, [1, 2])]
+    assert kept[0] == kept[1]
 
 
 def test_check_ints():

@@ -203,16 +203,15 @@ def test_dump_json_writes_the_json_dumps_text(tmp_path, pairs):
     # each pair is several tokens, so the largest object spans several blocks
     obj = {"pairs": [[k, 2 * k] for k in range(pairs)], "n": pairs, "z": None}
     ser.dump_json(obj, tmp_path / "out.json")
-    assert (tmp_path / "out.json").read_text() == (
-        json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    )
+    assert (tmp_path / "out.json").read_bytes() == (
+        json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _assert_matching_json_is_dump_json(result, tmp_path):
     ser.write_matching_json(result, tmp_path / "matching.json")
     obj = {"pairs": [list(e) for e in matching_edges(result)]}
-    assert (tmp_path / "matching.json").read_text() == (
-        json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    assert (tmp_path / "matching.json").read_bytes() == (
+        json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _growth_with_pairs(pairs, n, checkpoints=()):
