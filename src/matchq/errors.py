@@ -75,7 +75,7 @@ class NoWitnessFoundError(MatchQError):
 
 
 class TooLargeError(MatchQError):
-    """Exhaustive enumeration refused beyond the configured cap."""
+    """Exhaustive enumeration, or a growth template, refused beyond its cap."""
 
 
 class InsufficientSamplesError(MatchQError):

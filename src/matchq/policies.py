@@ -14,7 +14,10 @@ is positive, and decisions depend only on the current queue vector.
 
 The rule is written once, in _decision_step, and every driver (simulate,
 the coupled runs, the online growth) and match_decision call it; the
-drivers read their events from the one chunked stream in _arrivals.
+drivers read their events from the one chunked stream in _arrivals. One
+replica's queue runs through that stream in one loop, _queue_run, which
+simulate and grow_and_match both read; the coupled runs keep their own
+two-replica loop.
 """
 
 from __future__ import annotations
@@ -164,8 +167,9 @@ def _decision_step(policy: Policy, graph: Graph):
     priority picks.
 
     Adjacent queues are never both positive, so when q[c] is positive
-    every neighbour of c is empty and each kind queues the arrival: a
-    driver writes `0 if q[c] else decide(q, c, u)` and skips the call.
+    every neighbour of c is empty and each kind queues the arrival: the
+    event loops (_queue_run and simulate._coupled_pair) write
+    `0 if q[c] else decide(q, c, u)` and skip the call.
     """
     nbrs = [()] + [graph.neighbors(i) for i in graph.nodes]
     if policy.kind == PRIORITY:
@@ -275,3 +279,42 @@ def _arrivals(rates, seed, replicas, randomized, t_end=math.inf, max_events=None
         left -= n
         t = float(times[-1])
 
+
+def _queue_run(policy, graph, rates, seed, q, t_end=math.inf, max_events=None,
+               stop_node=None, stop_empty=False):
+    """The one single-replica event loop, yielded a chunk at a time.
+
+    Drives the queue list q (index 0 unused) through the stream of
+    _arrivals: per event it decides, updates q in place and keeps the
+    matched class (0 when the arrival queues). It stops after the event
+    that empties stop_node, or the whole vector when stop_empty is set.
+    Each chunk is (times, classes, took, q0, stopped): the chunk's times
+    and classes cut to the events run, the kept decisions as an array
+    (uint8 when there are fewer than 256 classes, else int64), the queue
+    vector at the chunk's start (int64, index 0 unused) and whether the
+    run stopped in this chunk.
+    """
+    decide, _ = _decision_step(policy, graph)
+    for times, cls, us in _arrivals(rates, seed, 1, policy.kind != PRIORITY, t_end, max_events):
+        q0 = np.array(q, dtype=np.int64)
+        kept = []
+        stopped = False
+        for c, u in zip(cls.tolist(), us):
+            j = 0 if q[c] else decide(q, c, u)
+            if j:
+                v = q[j] - 1
+                q[j] = v
+                if not v and (j == stop_node or stop_empty and not any(q)):
+                    kept.append(j)
+                    stopped = True
+                    break
+            else:
+                q[c] += 1
+            kept.append(j)
+        del us
+        n = len(kept)
+        # bytes() reads a list of small ints at C speed
+        took = np.frombuffer(bytes(kept), np.uint8) if len(q) <= 256 else np.array(kept, np.int64)
+        yield times[:n], cls[:n], took, q0, stopped
+        if stopped:
+            return

@@ -6,10 +6,11 @@ earlier node whose type is a template neighbor of its own. On arrival the
 matching policy picks at most one unmatched neighbor to pair with, chosen
 exactly as the matching queue picks a class: the per-type counts of
 unmatched nodes ARE the queue vector of the corresponding matching queue
-driven by the same randomness, which this module exploits by reading
-the simulator's event stream, clock included. Within the chosen type the
-oldest unmatched node is paired (first in, first out), so the run keeps
-only each node's decision and reads the pairs off them at the end.
+driven by the same randomness, which this module exploits by running
+the simulator's own event loop, policies._queue_run, clock included.
+Within the chosen type the oldest unmatched node is paired (first in,
+first out), so the run keeps only each node's decision and reads the
+pairs and the checkpoints off them at the end.
 
 Edges of the growing graph are implicit (full type adjacency); only the
 matching itself is materialized.
@@ -23,17 +24,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotConnectedError, ValidationError
+from .errors import NotConnectedError, TooLargeError, ValidationError
 from .graphs import (Graph, check_int, check_rates, check_reals, check_sequence,
                      independent_set_rates, is_connected)
-from .policies import (
-    PRIORITY,
-    Policy,
-    _arrivals,
-    _decision_step,
-    check_seed,
-    validate_policy,
-)
+from .policies import Policy, _queue_run, check_seed, validate_policy
+
+# node types and kept decisions are stored as int16
+_MAX_TYPES = np.iinfo(np.int16).max
 
 
 def type_distribution(rates: Sequence[float]) -> tuple[float, ...]:
@@ -102,6 +99,9 @@ def grow_and_match(
     validate_policy(policy, template)
     if template.node_count < 2 or not is_connected(template):
         raise NotConnectedError("template must be connected with >= 2 nodes")
+    if template.node_count > _MAX_TYPES:
+        raise TooLargeError(f"template has {template.node_count} nodes; growth stores "
+                            f"types as int16 and takes at most {_MAX_TYPES}")
     if check_int(n_nodes, "n_nodes") < 0:
         raise ValidationError("n_nodes must be nonnegative")
     check_seed(seed)
@@ -115,21 +115,11 @@ def grow_and_match(
            for c in check_sequence(checkpoints, "checkpoints", "integers", ordered=False)]
     cps = np.array(sorted(set(c for c in cps if 0 < c <= n_nodes)), dtype=np.int64)
 
-    decide, _ = _decision_step(policy, template)
     types = np.zeros(n_nodes, dtype=np.int16)
     took = np.zeros(n_nodes, dtype=np.int16)   # class each node matched, 0 = queued
     q = [0] * (template.node_count + 1)
     n = 0
-    for _, cls, us in _arrivals(mu, seed, 1, policy.kind != PRIORITY, max_events=n_nodes):
-        kept = []
-        for c, u in zip(cls.tolist(), us):
-            j = 0 if q[c] else decide(q, c, u)
-            if j:
-                q[j] -= 1
-            else:
-                q[c] += 1
-            kept.append(j)
-        del us
+    for _, cls, kept, _, _ in _queue_run(policy, template, mu, seed, q, max_events=n_nodes):
         types[n : n + len(cls)] = cls
         took[n : n + len(cls)] = kept
         n += len(cls)

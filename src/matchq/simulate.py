@@ -6,12 +6,13 @@ arriving class categorically; this is exact in law and keeps one arrival
 stream that coupled replicas can share. Queues change only at arrival
 epochs, so hitting times are detected exactly at event granularity.
 
-The loop of simulate only decides: per event it updates the queue list and
-keeps the matched class, and it stops at the event that empties the stop
-node or the whole vector. After each chunk of the stream, numpy reads the
-trace off the kept decisions, the chunk's classes and the queue vector at
-the chunk's start: the recorded rows and their states, the first time each
-queue and the whole vector are zero, the end time and the arrival counts.
+simulate runs the one single-replica loop, policies._queue_run, which per
+event only decides, updates the queue list and keeps the matched class,
+and stops at the event that empties the stop node or the whole vector.
+After each chunk of the stream, numpy reads the trace off the kept
+decisions, the chunk's classes and the queue vector at the chunk's start:
+the recorded rows and their states, the first time each queue and the
+whole vector are zero, the end time and the arrival counts.
 
 Randomness is split into an arrival stream and a decision stream derived
 from one seed, so priority runs and randomized-policy runs with the same
@@ -42,18 +43,25 @@ from .policies import (
     _CHUNK,
     _arrivals,
     _decision_step,
+    _queue_run,
     check_seed,
     check_state,
     validate_policy,
 )
+
+
+def _spawn_seeds(entropy, count: int) -> list[int]:
+    """count independent 64-bit seeds spawned from one SeedSequence entropy."""
+    return [int(c.generate_state(1, np.uint64)[0])
+            for c in np.random.SeedSequence(entropy).spawn(count)]
+
 
 def replication_seeds(master_seed: int, count: int) -> list[int]:
     """Independent per-replication seeds derived from one master seed."""
     check_seed(master_seed)
     if check_int(count, "count") < 1:
         raise ValidationError(f"need at least 1 replication, got {count}")
-    children = np.random.SeedSequence(int(master_seed)).spawn(count)
-    return [int(c.generate_state(1, np.uint64)[0]) for c in children]
+    return _spawn_seeds(int(master_seed), count)
 
 
 @dataclass(frozen=True)
@@ -162,8 +170,6 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
     rates, state, horizon = _prepare(graph, rates, policy, config)
     p = graph.node_count
     t_end = horizon * config.scale
-    decide, _ = _decision_step(policy, graph)
-
     q = [0] + list(state)
     first_zero: list = [0.0 if v == 0 else None for v in q]
     empty_time = None if any(state) else 0.0
@@ -171,7 +177,6 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
 
     stride = config.trace_stride
     stop_node = config.stop_node
-    stop_empty = config.stop_when_empty
     max_events = config.max_events
 
     # recorded rows per chunk, each list seeded with an empty block of its dtype
@@ -182,35 +187,18 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
 
     t = 0.0
     events = 0
-    stop = (stop_node is not None and q[stop_node] == 0) or (stop_empty and not any(state))
-    chunks = () if stop else _arrivals(
-        rates, config.seed, 1, policy.kind != PRIORITY, t_end, max_events
+    stop = (stop_node is not None and q[stop_node] == 0) or (
+        config.stop_when_empty and not any(state))
+    chunks = () if stop else _queue_run(
+        policy, graph, rates, config.seed, q, t_end, max_events, stop_node, config.stop_when_empty
     )
     buf = np.empty((_CHUNK, p + 1), dtype=np.int32)
-    for times, cls, us in chunks:
-        q0 = np.array(q, dtype=np.int64)
-        kept = []
-        for c, u in zip(cls.tolist(), us):
-            j = 0 if q[c] else decide(q, c, u)
-            if j:
-                v = q[j] - 1
-                q[j] = v
-                if not v and (j == stop_node or stop_empty and not any(q)):
-                    kept.append(j)
-                    stop = True
-                    break
-            else:
-                q[c] += 1
-            kept.append(j)
-        del us
-        n = len(kept)
+    for times, cls, took, q0, stop in chunks:
+        n = len(took)
         if n:
-            # bytes() reads a list of small ints at C speed
-            took = np.frombuffer(bytes(kept), np.uint8) if p < 256 else np.array(kept)
-            cls = cls[:n]
             matched = took > 0
             arrivals += np.bincount(cls, minlength=p + 1)
-            t = float(times[n - 1])
+            t = float(times[-1])
             # Each event moves one queue by one: the matched class down, or
             # the arriving class up when it queues. After chunk event k the
             # total is q0.sum() + k + 1 less twice the matches so far.
@@ -237,8 +225,6 @@ def simulate(graph: Graph, rates, policy: Policy, config: SimConfig) -> SimTrace
                     rec_c.append(cls[rows].copy())
                     rec_m.append(took[rows].copy())
         events += n
-        if stop:
-            break
     if not stop and (max_events is None or events < max_events):
         t = float(t_end)  # the stream ended at the horizon, not at the event cap
 

@@ -52,7 +52,7 @@ from .policies import (
     priority_policy,
     uniform_policy,
 )
-from .simulate import SimConfig, drift_estimate, hitting_time, simulate
+from .simulate import SimConfig, _spawn_seeds, drift_estimate, hitting_time, simulate
 
 STABLE_EXACT = "stable-exact"
 UNSTABLE_EXACT = "unstable-exact"
@@ -397,11 +397,6 @@ class ClassifyBudget:
         check_seed(self.master_seed)
 
 
-def _node_seeds(budget: ClassifyBudget, node: int, scale: int, count: int) -> list[int]:
-    ss = np.random.SeedSequence([budget.master_seed, node, scale])
-    return [int(c.generate_state(1, np.uint64)[0]) for c in ss.spawn(count)]
-
-
 def empirical_classify(
     graph: Graph,
     rates,
@@ -440,7 +435,7 @@ def empirical_classify(
                     f"classifier would exceed {budget.max_events} events"
                 )
             slopes, hits, empties = [], [], []
-            for seed in _node_seeds(budget, i0, scale, budget.seeds):
+            for seed in _spawn_seeds([budget.master_seed, i0, scale], budget.seeds):
                 initial = tuple(scale if v == i0 else 0 for v in graph.nodes)
                 expected_events = budget.horizon * scale * lambar
                 stride = max(1, int(expected_events // 4000))

@@ -168,8 +168,8 @@ def test_infinite_rate_rejected_before_the_event_loop(monkeypatch):
     def no_events(*args, **kwargs):
         raise AssertionError("the event stream was opened")
 
-    # the package exports the function simulate under the module's name
-    monkeypatch.setattr(sys.modules["matchq.simulate"], "_arrivals", no_events)
+    # simulate's events come from policies._queue_run, which reads _arrivals
+    monkeypatch.setattr(sys.modules["matchq.policies"], "_arrivals", no_events)
     with pytest.raises(ValidationError):
         simulate(PENDANT, (0.1, math.inf, 0.45, 0.35), ml_policy(),
                  SimConfig(horizon=1.0, seed=0))

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from matchq import serialize as ser
+from matchq.cli import main
 from matchq.errors import TooLargeError, ValidationError
-from matchq.graphs import Graph, complete_graph, five_cycle_graph, pendant_graph
+from matchq.graphs import Graph, complete_graph, cycle_graph, five_cycle_graph, pendant_graph
 from matchq.policies import (
     five_cycle_priority_policy,
     ml_policy,
@@ -89,6 +91,43 @@ def test_growth_equals_the_node_by_node_pairing(case):
         else:
             # repr tells a numpy scalar from the oracle's Python int
             assert a == b and repr(a) == repr(b), f.name
+
+
+def _path(nodes):
+    return Graph(nodes, [(i, i + 1) for i in range(1, nodes)])
+
+
+@pytest.mark.parametrize("template, n", [(cycle_graph(300), 20_000), (_path(32_767), 9000)])
+def test_growth_past_255_types_equals_the_node_by_node_pairing(template, n):
+    # past 255 types the kept decisions are not read through bytes(), and
+    # 32,767 is the largest type the int16 stores hold
+    mu = type_distribution([1] * template.node_count)
+    got = grow_and_match(template, mu, uniform_policy(), n, 5)
+    want = grow_with_deques(template, mu, uniform_policy(), n, 5)
+    assert (got.partner[got.node_types > 256] >= 0).any()
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b and repr(a) == repr(b), f.name
+
+
+def test_template_past_int16_types_is_refused(tmp_path, capsys):
+    # a type of 32,768 or more does not fit the int16 type store; refused
+    # before any event is drawn, through the API and the CLI (exit 2)
+    path = _path(32_768)
+    with pytest.raises(TooLargeError, match="32767"):
+        grow_and_match(path, type_distribution([1] * 32_768), uniform_policy(), 10, 0)
+    ser.dump_json(ser.graph_to_obj(path), tmp_path / "path.json")
+    ser.dump_json({"rates": [1] * 32_768}, tmp_path / "rates.json")
+    ser.dump_json({"kind": "uniform"}, tmp_path / "uniform.json")
+    argv = ["randgraph", "--graph", str(tmp_path / "path.json"), "--rates",
+            str(tmp_path / "rates.json"), "--policy", str(tmp_path / "uniform.json"),
+            "--seed", "1", "--n", "200000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "32767" in captured.err
 
 
 def test_type_distribution():
