@@ -78,12 +78,7 @@ def test_sweep_has_89_cases():
     assert len(SWEEP_CASES) == 89
 
 
-@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_growth_equals_the_node_by_node_pairing(case):
-    graph, lam, pol, n, seed, cps = SWEEP_CASES[case]
-    mu = type_distribution(lam)
-    got = grow_and_match(graph, mu, pol, n, seed, checkpoints=cps)
-    want = grow_with_deques(graph, mu, pol, n, seed, checkpoints=cps)
+def _assert_same_growth(got, want):
     for f in dataclasses.fields(got):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
@@ -91,6 +86,15 @@ def test_growth_equals_the_node_by_node_pairing(case):
         else:
             # repr tells a numpy scalar from the oracle's Python int
             assert a == b and repr(a) == repr(b), f.name
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_growth_equals_the_node_by_node_pairing(case):
+    graph, lam, pol, n, seed, cps = SWEEP_CASES[case]
+    mu = type_distribution(lam)
+    got = grow_and_match(graph, mu, pol, n, seed, checkpoints=cps)
+    want = grow_with_deques(graph, mu, pol, n, seed, checkpoints=cps)
+    _assert_same_growth(got, want)
 
 
 def _path(nodes):
@@ -105,12 +109,7 @@ def test_growth_past_255_types_equals_the_node_by_node_pairing(template, n):
     got = grow_and_match(template, mu, uniform_policy(), n, 5)
     want = grow_with_deques(template, mu, uniform_policy(), n, 5)
     assert (got.partner[got.node_types > 256] >= 0).any()
-    for f in dataclasses.fields(got):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-        else:
-            assert a == b and repr(a) == repr(b), f.name
+    _assert_same_growth(got, want)
 
 
 def test_template_past_int16_types_is_refused(tmp_path, capsys):
