@@ -164,7 +164,10 @@ def _decision_step(policy: Policy, graph: Graph):
     queues; on ties it returns choices(q, c)[int(u * n)] for a uniform u in
     [0, 1), and priority ignores u. choices(q, c) lists the candidates:
     the available neighbours (uniform), the longest ones (ml) or the one
-    priority picks.
+    priority picks. decide counts the n candidates in one pass over the
+    neighbours and, on a tie, walks a second pass to the int(u * n)-th of
+    them, so it builds no list; choices is for the coupled runs' glue and
+    match_decision.
 
     Adjacent queues are never both positive, so when q[c] is positive
     every neighbour of c is empty and each kind queues the arrival: the
@@ -196,7 +199,14 @@ def _decision_step(policy: Policy, graph: Graph):
                 if q[w]:
                     j = w
                     n += 1
-            return j if n < 2 else choices(q, c)[int(u * n)]
+            if n < 2:
+                return j
+            k = int(u * n)
+            for w in nbrs[c]:
+                if q[w]:
+                    if not k:
+                        return w
+                    k -= 1
 
     else:
 
@@ -222,7 +232,14 @@ def _decision_step(policy: Policy, graph: Graph):
                     n = 1
                 elif v == best and v:
                     n += 1
-            return j if n < 2 else choices(q, c)[int(u * n)]
+            if n < 2:
+                return j
+            k = int(u * n)
+            for w in nbrs[c]:
+                if q[w] == best:
+                    if not k:
+                        return w
+                    k -= 1
 
     return decide, choices
 

@@ -326,17 +326,36 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
     gap less the arrivals at nodes outside them. Returns (events, removed
     arrivals, the initial gap, largest excess or -inf without events,
     events whose excess is above the initial gap).
+
+    Each replica moves one queue by one per event, so the gap moves by
+    exactly one on a kept coordinate: a step away from the other replica's
+    queue adds one and a step towards it takes one off. Replica a moves
+    first and replica b is compared with a's updated queue.
+
+    When both replicas run the one rule (steps[0] is steps[1]) on every
+    node, a zero gap means equal queue vectors, and equal vectors stay
+    equal: priority is deterministic, and for ml and uniform each
+    replica's pick is among the other's equal choices, so the glue copies
+    a's pick. From then on the excess stays 0 and no arrival is removed,
+    so the loop stops stepping and only counts the rest of the stream's
+    events, which keeps a horizon cut exact. Each event moves each
+    replica's item total by one, so the difference of the totals keeps
+    its parity, and replicas whose totals differ by an odd number never
+    meet.
     """
     (decide_a, choices_a), (decide_b, choices_b) = steps
     in_kept = [False] + [i in kept for i in range(1, len(qa))]
     bound = gap = sum(abs(qa[i] - qb[i]) for i in kept)
+    coalesce = steps[0] is steps[1] and all(in_kept[1:])
     removed = 0
     worst = -math.inf
     violations = 0
     events = 0
-    for _, cls, uas, ubs in _arrivals(
+    chunks = _arrivals(
         rates, config.seed, 2, randomized, config.horizon * config.scale, config.max_events
-    ):
+    )
+    for _, cls, uas, ubs in chunks:
+        events += len(cls)
         for c, ua, ub in zip(cls.tolist(), uas, ubs):
             ja = 0 if qa[c] else decide_a(qa, c, ua)
             jb = 0 if qb[c] else decide_b(qb, c, ub)
@@ -345,18 +364,26 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
                 and ja in choices_b(qb, c) and jb in choices_a(qa, c)
             ):
                 jb = ja
-            j = ja or c
-            old = qa[j]
-            new = old - 1 if ja else old + 1
-            qa[j] = new
-            if in_kept[j]:
-                gap += abs(new - qb[j]) - abs(old - qb[j])
-            j = jb or c
-            old = qb[j]
-            new = old - 1 if jb else old + 1
-            qb[j] = new
-            if in_kept[j]:
-                gap += abs(new - qa[j]) - abs(old - qa[j])
+            if ja:
+                old = qa[ja]
+                qa[ja] = old - 1
+                if in_kept[ja]:
+                    gap += 1 if old <= qb[ja] else -1
+            else:
+                old = qa[c]
+                qa[c] = old + 1
+                if in_kept[c]:
+                    gap += 1 if old >= qb[c] else -1
+            if jb:
+                old = qb[jb]
+                qb[jb] = old - 1
+                if in_kept[jb]:
+                    gap += 1 if old <= qa[jb] else -1
+            else:
+                old = qb[c]
+                qb[c] = old + 1
+                if in_kept[c]:
+                    gap += 1 if old >= qa[c] else -1
             if not in_kept[c]:
                 removed += 1
             excess = gap - removed
@@ -364,8 +391,12 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
                 worst = excess
             if excess > bound:
                 violations += 1
+            if not gap and coalesce:
+                break
         del uas, ubs
-        events += len(cls)
+        if not gap and coalesce:
+            events += sum(len(chunk[1]) for chunk in chunks)
+            break
     return events, removed, bound, worst, violations
 
 

@@ -3,9 +3,9 @@
 pendant_alpha_quotient, apply_transition, dense_row_stationary,
 triplet_generator, rates_at, split, sliced_pinned_system, independent_sets,
 ncond_check, find_induced_pendant, find_induced_odd_cycle, grow_with_deques,
-simulate_per_event, matching_edges and matching_is_valid restate what the
-package computes another way, so a test that agrees with them checks the
-package by a second route. HandGluedRays and the hand tables
+simulate_per_event, coupled_per_event, matching_edges and matching_is_valid
+restate what the package computes another way, so a test that agrees with
+them checks the package by a second route. HandGluedRays and the hand tables
 PENDANT_TABLE, FIVE_CYCLE_TABLE and FIVE_CYCLE_NODE3_TABLE write out the
 glued-rays laws of the canonical marginal chains from the graph alone, with
 no MarginalChain; stationary_closed_pendant, stationary_closed_5cycle and
@@ -714,3 +714,60 @@ def simulate_per_event(graph, rates, policy, config) -> SimTrace:
         first_zero=fz,
         empty_time=math.nan if empty_time is None else empty_time,
     )
+
+
+# -- the coupled replicas, stepped one event at a time to the end ------------------
+
+
+def coupled_per_event(rates, config, randomized, steps, qa, qb, kept):
+    """Drive two replicas qa and qb (lists, index 0 unused) on one stream.
+
+    steps holds each replica's (decide, choices). For randomized kinds the
+    replicas' uniforms come from independent streams and are then glued:
+    when each one's pick is among the other's choices, replica b copies
+    replica a's pick, which keeps each replica's own decision law. The gap
+    is the 1-norm distance over the kept coordinates, and the excess is the
+    gap less the arrivals at nodes outside them. Returns (events, removed
+    arrivals, the initial gap, largest excess or -inf without events,
+    events whose excess is above the initial gap).
+    """
+    (decide_a, choices_a), (decide_b, choices_b) = steps
+    in_kept = [False] + [i in kept for i in range(1, len(qa))]
+    bound = gap = sum(abs(qa[i] - qb[i]) for i in kept)
+    removed = 0
+    worst = -math.inf
+    violations = 0
+    events = 0
+    for _, cls, uas, ubs in _arrivals(
+        rates, config.seed, 2, randomized, config.horizon * config.scale, config.max_events
+    ):
+        for c, ua, ub in zip(cls.tolist(), uas, ubs):
+            ja = 0 if qa[c] else decide_a(qa, c, ua)
+            jb = 0 if qb[c] else decide_b(qb, c, ub)
+            if (
+                randomized and ja and jb and ja != jb
+                and ja in choices_b(qb, c) and jb in choices_a(qa, c)
+            ):
+                jb = ja
+            j = ja or c
+            old = qa[j]
+            new = old - 1 if ja else old + 1
+            qa[j] = new
+            if in_kept[j]:
+                gap += abs(new - qb[j]) - abs(old - qb[j])
+            j = jb or c
+            old = qb[j]
+            new = old - 1 if jb else old + 1
+            qb[j] = new
+            if in_kept[j]:
+                gap += abs(new - qa[j]) - abs(old - qa[j])
+            if not in_kept[c]:
+                removed += 1
+            excess = gap - removed
+            if excess > worst:
+                worst = excess
+            if excess > bound:
+                violations += 1
+        del uas, ubs
+        events += len(cls)
+    return events, removed, bound, worst, violations

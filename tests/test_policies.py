@@ -1,5 +1,7 @@
 """Decision logic: priority, match-the-longest, uniform."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,10 @@ from matchq.errors import (
     PolicyGraphMismatchError,
     ValidationError,
 )
-from matchq.graphs import complete_graph, pendant_graph
+from matchq.graphs import Graph, complete_graph, five_cycle_graph, pendant_graph
 from matchq.policies import (
     Policy,
+    _decision_step,
     in_state_space,
     match_decision,
     ml_policy,
@@ -165,3 +168,29 @@ def test_triangle_any_policy_single_choice():
     pol = priority_policy({1: (2, 3), 2: (1, 3), 3: (1, 2)})
     assert match_decision(pol, tri, (0, 4, 0), 1) == 2
     assert match_decision(ml_policy(), tri, (0, 4, 0), 1, np.random.default_rng(0)) == 2
+
+
+@pytest.mark.parametrize("policy", [ml_policy(), uniform_policy()], ids=lambda p: p.kind)
+@pytest.mark.parametrize("graph", [PENDANT, five_cycle_graph(), complete_graph(4),
+                                   Graph(4, [(1, 2), (1, 3), (1, 4)])],
+                         ids=["pendant", "c5", "k4", "claw"])
+def test_one_pass_tie_pick_is_the_listed_pick(graph, policy):
+    # decide walks the neighbours a second time to the int(u * n)-th
+    # candidate, which must be the candidate choices lists at that index;
+    # the claw's centre sees a tie for the longest beside a shorter queue
+    decide, choices = _decision_step(policy, graph)
+    us = [k / 64 for k in range(64)] + [1 / 3, 2 / 3, np.nextafter(1.0, 0.0)]
+    ties = 0
+    for state in product(range(4), repeat=graph.node_count):
+        if not in_state_space(graph, state):
+            continue
+        q = [0, *state]
+        for c in graph.nodes:
+            options = choices(q, c)
+            ties += len(options) > 1
+            for u in us:
+                want = options[int(u * len(options))] if options else 0
+                assert decide(q, c, u) == want, (state, c, u)
+    # on K4 at most one queue is positive, so only the pendant and C5 tie
+    assert (ties > 0) == (graph != complete_graph(4))
+

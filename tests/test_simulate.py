@@ -1,11 +1,12 @@
 """Event engine: reproducibility, law checks, hitting times, couplings."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
-from oracles import simulate_per_event
+from oracles import coupled_per_event, simulate_per_event
 
 from matchq.errors import (
     InsufficientSamplesError,
@@ -474,3 +475,128 @@ def test_more_than_255_classes_match_per_event_loop(stride):
         horizon=math.inf, seed=15, initial_state=start, trace_stride=stride,
         max_events=_CHUNK + 500))
     assert trace.matched.max() > 255
+
+
+# -- the coupled loop against the per-event loop -------------------------------------
+
+SIM = importlib.import_module("matchq.simulate")
+K4_PRIORITY = priority_policy({v: tuple(sorted(K4.neighbors(v))) for v in K4.nodes})
+# (graph, rates, policy, x, y): replicas whose item totals differ by an even
+# number can meet, and by an odd number never can
+NONEXPANSIVE_CASES = {
+    "pendant-priority-odd": (PENDANT, LAM, FIG_POLICY, (0, 0, 0, 5), (0, 0, 0, 0)),
+    "k4-priority-even": (K4, (0.25,) * 4, K4_PRIORITY, (0, 0, 0, 4), (2, 0, 0, 0)),
+    "pendant-ml-even": (PENDANT, LAM, ml_policy(), (7, 0, 0, 3), (0, 4, 0, 0)),
+    "pendant-ml-odd": (PENDANT, LAM, ml_policy(), (7, 0, 0, 3), (0, 5, 0, 0)),
+    "c5-uniform-even": (C5, C5_RATES, uniform_policy(), (3, 0, 0, 0, 2), (0, 3, 0, 0, 0)),
+    "c5-uniform-odd": (C5, C5_RATES, uniform_policy(), (3, 0, 0, 0, 2), (0, 4, 0, 0, 0)),
+    "k4-uniform-even": (K4, (0.25,) * 4, uniform_policy(), (0, 0, 0, 4), (2, 0, 0, 0)),
+    "pendant-priority-equal": (PENDANT, LAM, FIG_POLICY, (0, 0, 0, 3), (0, 0, 0, 3)),
+    "pendant-ml-equal": (PENDANT, LAM, ml_policy(), (0, 0, 0, 3), (0, 0, 0, 3)),
+    "c5-uniform-equal": (C5, C5_RATES, uniform_policy(), (3, 0, 0, 0, 2), (3, 0, 0, 0, 2)),
+}
+# (kept nodes, rates, policy, common start) on the pendant plus an edge 4-5
+NONCHAOTIC_CASES = {
+    "priority": ((1, 2, 3, 4), (0.1, 0.1, 0.45, 0.35, 0.02), PENDANT_PLUS_POLICY, (0, 0, 0, 3, 0)),
+    "uniform": ((1, 2, 3, 4), (0.2, 0.2, 0.4, 0.35, 0.05), uniform_policy(), (2, 0, 0, 0, 0)),
+}
+COUPLED_CAPS = (0, 1, _CHUNK, _CHUNK + 1)
+
+
+def _coupled_configs(rates, seed):
+    """The event caps, then a horizon that ends mid-chunk after about
+    10 000 events."""
+    for cap in COUPLED_CAPS:
+        yield SimConfig(horizon=math.inf, seed=seed, max_events=cap)
+    yield SimConfig(horizon=10_000 / sum(rates), seed=seed)
+
+
+def _per_event(monkeypatch, run, *args):
+    """run's report with the coupled loop replaced by the per-event oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(SIM, "_coupled_pair", coupled_per_event)
+        return run(*args)
+
+
+def _assert_same_report(got, want):
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (type(a), repr(a)) == (type(b), repr(b)), f.name
+
+
+def _counting_decisions(monkeypatch):
+    """Count the rule's decide calls made by the coupled experiments."""
+    calls = [0]
+    real = SIM._decision_step
+
+    def step(policy, graph):
+        decide, choices = real(policy, graph)
+
+        def counted(q, c, u):
+            calls[0] += 1
+            return decide(q, c, u)
+
+        return counted, choices
+
+    monkeypatch.setattr(SIM, "_decision_step", step)
+    return calls
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("case", sorted(NONEXPANSIVE_CASES))
+def test_nonexpansive_matches_per_event_loop(case, seed, monkeypatch):
+    graph, rates, policy, x, y = NONEXPANSIVE_CASES[case]
+    for config in _coupled_configs(rates, seed):
+        rep = coupled_nonexpansive(graph, rates, policy, x, y, config)
+        _assert_same_report(rep, _per_event(
+            monkeypatch, coupled_nonexpansive, graph, rates, policy, x, y, config))
+        if config.max_events is not None:
+            assert rep.events == config.max_events
+    assert _CHUNK < rep.events < 2 * _CHUNK
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("case", sorted(NONCHAOTIC_CASES))
+def test_nonchaotic_matches_per_event_loop(case, seed, monkeypatch):
+    kept, rates, policy, start = NONCHAOTIC_CASES[case]
+    for config in _coupled_configs(rates, seed):
+        config = dataclasses.replace(config, initial_state=start)
+        rep = coupled_nonchaotic(PENDANT_PLUS, kept, rates, policy, config)
+        _assert_same_report(rep, _per_event(
+            monkeypatch, coupled_nonchaotic, PENDANT_PLUS, kept, rates, policy, config))
+    assert rep.removed_arrivals > 0
+
+
+@pytest.mark.parametrize("case", ("k4-priority-even", "pendant-ml-even", "c5-uniform-even",
+                                  "pendant-ml-equal"))
+def test_coupled_replicas_stop_stepping_once_they_meet(case, monkeypatch):
+    # replicas that meet within a few hundred events make few decisions in
+    # a run of 10 000 events; replicas that never meet decide on every event
+    # at which some replica has an arriving class with an empty queue
+    graph, rates, policy, x, y = NONEXPANSIVE_CASES[case]
+    calls = _counting_decisions(monkeypatch)
+    config = SimConfig(horizon=10_000 / sum(rates), seed=2)
+    rep = coupled_nonexpansive(graph, rates, policy, x, y, config)
+    assert (sum(x) - sum(y)) % 2 == 0
+    assert rep.events > _CHUNK and calls[0] < 1000
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_replicas_with_odd_total_difference_never_meet(seed, monkeypatch):
+    calls = _counting_decisions(monkeypatch)
+    graph, rates, policy, x, y = NONEXPANSIVE_CASES["c5-uniform-odd"]
+    rep = coupled_nonexpansive(graph, rates, policy, x, y,
+                               SimConfig(horizon=math.inf, seed=seed, max_events=5000))
+    assert (sum(x) - sum(y)) % 2 == 1
+    assert rep.events == 5000 and calls[0] > 5000
+
+
+def test_nonchaotic_never_stops_stepping(monkeypatch):
+    # the two systems run different rules, so a zero gap does not end the run
+    calls = _counting_decisions(monkeypatch)
+    kept, rates, policy, start = NONCHAOTIC_CASES["priority"]
+    rep = coupled_nonchaotic(PENDANT_PLUS, kept, rates, policy,
+                             SimConfig(horizon=math.inf, seed=4, initial_state=start,
+                                       max_events=5000))
+    assert rep.events == 5000 and calls[0] > 5000
+
