@@ -214,6 +214,17 @@ def rate_of_set(rates: Sequence[float], nodes: Iterable[int]) -> float:
     return sum(rates[i - 1] for i in nodes)
 
 
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum of a 1-d array.
+
+    np.sum adds pairwise, and `@` or np.dot hand the sum to BLAS, which
+    splits a long vector across its threads; either moves the last bits,
+    the second with the machine's thread count. Every float sum that
+    reaches a report goes through here.
+    """
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 # -- connectivity and coloring ----------------------------------------------
 
 

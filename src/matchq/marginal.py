@@ -66,6 +66,7 @@ from .graphs import (
     five_cycle_graph,
     is_connected,
     pendant_graph,
+    sequential_sum,
 )
 from .policies import (PRIORITY, UNIFORM, Policy, five_cycle_priority_policy,
                        pendant_priority_policy, validate_policy)
@@ -609,8 +610,7 @@ def stationary_numeric(
     residual = float(np.max(np.abs(np.bincount(cols, weights=data * pi[row], minlength=n))))
     if residual > max(DEFAULT_TOL, 1e3 * np.finfo(float).eps * scale):
         raise NotConvergedError(f"balance residual {residual:.3e} above {DEFAULT_TOL:.1e}")
-    boundary = (states >= truncation).any(axis=1).astype(float)
-    tail = float(pi @ boundary)
+    tail = sequential_sum(pi[(states >= truncation).any(axis=1)])
     return StationaryDist(
         state_array=states,
         probs=pi,
@@ -684,16 +684,11 @@ def fluid_report(
     dist = stationary_numeric(chain, truncation)
     space = chain._space(_check_truncation(truncation))
     guard = {
-        j: _sequential_sum(dist.probs / divisors[space.pattern])
+        j: sequential_sum(dist.probs / divisors[space.pattern])
         for j, divisors in chain.split(space.patterns, i0)
     }
     return _assemble(rates, i0, guard, q0, dist.method, dist.tail_mass, dist.solver,
                      dist.residual)
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum; np.sum adds pairwise, which moves the last bits."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def _assemble(rates, i0, guard, q0, method, tail_mass, solver, residual) -> FluidReport:

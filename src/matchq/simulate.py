@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import (Graph, check_int, check_ints, check_node, check_rates, check_real,
-                     is_connected)
+                     is_connected, sequential_sum)
 from .policies import (
     MATCH_LONGEST,
     PRIORITY,
@@ -262,13 +262,13 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     xm = x.mean()
     ym = y.mean()
     dx = x - xm
-    sxx = float(dx @ dx)
+    sxx = sequential_sum(dx * dx)
     if sxx == 0.0:
         raise InsufficientSamplesError("degenerate fit window")
-    slope = float(dx @ (y - ym)) / sxx
+    slope = sequential_sum(dx * (y - ym)) / sxx
     resid = y - ym - slope * dx
     dof = max(n - 2, 1)
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx)
+    stderr = math.sqrt(sequential_sum(resid * resid) / dof / sxx)
     return slope, stderr
 
 

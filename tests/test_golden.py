@@ -31,6 +31,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -781,6 +783,39 @@ def test_every_case_has_a_digest():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     assert CASES[name]() == _expected()[name]
+
+
+# The C7 tail mass sums 11,041 state probabilities and the fit 18,063 rows,
+# both long enough for BLAS to split a dot product across its threads.
+_THREAD_PROBE = """
+import math
+from matchq.graphs import cycle_graph, pendant_graph
+from matchq.marginal import build_marginal, stationary_numeric
+from matchq.policies import pendant_priority_policy, priority_policy
+from matchq.simulate import SimConfig, drift_estimate, simulate
+c7 = cycle_graph(7)
+order = priority_policy({v: tuple(sorted(c7.neighbors(v))) for v in c7.nodes})
+tail = stationary_numeric(build_marginal(c7, (1 / 7,) * 7, order, 1), 60).tail_mass
+trace = simulate(pendant_graph(), (0.1, 0.1, 0.45, 0.35), pendant_priority_policy(),
+                 SimConfig(horizon=math.inf, seed=1, initial_state=(0, 0, 0, 100),
+                           max_events=20000))
+fit = drift_estimate(trace, 4)
+print(tail.hex(), fit.slope.hex(), fit.stderr.hex(), fit.samples)
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # a dot product split across BLAS threads adds in another order, so
+    # every float sum that reaches a report must be order-fixed
+    src = str(Path(matchq.marginal.__file__).parents[1])
+    seen = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        seen.add(run.stdout)
+    assert len(seen) == 1, seen
 
 
 if __name__ == "__main__":
