@@ -219,8 +219,8 @@ def sequential_sum(values: np.ndarray) -> float:
 
     np.sum adds pairwise, and `@` or np.dot hand the sum to BLAS, which
     splits a long vector across its threads; either moves the last bits,
-    the second with the machine's thread count. Every float sum that
-    reaches a report goes through here.
+    the second with the machine's thread count. The truncation tail mass,
+    the guard sums and the drift fit's sums go through here.
     """
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 

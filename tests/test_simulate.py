@@ -524,24 +524,6 @@ def _assert_same_report(got, want):
         assert (type(a), repr(a)) == (type(b), repr(b)), f.name
 
 
-def _counting_decisions(monkeypatch):
-    """Count the rule's decide calls made by the coupled experiments."""
-    calls = [0]
-    real = SIM._decision_step
-
-    def step(policy, graph):
-        decide, choices = real(policy, graph)
-
-        def counted(q, c, u):
-            calls[0] += 1
-            return decide(q, c, u)
-
-        return counted, choices
-
-    monkeypatch.setattr(SIM, "_decision_step", step)
-    return calls
-
-
 @pytest.mark.parametrize("seed", (1, 2, 3))
 @pytest.mark.parametrize("case", sorted(NONEXPANSIVE_CASES))
 def test_nonexpansive_matches_per_event_loop(case, seed, monkeypatch):
@@ -567,36 +549,30 @@ def test_nonchaotic_matches_per_event_loop(case, seed, monkeypatch):
     assert rep.removed_arrivals > 0
 
 
-@pytest.mark.parametrize("case", ("k4-priority-even", "pendant-ml-even", "c5-uniform-even",
-                                  "pendant-ml-equal"))
+@pytest.mark.parametrize("case", sorted(NONEXPANSIVE_CASES))
 def test_coupled_replicas_stop_stepping_once_they_meet(case, monkeypatch):
-    # replicas that meet within a few hundred events make few decisions in
-    # a run of 10 000 events; replicas that never meet decide on every event
-    # at which some replica has an arriving class with an empty queue
+    # in a run of about 10 000 events, replicas whose item totals differ by
+    # an even number meet within a few hundred and then make no decisions;
+    # by an odd number they never meet, and make more decisions than there
+    # are events
     graph, rates, policy, x, y = NONEXPANSIVE_CASES[case]
-    calls = _counting_decisions(monkeypatch)
-    config = SimConfig(horizon=10_000 / sum(rates), seed=2)
-    rep = coupled_nonexpansive(graph, rates, policy, x, y, config)
-    assert (sum(x) - sum(y)) % 2 == 0
-    assert rep.events > _CHUNK and calls[0] < 1000
+    calls = [0]
+    real = SIM._decision_step
 
+    def counting_step(policy, graph):
+        decide, choices = real(policy, graph)
 
-@pytest.mark.parametrize("seed", (1, 2))
-def test_replicas_with_odd_total_difference_never_meet(seed, monkeypatch):
-    calls = _counting_decisions(monkeypatch)
-    graph, rates, policy, x, y = NONEXPANSIVE_CASES["c5-uniform-odd"]
+        def counted(q, c, u):
+            calls[0] += 1
+            return decide(q, c, u)
+
+        return counted, choices
+
+    monkeypatch.setattr(SIM, "_decision_step", counting_step)
     rep = coupled_nonexpansive(graph, rates, policy, x, y,
-                               SimConfig(horizon=math.inf, seed=seed, max_events=5000))
-    assert (sum(x) - sum(y)) % 2 == 1
-    assert rep.events == 5000 and calls[0] > 5000
-
-
-def test_nonchaotic_never_stops_stepping(monkeypatch):
-    # the two systems run different rules, so a zero gap does not end the run
-    calls = _counting_decisions(monkeypatch)
-    kept, rates, policy, start = NONCHAOTIC_CASES["priority"]
-    rep = coupled_nonchaotic(PENDANT_PLUS, kept, rates, policy,
-                             SimConfig(horizon=math.inf, seed=4, initial_state=start,
-                                       max_events=5000))
-    assert rep.events == 5000 and calls[0] > 5000
-
+                               SimConfig(horizon=10_000 / sum(rates), seed=2))
+    assert rep.events > _CHUNK
+    if (sum(x) - sum(y)) % 2:
+        assert calls[0] > rep.events
+    else:
+        assert calls[0] < 1000
