@@ -29,14 +29,17 @@ it, and `exact_region` refuses any other rule by comparing with it.
 Everything else goes through a truncated sparse solve of the balance
 equations, assembled over an (n, m) int array of states; it is the
 independent check of the closed forms. A state's rates depend on it only
-through its support pattern, the set of positive coordinates, so each up
-rate, down rate and guard divisor is computed once per pattern in Python
-floats and gathered by the pattern of each state. The state space itself
-(the states, their mixed-radix codes and pattern indices) depends only on
-the coordinate graph and the truncation: it is built once per chain, and
-small spaces are cached across chains, read-only (`_state_space`). Only
-the solve needs SciPy, so SciPy is imported when a chain is first solved,
-not when this module loads.
+through its support pattern, the set of positive coordinates, which is
+kept as a bitmask (bit k for coordinate k) from the state space to
+`pattern_rates` and `split`; each up rate, down rate and guard divisor is
+computed once per pattern in Python floats and gathered by the pattern of
+each state. The state space itself (the states, their mixed-radix codes,
+pattern indices and support bitmasks) depends only on the coordinate
+graph and the truncation: it is built once per chain, and small spaces
+are cached across chains, read-only (`_state_space`). Every chain, the
+closed forms' included, comes from `build_marginal`, which checks the
+instance. Only the solve needs SciPy, so SciPy is imported when a chain
+is first solved, not when this module loads.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ class _GluedRays:
     """
 
     def __init__(self, chain: MarginalChain, name: str):
-        up, down = chain.pattern_rates(np.eye(2, dtype=bool))
+        up, down = chain.pattern_rates((1, 2))
         # Python floats, so every comparison on them is a plain bool
         self.up, self.down = tuple(up.diagonal().tolist()), tuple(down.diagonal().tolist())
         self.gaps = (self.down[0] - self.up[0], self.down[1] - self.up[1])
@@ -211,8 +214,7 @@ class _GluedFamily:
 
     def law(self, rates) -> _GluedRays:
         """The glued-rays law under the family's priority rule."""
-        chain = _chain(self.graph, check_rates(self.graph, rates), self.policy, self.i0)
-        return _GluedRays(chain, self.name)
+        return _GluedRays(build_marginal(self.graph, rates, self.policy, self.i0), self.name)
 
 
 # The canonical glued-rays chains by graph, keyed by the whole graph, so an
@@ -293,20 +295,18 @@ class MarginalChain:
             out[target] = tuple(entries)
         return out
 
-    def split(self, patterns: np.ndarray, target: int):
+    def split(self, supports: Sequence[int], target: int):
         """(j, divisors) for each class j in the target's split, where a
         class-j arrival reaches the target with weight 1 / divisors[p] at
-        the states of support pattern p, the rows of the (P, m) bool array
-        `patterns`."""
-        bits = _bitmasks(patterns)
+        the states whose positive coordinates are the bitmask supports[p]."""
         for j, coords, busy, step in self._splits[target]:
-            yield j, np.array([_divisor(b, coords, busy, step) for b in bits], dtype=float)
+            yield j, np.array([_divisor(b, coords, busy, step) for b in supports], dtype=float)
 
-    def pattern_rates(self, patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pattern_rates(self, supports: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Up and down rates of every coordinate at every support pattern.
 
-        `patterns` is a (P, m) bool array whose rows mark the positive
-        coordinates; both results are (P, m) float arrays. A coordinate
+        Each of the P `supports` is a bitmask of positive coordinates (bit k
+        for coordinate k); both results are (P, m) float arrays. A coordinate
         climbs at its own rate while no neighbouring coordinate is positive.
         A positive one falls at rate(j) / divisor, added up over its split
         in order, so each rate is the same float whichever states share the
@@ -317,9 +317,8 @@ class MarginalChain:
             (1 << k, near, rates[v - 1], self._splits[v])
             for k, (v, near) in enumerate(zip(self.s_nodes, self._coordinate_graph))
         ]
-        bits = _bitmasks(patterns)
         up, down = [], []
-        for b in bits:
+        for b in supports:
             for own, near, rate, classes in coords:
                 up.append(0.0 if b & near else rate)
                 total = 0.0
@@ -327,7 +326,7 @@ class MarginalChain:
                     for j, mask, busy, step in classes:
                         total += rates[j - 1] / _divisor(b, mask, busy, step)
                 down.append(total)
-        shape = (len(bits), len(coords))
+        shape = (len(supports), len(coords))
         return np.array(up, dtype=float).reshape(shape), np.array(down, dtype=float).reshape(shape)
 
     @cached_property
@@ -350,14 +349,6 @@ class MarginalChain:
         return self._space(truncation).states
 
 
-def _bitmasks(patterns: np.ndarray) -> list[int]:
-    """Each row of a (P, m) bool array as the bitmask of its True columns."""
-    return [
-        sum(1 << c for c, positive in enumerate(row) if positive)
-        for row in np.asarray(patterns, dtype=bool).tolist()
-    ]
-
-
 def _divisor(bits: int, mask: int, busy: float, step: float) -> float:
     """busy plus one step for each coordinate of `mask` that is positive in
     `bits`: the same float as adding the steps one by one, since a sum of
@@ -374,16 +365,17 @@ class _StateSpace:
     states holds the states as the rows of an (n, m) int array in
     lexicographic order, and codes their mixed-radix codes with place values
     `place` (Python ints when (truncation + 1)**m would overflow int64), so
-    the codes are sorted too. patterns is a (P, m) bool array of the support
-    patterns, the independent sets of the coordinate graph, and pattern[i]
-    the row of state i's pattern. Every array is read-only.
+    the codes are sorted too. supports holds the support patterns, the
+    independent sets of the coordinate graph, each as the bitmask of its
+    positive coordinates, and pattern[i] the index of state i's pattern in
+    supports. Every array is read-only, and supports is a tuple.
     """
 
     states: np.ndarray
     codes: np.ndarray
     place: np.ndarray
     pattern: np.ndarray
-    patterns: np.ndarray
+    supports: tuple[int, ...]
 
 
 # Spaces of at most _CACHED_STATES states, where building them costs as much
@@ -436,8 +428,6 @@ def _build_space(graph: tuple[int, ...], truncation: int) -> _StateSpace:
         pattern = np.repeat(pattern, counts)
         pattern = np.where(offsets > 0, joined[pattern], pattern)
         states = np.column_stack([np.repeat(states, counts, axis=0), offsets])
-    patterns = np.array([[support >> k & 1 for k in range(m)] for support in supports],
-                        dtype=bool).reshape(len(supports), m)
     radix = truncation + 1
     wide = radix**m > np.iinfo(np.int64).max
     place = np.array([radix ** (m - 1 - k) for k in range(m)],
@@ -447,9 +437,9 @@ def _build_space(graph: tuple[int, ...], truncation: int) -> _StateSpace:
         codes=states.astype(place.dtype) @ place,
         place=place,
         pattern=pattern.astype(np.min_scalar_type(len(supports) - 1)),
-        patterns=patterns,
+        supports=tuple(supports),
     )
-    for array in (space.states, space.codes, space.place, space.pattern, space.patterns):
+    for array in (space.states, space.codes, space.place, space.pattern):
         array.flags.writeable = False
     return space
 
@@ -457,23 +447,14 @@ def _build_space(graph: tuple[int, ...], truncation: int) -> _StateSpace:
 def build_marginal(
     graph: Graph, rates, policy: Policy, i0: int
 ) -> MarginalChain:
-    """Construct the marginal chain of node i0; only priority and uniform
-    policies have one."""
-    rates, i0 = _check_instance(graph, rates, policy, i0)
-    return _chain(graph, rates, policy, i0)
-
-
-def _check_instance(graph: Graph, rates, policy: Policy, i0) -> tuple[tuple[float, ...], int]:
-    """The checked rates and node i0 of a connected graph under a fitting policy."""
+    """Construct the marginal chain of node i0 of a connected graph; only
+    priority and uniform policies have one. Checks, in order, the rates,
+    the policy, connectivity, the node id and the policy kind."""
     rates = check_rates(graph, rates)
     validate_policy(policy, graph)
     if not is_connected(graph):
         raise NotConnectedError("a marginal chain needs a connected graph")
-    return rates, check_node(i0, graph.node_count)
-
-
-def _chain(graph: Graph, rates: tuple[float, ...], policy: Policy, i0: int) -> MarginalChain:
-    """build_marginal on rates, a policy and a node that have passed _check_instance."""
+    i0 = check_node(i0, graph.node_count)
     if policy.kind not in (PRIORITY, UNIFORM):
         raise UnsupportedPolicyError(
             f"no marginal chain for policy kind {policy.kind!r}"
@@ -539,7 +520,7 @@ def stationary_numeric(
         )
     # Each rate is computed once per support pattern and gathered by the
     # pattern of each state.
-    up, down = chain.pattern_rates(space.patterns)
+    up, down = chain.pattern_rates(space.supports)
     up, down = up[space.pattern], down[space.pattern]
     up[states >= truncation] = 0.0  # suppressed: leaves the box
     # Per state, the diagonal subtracts the rates in coordinate order, up
@@ -661,12 +642,12 @@ def fluid_report(
     (i0 = 4) and 5-cycle (i0 = 5) under policies that keep those chains
     intact; anything else is a truncated numeric solve.
     """
-    rates, i0 = _check_instance(graph, rates, policy, i0)
+    chain = build_marginal(graph, rates, policy, i0)
+    rates, i0 = chain.rates, chain.i0
     q0 = check_real(q0, "q0")
     if not q0 > 0:
         raise ValidationError(f"q0 must be positive and finite, got {q0}")
 
-    chain = _chain(graph, rates, policy, i0)
     # The closed route needs every neighbour j of i0 to split only over
     # its in-chain neighbours: under priority, j serves them all first.
     index = chain._index
@@ -685,7 +666,7 @@ def fluid_report(
     space = chain._space(_check_truncation(truncation))
     guard = {
         j: sequential_sum(dist.probs / divisors[space.pattern])
-        for j, divisors in chain.split(space.patterns, i0)
+        for j, divisors in chain.split(space.supports, i0)
     }
     return _assemble(rates, i0, guard, q0, dist.method, dist.tail_mass, dist.solver,
                      dist.residual)

@@ -477,13 +477,14 @@ def test_pattern_tables_match_the_per_state_oracle(graph, rates, policy, node, t
         chain = build_marginal(graph, rates, pol, node)
         states = chain.enumerate_states(truncation)
         space = chain._space(truncation)
-        assert np.array_equal(space.patterns[space.pattern], states > 0)
-        assert np.array_equal(np.unique(space.pattern), np.arange(len(space.patterns)))
-        up, down = chain.pattern_rates(space.patterns)
+        bits = np.array(space.supports)[space.pattern, None] >> np.arange(states.shape[1])
+        assert np.array_equal(bits & 1 == 1, states > 0)
+        assert np.array_equal(np.unique(space.pattern), np.arange(len(space.supports)))
+        up, down = chain.pattern_rates(space.supports)
         want_up, want_down = rates_at(chain, states)
         assert up[space.pattern].tobytes() == want_up.tobytes()
         assert down[space.pattern].tobytes() == want_down.tobytes()
-        got = [(j, d[space.pattern].tobytes()) for j, d in chain.split(space.patterns, node)]
+        got = [(j, d[space.pattern].tobytes()) for j, d in chain.split(space.supports, node)]
         want = [(j, d.tobytes()) for j, d in split(chain, states > 0, node)]
         assert got == want
 

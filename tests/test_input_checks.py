@@ -21,6 +21,7 @@ from matchq.errors import (
     MatchQError,
     NotConnectedError,
     SelfLoopError,
+    UnsupportedPolicyError,
     ValidationError,
 )
 from matchq.graphs import (
@@ -378,6 +379,15 @@ def test_cli_out_not_a_directory_exit_2(files, capsys, under):
 def test_fluid_report_rejects_non_finite_q0(q0):
     with pytest.raises(ValidationError):
         fluid_report(PENDANT, LAM, pendant_priority_policy(), 4, q0)
+
+
+def test_fluid_report_checks_the_policy_kind_before_q0():
+    # build_marginal checks the instance, the policy kind last, and
+    # fluid_report reads q0 after it
+    with pytest.raises(UnsupportedPolicyError):
+        fluid_report(PENDANT, LAM, ml_policy(), 4, -1.0)
+    with pytest.raises(ValidationError, match="q0"):
+        fluid_report(PENDANT, LAM, pendant_priority_policy(), 4, -1.0)
 
 
 # The pendant with an isolated node 5, and with a separate edge 5-6: the

@@ -70,7 +70,7 @@ LAM_5 = (0.1, 0.1, 0.225, 0.225, 0.35)
 
 def _rates_map(chain, x):
     """Every positive-rate move from state x as {(coordinate, delta): rate}."""
-    up, down = chain.pattern_rates(np.array([x]) > 0)
+    up, down = chain.pattern_rates([sum(1 << k for k, v in enumerate(x) if v)])
     out = {}
     for coord in range(len(x)):
         if up[0, coord] > 0.0:
@@ -923,7 +923,7 @@ def test_closed_forms_reject_a_nan_rate(closed, rates):
 
 def _space_arrays(space):
     return [(a.dtype, a.shape, a.tobytes()) if a.dtype != object else list(a)
-            for a in (space.states, space.codes, space.place, space.pattern, space.patterns)]
+            for a in (space.states, space.codes, space.place, space.pattern)] + [space.supports]
 
 
 def test_state_space_cache_hit_is_equal_and_read_only(monkeypatch):
@@ -938,10 +938,12 @@ def test_state_space_cache_hit_is_equal_and_read_only(monkeypatch):
     assert other._coordinate_graph == first._coordinate_graph
     assert other.enumerate_states(6) is states
     space = other._space(6)
-    for array in (space.states, space.codes, space.place, space.pattern, space.patterns):
+    for array in (space.states, space.codes, space.place, space.pattern):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
+    with pytest.raises(TypeError):
+        space.supports[0] = 1
     dist = stationary_numeric(other, 6)
     assert dist.state_array is states and not dist.state_array.flags.writeable
     # a fresh build of the same space, cache or no cache, is the same
