@@ -158,6 +158,8 @@ def _cmd_fluid(args):
 
 def _parse_initial(args):
     graph = args.graph
+    if args.init_node is not None and args.init is not None:
+        raise ValidationError("--init and --init-node cannot be given together")
     if args.init_node is not None:
         node = check_node(args.init_node, graph.node_count, "--init-node")
         return tuple(args.scale if v == node else 0 for v in graph.nodes)
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--node", type=int, help="node for hitting/drift summary")
-    p.add_argument("--init-node", type=int, help="start from scale * e_node")
+    p.add_argument("--init-node", type=int, help="start from scale * e_node (not with --init)")
     p.add_argument("--init", help="comma-separated raw initial queue vector")
     p.add_argument("--replications", type=int, default=1)
 

@@ -299,6 +299,17 @@ def test_cli_unparseable_initial_vector_exit_2(files, capsys):
     assert "--init" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("init", ["0,0,0,5", "1,x"])
+def test_cli_initial_vector_and_node_together_exit_2(files, capsys, init):
+    out = files / "out"
+    argv = _simulate_argv(files, "--init-node", "4", "--init", init, "--out", str(out))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--init-node" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("node", ["0", "9"])
 def test_cli_initial_node_out_of_range_exit_2(files, node):
     assert main(_simulate_argv(files, "--init-node", node)) == 2
