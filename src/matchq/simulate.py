@@ -337,12 +337,21 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
     equal: priority is deterministic, and for ml and uniform each
     replica's pick is among the other's equal choices, so the glue copies
     a's pick. From then on the excess stays 0 and no arrival is removed,
-    so the loop stops stepping and only counts the rest of the stream's
-    events, which keeps a horizon cut exact. Each event moves each
+    so the loop stops stepping. Under a finite horizon it counts the rest
+    of the stream's events, which keeps a horizon cut exact; under an
+    infinite one the stream holds exactly max_events events, which is the
+    count, and no further chunk is drawn. Each event moves each
     replica's item total by one, so the difference of the totals keeps
     its parity, and replicas whose totals differ by an odd number never
     meet.
+
+    Neither stop condition of the config is read here, so an infinite
+    horizon * scale without max_events would never end and is refused
+    with ValidationError before any event is drawn.
     """
+    t_end = config.horizon * config.scale
+    if math.isinf(t_end) and config.max_events is None:
+        raise ValidationError("a coupled run with an infinite horizon * scale needs max_events")
     (decide_a, choices_a), (decide_b, choices_b) = steps
     in_kept = [False] + [i in kept for i in range(1, len(qa))]
     bound = gap = sum(abs(qa[i] - qb[i]) for i in kept)
@@ -351,9 +360,7 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
     worst = -math.inf
     violations = 0
     events = 0
-    chunks = _arrivals(
-        rates, config.seed, 2, randomized, config.horizon * config.scale, config.max_events
-    )
+    chunks = _arrivals(rates, config.seed, 2, randomized, t_end, config.max_events)
     for _, cls, uas, ubs in chunks:
         events += len(cls)
         for c, ua, ub in zip(cls.tolist(), uas, ubs):
@@ -395,7 +402,10 @@ def _coupled_pair(rates, config, randomized, steps, qa, qb, kept):
                 break
         del uas, ubs
         if not gap and coalesce:
-            events += sum(len(chunk[1]) for chunk in chunks)
+            if math.isinf(t_end):
+                events = int(config.max_events)
+            else:
+                events += sum(len(chunk[1]) for chunk in chunks)
             break
     return events, removed, bound, worst, violations
 

@@ -576,3 +576,51 @@ def test_coupled_replicas_stop_stepping_once_they_meet(case, monkeypatch):
         assert calls[0] > rep.events
     else:
         assert calls[0] < 1000
+
+
+def test_met_replicas_under_an_event_cap_draw_no_further_chunk(monkeypatch):
+    # with an infinite horizon the stream holds exactly max_events events,
+    # so replicas that have met read no further chunk of it; with a finite
+    # horizon the rest of the stream is still read for its length
+    graph, rates, policy, x, y = NONEXPANSIVE_CASES["pendant-ml-even"]
+    drawn = []
+    real = SIM._arrivals
+
+    def counting(*args):
+        for chunk in real(*args):
+            drawn.append(len(chunk[1]))
+            yield chunk
+
+    monkeypatch.setattr(SIM, "_arrivals", counting)
+    configs = [SimConfig(horizon=math.inf, seed=2, max_events=cap) for cap in (1, _CHUNK, _CHUNK + 1)]
+    for config in configs + [SimConfig(horizon=10_000 / sum(rates), seed=2)]:
+        drawn.clear()
+        rep = coupled_nonexpansive(graph, rates, policy, x, y, config)
+        chunks = list(drawn)
+        _assert_same_report(rep, _per_event(
+            monkeypatch, coupled_nonexpansive, graph, rates, policy, x, y, config))
+        if config.max_events is None:
+            assert len(chunks) == 2 and chunks[1] < _CHUNK and rep.events == sum(chunks)
+        else:
+            assert rep.events == config.max_events and chunks == [min(config.max_events, _CHUNK)]
+
+
+@pytest.mark.parametrize("stop", [dict(stop_when_empty=True), dict(stop_node=4)],
+                         ids=["stop-when-empty", "stop-node"])
+@pytest.mark.parametrize("horizon, scale", [(math.inf, 1), (1e305, 10_000)],
+                         ids=["inf", "overflow"])
+def test_coupled_runs_refuse_an_endless_stream(stop, horizon, scale, monkeypatch):
+    # the coupled loops read neither stop condition, so only max_events could
+    # end such a run; it is refused before the event stream is opened
+    def no_events(*args, **kwargs):
+        raise AssertionError("the event stream was opened")
+
+    monkeypatch.setattr(SIM, "_arrivals", no_events)
+    config = SimConfig(horizon=horizon, seed=0, scale=scale, **stop)
+    with pytest.raises(ValidationError, match="max_events"):
+        coupled_nonexpansive(PENDANT, LAM, ml_policy(), (0, 0, 0, 5), (0, 0, 0, 0), config)
+    for case in sorted(NONCHAOTIC_CASES):
+        kept, rates, policy, start = NONCHAOTIC_CASES[case]
+        with pytest.raises(ValidationError, match="max_events"):
+            coupled_nonchaotic(PENDANT_PLUS, kept, rates, policy,
+                               dataclasses.replace(config, initial_state=start))
