@@ -480,41 +480,28 @@ def _pendant_roles(nbrs: dict[int, int], quad: tuple[int, ...]) -> tuple[int, in
     return (t1, t2, hub, tail)
 
 
-def _induced_cycle_order(graph: Graph, subset: tuple[int, ...]) -> Optional[list[int]]:
-    """Cycle order of `subset` if it induces exactly one cycle, else None."""
-    sset = set(subset)
-    deg_ok = all(
-        sum(1 for w in graph.neighbors(v) if w in sset) == 2 for v in subset
-    )
-    if not deg_ok:
-        return None
-    # All degrees are 2; a connected such subset is a single induced cycle.
-    start = min(subset)
-    nbrs_in = [w for w in graph.neighbors(start) if w in sset]
-    order = [start, min(nbrs_in)]
-    while len(order) < len(subset):
-        prev, cur = order[-2], order[-1]
-        # cur has degree 2 in the subset and prev is one of its neighbors
-        order.append(next(w for w in graph.neighbors(cur) if w in sset and w != prev))
-    if not graph.has_edge(order[-1], start):
-        return None
-    return order
-
-
 def find_induced_odd_cycle(graph: Graph) -> Optional[tuple[int, ...]]:
     """Smallest induced odd cycle of length >= 5, as an ordered node tuple.
 
     Within a length, the lexicographically first qualifying subset wins.
     Its smallest node s is the first start from which an induced path of
-    that length over larger nodes closes back to s.
+    that length over larger nodes closes back to s. The order starts at s,
+    goes to the smaller of s's two neighbours on the cycle and continues
+    round, read off the cycle's mask.
     """
     nbrs = graph.neighbor_masks
     for length in range(5, graph.node_count + 1, 2):
         for s in graph.nodes:
             cycles = _induced_cycles_from(nbrs, s, length)
             if cycles:
-                subset = min(_members(c, graph.node_count) for c in cycles)
-                return tuple(_induced_cycle_order(graph, tuple(subset)))
+                cycle = min(cycles, key=lambda c: _members(c, graph.node_count))
+                ring = nbrs[s] & cycle
+                order = [s, (ring & -ring).bit_length()]
+                # every node has two neighbours on the cycle: the one it
+                # came from and the next
+                while len(order) < length:
+                    order.append((nbrs[order[-1]] & cycle & ~(1 << order[-2] - 1)).bit_length())
+                return tuple(order)
     return None
 
 

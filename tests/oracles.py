@@ -38,7 +38,6 @@ from matchq.graphs import (
     ENUMERATION_CAP,
     Graph,
     NcondResult,
-    _induced_cycle_order,
     _neighborhood,
     check_rates,
     five_cycle_graph,
@@ -526,6 +525,24 @@ def find_induced_pendant(graph: Graph) -> Optional[tuple[int, int, int, int]]:
         t1, t2 = sorted(v for v in subset if deg[v] == 2)
         return (t1, t2, hub, tail)
     return None
+
+
+def _induced_cycle_order(graph: Graph, subset: tuple[int, ...]) -> Optional[list[int]]:
+    """Cycle order of `subset` if it induces exactly one cycle, else None:
+    from its smallest node towards the smaller of that node's neighbours."""
+    inside = set(subset)
+    if any(sum(w in inside for w in graph.neighbors(v)) != 2 for v in subset):
+        return None
+    # every degree is 2, so the subset is a union of cycles; it is one
+    # cycle when the walk from its smallest node covers it
+    start = min(subset)
+    order = [start, min(w for w in graph.neighbors(start) if w in inside)]
+    while True:
+        prev, cur = order[-2], order[-1]
+        nxt = next(w for w in graph.neighbors(cur) if w in inside and w != prev)
+        if nxt == start:
+            return order if len(order) == len(subset) else None
+        order.append(nxt)
 
 
 def find_induced_odd_cycle(graph: Graph) -> Optional[tuple[int, ...]]:
