@@ -73,7 +73,8 @@ class SimConfig:
     trace_stride k records every k-th event (0 disables snapshots;
     hitting times are still tracked exactly). stop_node ends the run once
     that node's queue empties; stop_when_empty ends it once the whole
-    vector is zero. max_events is a hard event cap.
+    vector is zero. Only simulate reads those two, so a coupled run with an
+    infinite horizon * scale needs max_events, a hard event cap.
     """
 
     horizon: float
