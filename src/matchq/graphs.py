@@ -500,7 +500,7 @@ def find_induced_odd_cycle(graph: Graph) -> Optional[tuple[int, ...]]:
                 # every node has two neighbours on the cycle: the one it
                 # came from and the next
                 while len(order) < length:
-                    order.append((nbrs[order[-1]] & cycle & ~(1 << order[-2] - 1)).bit_length())
+                    order.append((nbrs[order[-1]] & cycle & ~(1 << (order[-2] - 1))).bit_length())
                 return tuple(order)
     return None
 

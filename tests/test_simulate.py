@@ -592,7 +592,8 @@ def test_met_replicas_under_an_event_cap_draw_no_further_chunk(monkeypatch):
             yield chunk
 
     monkeypatch.setattr(SIM, "_arrivals", counting)
-    configs = [SimConfig(horizon=math.inf, seed=2, max_events=cap) for cap in (1, _CHUNK, _CHUNK + 1)]
+    configs = [SimConfig(horizon=math.inf, seed=2, max_events=cap)
+               for cap in (1, _CHUNK, _CHUNK + 1)]
     for config in configs + [SimConfig(horizon=10_000 / sum(rates), seed=2)]:
         drawn.clear()
         rep = coupled_nonexpansive(graph, rates, policy, x, y, config)
