@@ -19,13 +19,14 @@ everything off the chain: each arm's up and down rates from
 `pattern_rates` at the pattern where that arm alone is positive, and
 each neighbour of i0's arms and share of a match from `_splits`, so the
 rule that drains the chain has one copy. Its guard sum (`matched`) is
-what fluid_report's closed route takes from rate(i0) and what the 5-cycle
-region compares rate(i0) with, so their signs agree. `_CLOSED_FORMS`
-names, by graph, the node and the priority rule of each canonical chain:
-the pendant at its tail, and the 5-cycle at its apex and at node 3. It is
-the one copy of each graph's canonical rule: fluid_report's closed route,
-pendant_alpha, the counterexample families and the stability regions read
-it, and `exact_region` refuses any other rule by comparing with it.
+what fluid_report's closed route takes from rate(i0) and what each region
+row, rate(i0) < matched(), compares rate(i0) with, so their signs agree.
+`_CLOSED_FORMS` names, by graph, the node, the priority rule and the region
+row's label of each canonical chain: the pendant at its tail, and the
+5-cycle at its apex and at node 3. It is the one copy of each graph's
+canonical rule: fluid_report's closed route, pendant_alpha, the
+counterexample families and `stability.exact_region` read it, and
+`exact_region` refuses any other rule by comparing with it.
 Everything else goes through a truncated sparse solve of the balance
 equations, assembled over an (n, m) int array of states; it is the
 independent check of the closed forms. A state's rates depend on it only
@@ -202,7 +203,8 @@ class _GluedRays:
 class _GluedFamily:
     """A node i0 of a canonical graph whose marginal chain is glued rays,
     with the graph's canonical priority rule, under which every neighbour
-    of i0 serves its in-chain neighbours before i0. method names
+    of i0 serves its in-chain neighbours before i0. inequality labels the
+    stability region's row rate(i0) < matched() at i0. method names
     fluid_report's closed route at i0; None where it solves the chain
     numerically."""
 
@@ -210,6 +212,7 @@ class _GluedFamily:
     graph: Graph
     i0: int
     policy: Policy
+    inequality: str
     method: Optional[str] = None
 
     def law(self, rates) -> _GluedRays:
@@ -223,11 +226,11 @@ class _GluedFamily:
 # closed form, and node 3 of the 5-cycle numerically, which checks the
 # node-3 constants of the 5-cycle region.
 _PENDANT = _GluedFamily("pendant", pendant_graph(), 4, pendant_priority_policy(),
-                        CLOSED_FORM_PENDANT)
+                        "pendant:tail<alpha*hub", CLOSED_FORM_PENDANT)
 _FIVE_CYCLE = _GluedFamily("5-cycle", five_cycle_graph(), 5, five_cycle_priority_policy(),
-                           CLOSED_FORM_FIVE_CYCLE)
+                           "five_cycle:apex<a*alpha", CLOSED_FORM_FIVE_CYCLE)
 _FIVE_CYCLE_NODE3 = _GluedFamily("5-cycle node-3", five_cycle_graph(), 3,
-                                 five_cycle_priority_policy())
+                                 five_cycle_priority_policy(), "five_cycle:node3<c*alpha24")
 _CLOSED_FORMS = {
     _PENDANT.graph: (_PENDANT,),
     _FIVE_CYCLE.graph: (_FIVE_CYCLE, _FIVE_CYCLE_NODE3),
@@ -651,28 +654,25 @@ def fluid_report(
     # The closed route needs every neighbour j of i0 to split only over
     # its in-chain neighbours: under priority, j serves them all first.
     index = chain._index
-    for family in _CLOSED_FORMS.get(graph, ()):
-        if family.i0 == i0 and family.method is not None and all(
-            coords == sum(1 << index[w] for w in graph.neighbors(j) if w in index)
-            for j, coords, _, _ in chain._splits[i0]
-        ):
-            truncation = _check_truncation(truncation)
-            law = _GluedRays(chain, family.name)
-            guard = {j: law.guard(j) for j in law.splits}
-            return _assemble(rates, i0, guard, q0, family.method, law.tail_mass(truncation),
-                             SOLVER_CLOSED, None)
-
-    dist = stationary_numeric(chain, truncation)
-    space = chain._space(_check_truncation(truncation))
-    guard = {
-        j: sequential_sum(dist.probs / divisors[space.pattern])
-        for j, divisors in chain.split(space.supports, i0)
-    }
-    return _assemble(rates, i0, guard, q0, dist.method, dist.tail_mass, dist.solver,
-                     dist.residual)
-
-
-def _assemble(rates, i0, guard, q0, method, tail_mass, solver, residual) -> FluidReport:
+    family = next((f for f in _CLOSED_FORMS.get(graph, ()) if f.i0 == i0 and f.method), None)
+    if family is not None and all(
+        coords == sum(1 << index[w] for w in graph.neighbors(j) if w in index)
+        for j, coords, _, _ in chain._splits[i0]
+    ):
+        truncation = _check_truncation(truncation)
+        law = _GluedRays(chain, family.name)
+        guard = {j: law.guard(j) for j in law.splits}
+        method, tail_mass, solver, residual = (family.method, law.tail_mass(truncation),
+                                               SOLVER_CLOSED, None)
+    else:
+        dist = stationary_numeric(chain, truncation)
+        space = chain._space(_check_truncation(truncation))
+        guard = {
+            j: sequential_sum(dist.probs / divisors[space.pattern])
+            for j, divisors in chain.split(space.supports, i0)
+        }
+        method, tail_mass, solver, residual = (dist.method, dist.tail_mass, dist.solver,
+                                               dist.residual)
     drift = rates[i0 - 1] - sum(rates[j - 1] * w for j, w in guard.items())
     rho = q0 / (-drift) if drift < 0 else math.inf
     return FluidReport(

@@ -2,10 +2,12 @@
 
 The pendant graph and the 5-cycle admit exact stability regions under
 their canonical destabilizing priority rules: the independent-set rate
-condition plus one (pendant) or three (5-cycle) closed-form drift
-inequalities, read off the glued-rays laws in `marginal`; `exact_region`
-is the one place that picks a graph's region and refuses every other
-policy. Four parametric families, one `_FAMILIES` entry each, produce
+condition, then one row rate(i0) < matched() for each glued-rays family of
+the graph, read off one table, `marginal._CLOSED_FORMS` (the pendant's
+tail; the 5-cycle's apex and node 3), and on the 5-cycle node 4's drift
+bound, the one hand-written row. `exact_region` is the one region body: it
+refuses every other graph and, once the policy is validated, every other
+rule. Four parametric families, one `_FAMILIES` entry each, produce
 instances that satisfy the rate condition yet have a positive fluid drift
 at one node, and `construct_nonmaximal` transplants such a family onto
 any connected non-bipartite non-separable graph that embeds a pendant or
@@ -45,12 +47,13 @@ from .graphs import (
     ncond_check,
     pendant_graph,
 )
-from .marginal import _CLOSED_FORMS, fluid_report, pendant_alpha
+from .marginal import _CLOSED_FORMS, fluid_report
 from .policies import (
     Policy,
     check_seed,
     priority_policy,
     uniform_policy,
+    validate_policy,
 )
 from .simulate import SimConfig, _spawn_seeds, drift_estimate, hitting_time, simulate
 
@@ -95,19 +98,48 @@ def _ncond_inequalities(graph: Graph, rates) -> list[Inequality]:
     ]
 
 
-def _region(graph: Graph, rates, own) -> StabilityVerdict:
-    """The rate-condition inequalities, then, where all of them hold, the
-    graph's own inequalities `own(rates)`; stable iff every one holds."""
+def _drift_inequalities(graph: Graph, rates) -> list[Inequality]:
+    """The graph's own rows, whatever the rate condition says: for each
+    glued-rays family of the graph in marginal._CLOSED_FORMS, in table order,
+    rate(i0) < the guard sum of its law, and on the 5-cycle node 4's drift
+    bound: class-5 arrivals always feed node 4 and class-2 arrivals feed it
+    while node 1 is empty, which happens at least a fraction
+    alpha13 = 1 - l1/(l2+l3) of the time, one minus the ratio of node 1's arm
+    in the apex chain."""
+    families = _CLOSED_FORMS[graph]
+    laws = [family.law(rates) for family in families]
+    rows = [Inequality(family.inequality, rates[family.i0 - 1], law.matched())
+            for family, law in zip(families, laws)]
+    if families[0] is _FIVE_CYCLE_APEX:
+        alpha13 = 1.0 - laws[0].ratios[0]
+        rows.append(Inequality("five_cycle:node4<l2*alpha13+l5", rates[3],
+                               rates[1] * alpha13 + rates[4]))
+    return rows
+
+
+def exact_region(graph: Graph, rates, policy: Optional[Policy] = None) -> StabilityVerdict:
+    """The exact verdict of the canonical pendant graph or 5-cycle under its
+    canonical priority rule, which `policy` None stands for: the rate-condition
+    inequalities, then, where all of them hold, the graph's own
+    (_drift_inequalities); stable iff every one holds."""
+    if graph not in _CLOSED_FORMS:
+        raise NotApplicableError(
+            "exact regions exist for the canonical pendant graph and 5-cycle; "
+            "use --empirical for other instances"
+        )
+    if policy is not None:
+        validate_policy(policy, graph)
+        if policy != _CLOSED_FORMS[graph][0].policy:
+            raise NotApplicableError(
+                "the exact region holds for the graph's canonical priority rule "
+                "only; use --empirical for other policies"
+            )
     rates = check_rates(graph, rates)
     ineqs = _ncond_inequalities(graph, rates)
     if all(iq.satisfied for iq in ineqs):
-        ineqs += own(rates)
+        ineqs += _drift_inequalities(graph, rates)
     verdict = STABLE_EXACT if all(iq.satisfied for iq in ineqs) else UNSTABLE_EXACT
     return StabilityVerdict(verdict=verdict, inequalities=tuple(ineqs))
-
-
-def _pendant_inequalities(rates) -> list[Inequality]:
-    return [Inequality("pendant:tail<alpha*hub", rates[3], pendant_alpha(rates) * rates[2])]
 
 
 def pendant_region(rates: Sequence[float]) -> StabilityVerdict:
@@ -116,22 +148,7 @@ def pendant_region(rates: Sequence[float]) -> StabilityVerdict:
     Stable iff the rate condition holds and the tail rate stays below the
     hub rate times the marginal empty probability.
     """
-    return _region(pendant_graph(), rates, _pendant_inequalities)
-
-
-def _fivecycle_inequalities(rates) -> list[Inequality]:
-    """The apex and node-3 drifts of the glued-rays families at those nodes,
-    rate(i0) less the guard sum, and node 4's drift bound: class-5 arrivals
-    always feed node 4 and class-2 arrivals feed it while node 1 is empty,
-    which happens at least a fraction alpha13 = 1 - l1/(l2+l3) of the time,
-    one minus the ratio of node 1's arm in the apex chain."""
-    apex, node3 = (family.law(rates) for family in _CLOSED_FORMS[five_cycle_graph()])
-    alpha13 = 1.0 - apex.ratios[0]
-    return [
-        Inequality("five_cycle:apex<a*alpha", rates[4], apex.matched()),
-        Inequality("five_cycle:node3<c*alpha24", rates[2], node3.matched()),
-        Inequality("five_cycle:node4<l2*alpha13+l5", rates[3], rates[1] * alpha13 + rates[4]),
-    ]
+    return exact_region(pendant_graph(), rates)
 
 
 def fivecycle_region(rates: Sequence[float]) -> StabilityVerdict:
@@ -144,29 +161,7 @@ def fivecycle_region(rates: Sequence[float]) -> StabilityVerdict:
     flag instances whose exact node-4 drift is still negative (compare
     with fluid_report on node 4 when the margin is small).
     """
-    return _region(five_cycle_graph(), rates, _fivecycle_inequalities)
-
-
-# The exact regions by graph, keyed by the whole graph, so an extra isolated
-# node finds no region. Each holds for the priority rule of its graph's
-# glued-rays families in marginal._CLOSED_FORMS.
-_EXACT_REGIONS = {pendant_graph(): pendant_region, five_cycle_graph(): fivecycle_region}
-
-
-def exact_region(graph: Graph, rates, policy: Optional[Policy] = None) -> StabilityVerdict:
-    """The exact verdict of the canonical pendant graph or 5-cycle under its
-    canonical priority rule, which `policy` None stands for."""
-    if graph not in _EXACT_REGIONS:
-        raise NotApplicableError(
-            "exact regions exist for the canonical pendant graph and 5-cycle; "
-            "use --empirical for other instances"
-        )
-    if policy is not None and policy != _CLOSED_FORMS[graph][0].policy:
-        raise NotApplicableError(
-            "the exact region holds for the graph's canonical priority rule "
-            "only; use --empirical for other policies"
-        )
-    return _EXACT_REGIONS[graph](rates)
+    return exact_region(five_cycle_graph(), rates)
 
 
 # -- counterexample families ---------------------------------------------------
@@ -389,6 +384,8 @@ class ClassifyBudget:
             raise ValidationError("need at least 2 seeds for stderr estimates")
         if len(self.scales) < 2:
             raise ValidationError("need at least 2 scales for consistency checks")
+        if len(set(self.scales)) < len(self.scales):
+            raise ValidationError(f"scales {list(self.scales)} repeat a scale and so its seeds")
         if not all(s >= 1 for s in self.scales):
             raise ValidationError(f"every scale must be >= 1, got {list(self.scales)}")
         object.__setattr__(self, "horizon", check_real(self.horizon, "horizon"))

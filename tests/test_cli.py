@@ -256,6 +256,21 @@ def test_cli_stability_exact_route_takes_only_the_canonical_rule(files, tmp_path
         assert str(policy) in manifest["inputs"]
 
 
+def test_cli_stability_malformed_policy_exits_2_as_fluid_does(files, tmp_path, capsys):
+    # orders declared for a node the pendant lacks: exit 2 from both
+    # commands; on a graph without an exact region, exit 3 comes first
+    bad = {**pendant_priority_policy().order, 5: (4,)}
+    ser.dump_json(ser.policy_to_obj(priority_policy(bad)), tmp_path / "bad.json")
+    instance = ["--graph", str(files["pendant"]), "--rates", str(files["rates"]),
+                "--policy", str(tmp_path / "bad.json")]
+    assert main(["fluid", *instance, "--node", "4"]) == 2
+    assert main(["stability", *instance]) == 2
+    assert "unknown nodes [5]" in capsys.readouterr().err
+    square = ["stability", "--graph", str(files["square"]), "--rates", str(files["rates"]),
+              "--policy", str(tmp_path / "bad.json")]
+    assert main(square) == 3
+
+
 # Every subcommand that reads instance files, with the files it is given
 # (by fixture key) and its other options.
 _FILE_RUNS = {

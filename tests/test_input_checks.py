@@ -344,6 +344,7 @@ def _fluid_argv(d, *extra):
         lambda d: _stability_argv(d, "--horizon", "inf"),
         lambda d: _stability_argv(d, "--horizon", "nan"),
         lambda d: _stability_argv(d, "--scales", "-5", "20"),
+        lambda d: _stability_argv(d, "--scales", "1000", "1000"),
         lambda d: _stability_argv(d, "--seed", "-1"),
         lambda d: ["stability", "--graph", str(d / "pendant.json"), "--rates",
                    str(d / "rates.json"), "--empirical", "--seed", "1"],
@@ -357,6 +358,7 @@ def _fluid_argv(d, *extra):
         "simulate-node-9", "simulate-node-0", "simulate-seed", "simulate-rep-seed",
         "simulate-replications-neg", "simulate-replications-0",
         "stability-horizon-inf", "stability-horizon-nan", "stability-scales",
+        "stability-scales-repeated",
         "stability-seed", "stability-no-policy", "fluid-q0-nan", "fluid-q0-inf", "randgraph-seed",
     ],
 )
@@ -561,7 +563,8 @@ def test_negative_seed_rejected_by_every_driver():
 @pytest.mark.parametrize(
     "bad",
     [dict(horizon=math.inf), dict(horizon=math.nan), dict(horizon=0.0),
-     dict(scales=(-5, 20)), dict(scales=(0, 20))],
+     dict(scales=(-5, 20)), dict(scales=(0, 20)), dict(scales=(1000, 1000)),
+     dict(scales=(20, 40, 20))],
 )
 def test_classify_budget_range(bad):
     with pytest.raises(ValidationError):

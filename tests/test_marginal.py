@@ -46,7 +46,7 @@ from matchq.simulate import SimConfig, drift_estimate, simulate
 from matchq.stability import (
     PENDANT_PRIORITY,
     PENDANT_UNIFORM,
-    _fivecycle_inequalities,
+    _drift_inequalities,
     counterexample,
     fivecycle_region,
 )
@@ -455,7 +455,7 @@ def _apex_inequality(rates):
     """The 5-cycle region's apex inequality at the given rates, or None where
     the node-3 law, which the region reads too, does not exist."""
     try:
-        return _fivecycle_inequalities(rates)[0]
+        return _drift_inequalities(FIVE_CYCLE, rates)[0]
     except RatesOutsideRegionError:
         return None
 
@@ -557,7 +557,7 @@ def test_fivecycle_node4_limiting_cases():
 
     # tiny l1 pushes the idle bound to one
     rates = (1e-9, 0.1, 0.225, 0.225, 0.35)
-    _, node4 = _node_inequalities(_fivecycle_inequalities(rates))
+    _, node4 = _node_inequalities(_drift_inequalities(FIVE_CYCLE, rates))
     assert alpha13(node4, rates) == pytest.approx(1.0, abs=1e-6)
     # l4 < l5 forces a negative node-4 drift whenever the constants exist
     rng = np.random.default_rng(5)
@@ -567,7 +567,7 @@ def test_fivecycle_node4_limiting_cases():
         l4 = l5 * rng.uniform(0.2, 0.99)
         rates = tuple(map(float, (l1, l2, l3, l4, l5)))
         try:
-            _, node4 = _node_inequalities(_fivecycle_inequalities(rates))
+            _, node4 = _node_inequalities(_drift_inequalities(FIVE_CYCLE, rates))
         except RatesOutsideRegionError:
             continue
         if alpha13(node4, rates) > 0:
@@ -793,6 +793,32 @@ def test_numeric_refuses_a_non_finite_lu_result(monkeypatch):
     assert stationary_numeric(chain, truncation=30).solver == "lu"
     monkeypatch.setattr(marginal, "spsolve", lambda a, b, **kw: np.full(len(b), np.nan))
     with pytest.raises(NotConvergedError, match="non-finite"):
+        stationary_numeric(chain, truncation=30)
+
+
+def _scale_first(x):
+    x[0] *= 1.0 + 1e-8
+    return x
+
+
+def _negative_last(x):
+    x[-1] = -1e-6
+    return x
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (_scale_first, "balance residual"),
+    (_negative_last, "negative mass"),
+], ids=["residual", "negative-mass"])
+def test_numeric_refuses_a_perturbed_lu_result(monkeypatch, perturb, message):
+    # a solution off by a relative 1e-8 in one entry leaves a balance
+    # residual far above the gate, and one entry at -1e-6 is negative mass
+    import matchq.marginal as marginal
+
+    chain = build_marginal(PENDANT, LAM_P, pendant_priority_policy(), 4)
+    solve = marginal.spsolve
+    monkeypatch.setattr(marginal, "spsolve", lambda a, b, **kw: perturb(solve(a, b, **kw)))
+    with pytest.raises(NotConvergedError, match=message):
         stationary_numeric(chain, truncation=30)
 
 

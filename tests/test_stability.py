@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from matchq.errors import (
     EpsilonOutOfRangeError,
     IndexOutOfRangeError,
     NotApplicableError,
+    PolicyGraphMismatchError,
     ValidationError,
 )
 from matchq.graphs import (
@@ -28,6 +30,7 @@ from matchq.policies import (
     five_cycle_priority_policy,
     ml_policy,
     pendant_priority_policy,
+    priority_policy,
 )
 from matchq.simulate import SimConfig, drift_estimate, simulate
 from matchq.stability import (
@@ -143,6 +146,21 @@ def test_exact_region_takes_only_the_canonical_graphs_and_rules():
     for graph in (cycle_graph(4), Graph(5, pendant_graph().edges)):
         with pytest.raises(NotApplicableError, match="canonical pendant graph and 5-cycle"):
             exact_region(graph, pendant_rates)
+
+
+def test_exact_region_validates_a_policy_before_comparing_it_with_the_rule():
+    # a malformed policy is a ValidationError (exit 2), as in fluid_report,
+    # not a policy the region does not hold for (exit 3); a graph without a
+    # region is refused first
+    rates = (0.1, 0.1, 0.45, 0.35)
+    unknown = priority_policy({**pendant_priority_policy().order, 5: (4,)})
+    with pytest.raises(PolicyGraphMismatchError, match=r"unknown nodes \[5\]"):
+        exact_region(pendant_graph(), rates, unknown)
+    with pytest.raises(ValidationError, match="policy must be a Policy"):
+        exact_region(pendant_graph(), rates, "priority")
+    for policy in (unknown, "priority"):
+        with pytest.raises(NotApplicableError, match="canonical pendant graph and 5-cycle"):
+            exact_region(cycle_graph(4), rates, policy)
 
 
 def test_fivecycle_node4_inequality_is_conservative_near_its_face():
@@ -452,6 +470,49 @@ def test_empirical_classify_checks_nodes_before_simulating(monkeypatch, nodes, e
     with pytest.raises(error):
         empirical_classify(pendant_graph(), (0.1, 0.1, 0.45, 0.35),
                            pendant_priority_policy(), nodes=nodes)
+
+
+# empirical_classify's three thresholds, each from both sides, with two runs
+# per scale: the pooled slope at 3.5 and 2.5 standard errors (unstable above
+# 3), the hitting times' relative spread at 0.3 and 0.2 (at most 0.25 for
+# stable) and the ratio of the two scales' mean hitting times at 1.6 and 1.3
+# (at most 1.4). Each case gives the two runs' slopes, their hitting times at
+# each scale, and the flag.
+def _spread(r):
+    return (1.0 - r / math.sqrt(2.0), 1.0 + r / math.sqrt(2.0))
+
+
+_THRESHOLD_CASES = {
+    "slope-3.5-se": ((2.25, 1.25), ((1.0, 1.0), (1.0, 1.0)), "unstable-empirical"),
+    "slope-2.5-se": ((1.75, 0.75), ((1.0, 1.0), (1.0, 1.0)), "stable-empirical"),
+    "spread-0.3": ((-1.0, -1.0), (_spread(0.3), _spread(0.3)), "inconclusive"),
+    "spread-0.2": ((-1.0, -1.0), (_spread(0.2), _spread(0.2)), "stable-empirical"),
+    "cross-1.6": ((-1.0, -1.0), ((1.0, 1.0), (1.6, 1.6)), "inconclusive"),
+    "cross-1.3": ((-1.0, -1.0), ((1.0, 1.0), (1.3, 1.3)), "stable-empirical"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_THRESHOLD_CASES))
+def test_empirical_classify_thresholds_from_both_sides(monkeypatch, case):
+    slopes, hits, flag = _THRESHOLD_CASES[case]
+    budget = ClassifyBudget(seeds=2, scales=(10, 20))
+    runs = []
+
+    def fixed_run(graph, rates, policy, config):
+        scale = budget.scales.index(config.scale)
+        run = types.SimpleNamespace(scale=scale, k=runs.count(scale), n_events=1,
+                                    empty_time=float(config.scale))
+        runs.append(scale)
+        return run
+
+    monkeypatch.setattr("matchq.stability.simulate", fixed_run)
+    monkeypatch.setattr("matchq.stability.drift_estimate", lambda run, node: types.SimpleNamespace(
+        slope=slopes[run.k], stderr=0.1))
+    monkeypatch.setattr("matchq.stability.hitting_time", lambda run, node: hits[run.scale][run.k])
+    verdict = empirical_classify(pendant_graph(), (0.1, 0.1, 0.45, 0.35), ml_policy(), budget,
+                                 nodes=[4])
+    assert runs == [0, 0, 1, 1]
+    assert verdict.verdict == verdict.evidence["nodes"][4]["flag"] == flag
 
 
 def test_empirical_pendant_family_unstable_at_tail():
